@@ -221,7 +221,6 @@ def sector_branches(sectors: list[Sector]):
 
 _QUALITY_GOOD = Fraction(1, 64)
 _IMPROVE_BOXES = (Fraction(8), Fraction(128), Fraction(2048))
-_IMPROVE_BISECTIONS = 24
 
 
 def _min_margin(constraints: list[LinearConstraint], p: Vec) -> Fraction:
@@ -257,6 +256,62 @@ def _box_around(anchor: Vec, size: Fraction) -> list[LinearConstraint]:
     ]
 
 
+def _max_margin(constraints: list[LinearConstraint], box: list[LinearConstraint]) -> Fraction | None:
+    """Largest ``t >= 0`` for which ``_tightened(constraints, t) + box`` is feasible.
+
+    This is the exact optimum of the LP "maximise t subject to
+    ``n.p - c >= t(|nx|+|ny|)`` for every constraint", with the box rows
+    kept as they are; None when not even ``t = 0`` is feasible.  Eliminating
+    y pairs the rows as ``_feasible_exact`` does, and every paired row keeps
+    a nonnegative t coefficient, so each x lower bound is a line in t that
+    rises and each upper bound one that falls.  The gap between the highest
+    lower and the lowest upper bound is then convex, nondecreasing and
+    piecewise linear, and Newton steps started right of its largest root
+    land on that root exactly.  The box and at least one constraint keep t
+    bounded.
+    """
+    rows = [(lc.nx, lc.ny, lc.c, abs(lc.nx) + abs(lc.ny)) for lc in constraints]
+    rows += [(lc.nx, lc.ny, lc.c, 0) for lc in box]
+    lowers, uppers, caps = [], [], []  # x >= s t + b, x <= s t + b as (s, b); t <= cap
+
+    def add_x(a, c, w) -> bool:
+        """Record a x >= c + w t; False means no t satisfies it."""
+        if a > 0:
+            lowers.append((w / a, c / a))
+        elif a < 0:
+            uppers.append((w / a, c / a))
+        elif w > 0:
+            caps.append(-c / w)
+        elif c > 0:
+            return False
+        return True
+
+    y_lowers = [r for r in rows if r[1] > 0]
+    y_uppers = [r for r in rows if r[1] < 0]
+    for nx, ny, c, w in rows:
+        if ny == 0 and not add_x(nx, c, w):
+            return None
+    for (lx, ly, lc, lw), (ux, uy, uc, uw) in itertools.product(y_lowers, y_uppers):
+        if not add_x(ux * ly - lx * uy, ly * uc - uy * lc, ly * uw - uy * lw):
+            return None
+
+    # Start at the root of the pair that dominates as t grows, or at a lower cap.
+    top, bottom = max(lowers), min(uppers)
+    if top[0] > bottom[0]:
+        caps.append((bottom[1] - top[1]) / (top[0] - bottom[0]))
+    t = min(caps)
+    while t >= 0:
+        # The bound active at t on its left: ties go to the flatter line.
+        lo, neg_lo_slope = max((s * t + b, -s) for s, b in lowers)
+        hi, neg_hi_slope = min((s * t + b, -s) for s, b in uppers)
+        if lo <= hi:
+            return t
+        if neg_lo_slope == neg_hi_slope:  # the gap stays positive for all smaller t
+            return None
+        t -= (lo - hi) / (neg_hi_slope - neg_lo_slope)
+    return None
+
+
 def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, scale: Fraction) -> Vec:
     """Re-center a feasibility witness when it hugs a constraint boundary.
 
@@ -264,10 +319,11 @@ def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, s
     bounding lines, far from the contact region.  Such points are terrible
     certificates: the rotation family they describe clears the body only in a
     vanishing window of magnitudes.  When the original witness has a poor
-    margin-to-distance ratio, this searches a few boxes around the anchor for
-    the deepest interior point (largest smallest normalized margin, found by
-    bisection on the tightening level) and keeps whichever candidate scores
-    best.  The result always satisfies the original constraints.
+    margin-to-distance ratio, this takes, in each of a few boxes around the
+    anchor, the deepest point: the one whose smallest normalized margin is
+    the exact maximum ``_max_margin`` finds, or a plain solution in the box
+    when that maximum is 0.  It keeps whichever candidate scores best.  The
+    result always satisfies the original constraints.
     """
     if not constraints:
         return w
@@ -276,26 +332,13 @@ def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, s
         return w
     for factor in _IMPROVE_BOXES:
         box = _box_around(anchor, factor * scale)
-        ok, base = _feasible_exact(list(constraints) + box)
+        t = _max_margin(constraints, box)
+        if t is None:
+            continue
+        rows = _tightened(constraints, t) if t > 0 else list(constraints)
+        ok, point = _feasible_exact(rows + box)
         if not ok:
             continue
-        lo, point = Fraction(0), base
-        hi = scale
-        for _ in range(10):
-            ok, pt = _feasible_exact(_tightened(constraints, hi) + box)
-            if not ok:
-                break
-            lo, point = hi, pt
-            hi *= 4
-        for _ in range(_IMPROVE_BISECTIONS):
-            if hi - lo <= lo / 8:
-                break
-            mid = (lo + hi) / 2
-            ok, pt = _feasible_exact(_tightened(constraints, mid) + box)
-            if ok:
-                lo, point = mid, pt
-            else:
-                hi = mid
         q = _witness_quality(constraints, point, anchor, scale)
         if q > best_q:
             best, best_q = point, q

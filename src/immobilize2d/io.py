@@ -16,6 +16,8 @@ import json
 from fractions import Fraction
 
 from .body import (
+    EXACT_POLYGON,
+    MIXED_INEXACT,
     Arc,
     BoundaryPoint,
     ConvexBody,
@@ -24,7 +26,7 @@ from .body import (
     locate,
 )
 from .classify import PlacementDescriptor, Verdict, Witness
-from .errors import InvalidPointError
+from .errors import InvalidPointError, OutOfRangeError
 from .geom import Vec, to_scalar
 from .oracle import EscapeReport
 
@@ -37,8 +39,10 @@ def scalar_from_json(v) -> Fraction:
     if isinstance(v, str):
         v = v.strip()
         if "/" in v:
-            num, den = v.split("/", 1)
-            return Fraction(int(num), int(den))
+            num, den = (int(part) for part in v.split("/", 1))
+            if den == 0:
+                raise OutOfRangeError(f"zero denominator in scalar {v!r}")
+            return Fraction(num, den)
         return Fraction(v)  # decimal or integer string, parsed exactly
     return to_scalar(v)
 
@@ -74,6 +78,8 @@ def body_to_json(body: ConvexBody) -> dict:
 
 def body_from_json(doc) -> ConvexBody:
     mode = doc["mode"]
+    if mode not in (EXACT_POLYGON, MIXED_INEXACT):
+        raise OutOfRangeError(f"unknown body mode {mode!r}; expected {EXACT_POLYGON!r} or {MIXED_INEXACT!r}")
     elements = []
     for entry in doc["elements"]:
         if entry["type"] == "segment":

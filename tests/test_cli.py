@@ -190,6 +190,28 @@ def test_invalid_body_reports_validation_code(tmp_path, square_files):
     assert "NOT_CCW" in r.stderr
 
 
+def test_zero_denominator_is_a_coded_error(square_files, tmp_path):
+    sq, _, _ = square_files
+    pts = tmp_path / "zero.json"
+    pts.write_text(json.dumps([{"element": 0, "param": "1/0"}]))
+    r = run_cli("classify", "--mode", "fix", "--body", str(sq), "--points", str(pts), "--exact")
+    assert r.returncode == 1
+    assert "error[OUT_OF_RANGE]" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_unknown_body_mode_is_a_coded_error(square_files, tmp_path):
+    sq, corners, _ = square_files
+    doc = json.loads(sq.read_text())
+    doc["mode"] = "bogus"
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps(doc))
+    r = run_cli("classify", "--mode", "fix", "--body", str(bogus), "--points", str(corners), "--exact")
+    assert r.returncode == 1
+    assert "error[OUT_OF_RANGE]" in r.stderr
+    assert r.stdout == ""
+
+
 def test_repeated_runs_are_byte_identical(square_files, remark_files, tmp_path):
     sq, corners, _ = square_files
     remark_body, remark_points = remark_files

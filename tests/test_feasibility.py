@@ -1,16 +1,22 @@
 """Exact feasibility of half-plane systems, sector unions, direction sets."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from bruteforce import bruteforce_feasible, random_system
+from immobilize2d import feasibility
 from immobilize2d.body import TangentData
 from immobilize2d.errors import ConstraintLimitError, TooManyUnionSectorsError
 from immobilize2d.feasibility import (
     MAX_CONSTRAINTS,
     LinearConstraint,
+    _box_around,
+    _improve_witness,
+    _max_margin,
+    _tightened,
     directions_intersection,
     linear_feasible,
     sector_branches,
@@ -97,6 +103,62 @@ def test_adding_a_constraint_never_creates_solutions():
         after = linear_feasible(cons + [lc(*extra[0])]).feasible
         if not before:
             assert not after
+
+
+def integer_row(c, strict):
+    """The row of ``c`` scaled to integers, as ``bruteforce_feasible`` takes it."""
+    m = math.lcm(c.nx.denominator, c.ny.denominator, c.c.denominator)
+    return (int(c.nx * m), int(c.ny * m), int(c.c * m), strict)
+
+
+def test_max_margin_is_the_exact_optimum():
+    # t* is optimal iff the system tightened by t* is feasible while the same
+    # rows made strict (no point has a margin above t*) are not.
+    rng = random.Random(515)
+    seen = {"infeasible": 0, "zero": 0, "positive": 0}
+    for _ in range(400):
+        rows = random_system(rng)
+        if not rows:
+            continue
+        cons = [lc(*row) for row in rows]
+        box = _box_around(vec(rng.randint(-4, 4), rng.randint(-4, 4)), Fraction(rng.randint(1, 6)))
+        box_rows = [integer_row(b, False) for b in box]
+        t = _max_margin(cons, box)
+        if t is None:
+            seen["infeasible"] += 1
+            assert not bruteforce_feasible([integer_row(c, False) for c in cons] + box_rows), rows
+            continue
+        seen["zero" if t == 0 else "positive"] += 1
+        tight = _tightened(cons, t)
+        assert bruteforce_feasible([integer_row(c, False) for c in tight] + box_rows), (rows, t)
+        assert not bruteforce_feasible([integer_row(c, True) for c in tight] + box_rows), (rows, t)
+    assert min(seen.values()) > 0, seen
+
+
+def test_recentring_makes_at_most_two_solves_per_box(monkeypatch):
+    solves = []
+    exact = feasibility._feasible_exact
+
+    def counting(constraints):
+        solves.append(len(constraints))
+        return exact(constraints)
+
+    monkeypatch.setattr(feasibility, "_feasible_exact", counting)
+    rng = random.Random(616)
+    searched = 0
+    for _ in range(300):
+        rows = random_system(rng)
+        cons = [lc(*row) for row in rows]
+        res = linear_feasible(cons)
+        if not res.feasible:
+            continue
+        anchor = vec(rng.randint(-6, 6), rng.randint(-6, 6))
+        solves.clear()
+        w = _improve_witness(cons, res.witness, anchor, Fraction(rng.randint(1, 3)))
+        assert len(solves) <= 2 * len(feasibility._IMPROVE_BOXES), rows
+        searched += bool(solves)
+        assert all(c.holds(w) for c in cons), (rows, w)
+    assert searched > 20
 
 
 def test_constraint_cap_is_enforced():
