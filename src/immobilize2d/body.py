@@ -320,14 +320,15 @@ def _element_margin(el: BoundaryElement, p: Vec) -> tuple[Fraction, Fraction]:
     return chord_m, chord_scale
 
 
-def contains_interior(body: ConvexBody, p: Vec, tol: Fraction | None = None) -> Containment:
+def contains_interior(body: ConvexBody, p: Vec) -> Containment:
     """INTERIOR / BOUNDARY / EXTERIOR classification of an arbitrary point.
 
-    In inexact mode (tol > 0) a nonzero margin within tol of zero raises
-    NearDegenerateError carrying the snapped best guess.
+    Margins are compared against the body's own tolerance.  In mixed mode
+    (tolerance > 0) a nonzero margin within it of zero raises
+    NearDegenerateError carrying the snapped best guess; exact bodies
+    decide every sign exactly.
     """
-    if tol is None:
-        tol = body.tolerance()
+    tol = body.tolerance()
     worst = 1
     degenerate = False
     for el in body.elements:

@@ -244,7 +244,6 @@ def refine_almost_to_fix(
     body: ConvexBody,
     pts: list[BoundaryPoint],
     eps,
-    policy: str = "both_sides_first",
     max_halvings: int = 20,
 ) -> tuple[PlacementDescriptor, Verdict]:
     """Double each contact into a nearby pair so the doubled set fixes.
@@ -252,10 +251,9 @@ def refine_almost_to_fix(
     Tries neighbourhood radii eps/2, eps/4, ... down to eps/2**max_halvings;
     at each radius the placement variants per contact are straddling
     (offsets -d, +d along the boundary) or one-sided (+d, +2d or -2d, -d).
-    The first doubled set to classify POSITIVE for FIX wins.  With the
-    ``both_sides_first`` policy the all-straddling placement is tried before
-    mixed assignments; ``all_placements`` scans the full product in
-    lexicographic order from the start.
+    The first doubled set to classify POSITIVE for FIX wins.  Placements are
+    scanned in lexicographic order of ``_TAG_ORDER``, which starts with
+    straddling, so the all-straddling placement is tried first.
     """
     eps = to_scalar(eps)
     if eps <= 0:
@@ -264,19 +262,10 @@ def refine_almost_to_fix(
     pre = classify_almost_fix(body, pts)
     if pre.status != POSITIVE:
         raise NotAlmostPositiveError(f"almost-fix classification is {pre.status}, not {POSITIVE}")
-    if policy not in ("both_sides_first", "all_placements"):
-        raise ValueError(f"unknown policy {policy!r}")
 
-    n = len(pts)
     for k in range(1, max_halvings + 1):
         delta = eps / (2**k)
-        assignments = itertools.product(_TAG_ORDER, repeat=n)
-        if policy == "both_sides_first":
-            all_both = (BOTH_SIDES,) * n
-            assignments = itertools.chain(
-                [all_both], (t for t in itertools.product(_TAG_ORDER, repeat=n) if t != all_both)
-            )
-        for tags in assignments:
+        for tags in itertools.product(_TAG_ORDER, repeat=len(pts)):
             placement = _placement(body, pts, tags, delta)
             verdict = classify_fix(body, placement.points())
             if verdict.status == POSITIVE:

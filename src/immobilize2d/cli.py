@@ -10,11 +10,9 @@ Exit codes
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,7 +95,7 @@ def cmd_refine(args) -> int:
     pts = _load_points(args.points, body)
     eps = io.scalar_from_json(args.epsilon)
     try:
-        placement, verdict = cls.refine_almost_to_fix(body, pts, eps, policy=args.policy)
+        placement, verdict = cls.refine_almost_to_fix(body, pts, eps)
     except NotAlmostPositiveError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_NOT_ALMOST_POSITIVE
@@ -142,23 +140,6 @@ def _fuzz_points(body: ConvexBody, rng: random.Random, max_points: int):
     return pts
 
 
-def _rotation_witness_validates(body: ConvexBody, pts, witness) -> bool:
-    """Validate with progressively finer magnitude schedules.
-
-    A geometrically valid first-order witness can have a finite window of
-    magnitudes where the circular trajectory dips back through the body.  If
-    the stock schedule straddles that window, rescaling it downward moves
-    every probe below the window; a wrong-sense witness keeps failing at
-    every scale because its trajectories enter the body immediately.
-    """
-    schedule = oracle.DEFAULT_ROTATION_SCHEDULE
-    for _ in range(4):
-        if oracle.validate_rotation_witness(body, pts, witness.point, witness.sense, schedule):
-            return True
-        schedule = tuple(t / 10**4 for t in schedule)
-    return False
-
-
 def _fuzz_trial(seed: int, index: int, max_points: int) -> dict:
     rng = random.Random(f"{seed}:{index}")
     body = None
@@ -180,7 +161,8 @@ def _fuzz_trial(seed: int, index: int, max_points: int) -> dict:
         violations.append("NOT_ALMOST_FIX without NOT_WEAKLY_FIX")
     for label, verdict in (("fix", fix), ("almost", almost)):
         if verdict.status in (cls.NOT_WEAKLY_FIX, cls.NOT_ALMOST_FIX):
-            if not _rotation_witness_validates(body, pts, verdict.witness):
+            w = verdict.witness
+            if not oracle.validate_rotation_witness(body, pts, w.point, w.sense):
                 violations.append(f"{label} rotation witness failed exact validation")
     if fix.status == cls.POSITIVE:
         if oracle.escape_search(body, pts, samples=240, seed=index) is not None:
@@ -194,25 +176,10 @@ def _fuzz_trial(seed: int, index: int, max_points: int) -> dict:
     }
 
 
-def _worker_count(trials: int) -> int:
-    raw = os.environ.get("IMMOBILIZE2D_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, trials))
-
-
 def cmd_fuzz(args) -> int:
     if not 0 <= args.trials <= 10**5:
         raise OutOfRangeError("trials must be between 0 and 100000")
-    results = []
-    if args.trials:
-        with ThreadPoolExecutor(max_workers=_worker_count(args.trials)) as pool:
-            futures = [pool.submit(_fuzz_trial, args.seed, i, args.max_points) for i in range(args.trials)]
-            results = [f.result() for f in futures]
+    results = [_fuzz_trial(args.seed, i, args.max_points) for i in range(args.trials)]
     fix_counts: dict[str, int] = {}
     almost_counts: dict[str, int] = {}
     skipped = 0
@@ -317,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--epsilon", required=True, help="neighbourhood radius, e.g. 1/5")
-    p.add_argument("--policy", choices=("both_sides_first", "all_placements"), default="both_sides_first")
     p.add_argument("--out")
     p.set_defaults(func=cmd_refine)
 

@@ -36,15 +36,19 @@ def scalar_to_json(x: Fraction) -> str:
 
 
 def scalar_from_json(v) -> Fraction:
-    if isinstance(v, str):
-        v = v.strip()
-        if "/" in v:
-            num, den = (int(part) for part in v.split("/", 1))
-            if den == 0:
-                raise OutOfRangeError(f"zero denominator in scalar {v!r}")
-            return Fraction(num, den)
-        return Fraction(v)  # decimal or integer string, parsed exactly
-    return to_scalar(v)
+    """Exact scalar; a zero denominator, non-finite or malformed value is OUT_OF_RANGE."""
+    try:
+        if isinstance(v, str):
+            v = v.strip()
+            if "/" in v:
+                num, den = (int(part) for part in v.split("/", 1))
+                return Fraction(num, den)
+            return Fraction(v)  # decimal or integer string, parsed exactly
+        return to_scalar(v)
+    except ZeroDivisionError:
+        raise OutOfRangeError(f"zero denominator in scalar {v!r}") from None
+    except (ValueError, OverflowError):
+        raise OutOfRangeError(f"scalar {v!r} is not a finite number") from None
 
 
 def vec_to_json(v: Vec) -> dict:

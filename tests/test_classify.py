@@ -1,10 +1,13 @@
 """First-order fixing and almost-fixing verdicts, refinement, search."""
 
+import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from immobilize2d import classify
 from immobilize2d.body import BoundaryPoint, boundary_point, polygon
 from immobilize2d.classify import (
     CCW,
@@ -187,11 +190,36 @@ def test_refine_opposite_corners_doubles_into_a_fixing_set():
     assert check.status == POSITIVE
 
 
-def test_refine_full_product_policy_agrees():
+def test_refine_scans_all_straddling_first_then_lexicographic(monkeypatch):
     sq, oc = square_opposite_corners()
-    placement, verdict = refine_almost_to_fix(sq, oc, Fraction(1, 5), policy="all_placements")
+    eps = Fraction(1, 5)
+    # Every placement of the first 3 radii, keyed by its doubled points.
+    placements = {}
+    for k in (1, 2, 3):
+        for tags in itertools.product(classify._TAG_ORDER, repeat=len(oc)):
+            pl = classify._placement(sq, oc, tags, eps / 2**k)
+            placements[tuple((p.element_index, p.param) for p in pl.points())] = (k, tags)
+    assert len(placements) == 27
+    seen = []
+    real_classify_fix = classify.classify_fix
+
+    def refusing_classify_fix(body, pts, tol=None):
+        seen.append(placements[tuple((p.element_index, p.param) for p in pts)])
+        if len(seen) <= 12:  # refuse the whole first radius and 3 of the second
+            return SimpleNamespace(status="REFUSED")
+        return real_classify_fix(body, pts, tol)
+
+    monkeypatch.setattr(classify, "classify_fix", refusing_classify_fix)
+    placement, verdict = refine_almost_to_fix(sq, oc, eps)
     assert verdict.status == POSITIVE
-    assert placement.delta == Fraction(1, 10)
+    assert seen[0] == (1, ("both_sides", "both_sides"))
+    rank = {tag: i for i, tag in enumerate(classify._TAG_ORDER)}
+    expected = sorted(placements.values(), key=lambda kt: (kt[0], [rank[t] for t in kt[1]]))
+    assert len(seen) > 12
+    assert seen == expected[: len(seen)]
+    k, tags = seen[-1]
+    assert placement.delta == eps / 2**k
+    assert tags == tuple(e.tag for e in placement.entries)
 
 
 def test_refine_rejects_non_almost_positive_input():
