@@ -161,13 +161,21 @@ def _turn_directions(body: ConvexBody) -> list[Vec]:
     return dirs
 
 
-def _total_turn(dirs: list[Vec]) -> float:
-    """Total left turn of the direction sequence in radians (float is ample:
-    chains that wind more than once are a full turn away from 2*pi)."""
-    total = 0.0
-    for u, v in zip(dirs, dirs[1:] + [dirs[0]]):
-        total += math.atan2(float(cross(u, v)), float(dot(u, v)))
-    return total
+def _winding(dirs: list[Vec]) -> int:
+    """How many full turns the closed direction sequence makes, counted exactly.
+
+    Every step turns by less than a half turn, left when ``cross`` is
+    positive.  A left step passes the ray (1, 0) when the ray lies in its
+    half-open angle (u, v]: ``cross(u, ray) = -u.y > 0`` and v on the ray
+    (``dot(ray, v) = v.x > 0``) or left of it (``cross(ray, v) = v.y > 0``).
+    A right step, a clockwise junction that mixed mode snapped to straight,
+    counts -1 when it passes the ray backwards.
+    """
+
+    def passes(u: Vec, v: Vec) -> bool:
+        return u.y < 0 and (v.y > 0 or (v.y == 0 and v.x > 0))
+
+    return sum(passes(u, v) if cross(u, v) >= 0 else -passes(v, u) for u, v in zip(dirs, dirs[1:] + dirs[:1]))
 
 
 def validate(body: ConvexBody) -> None:
@@ -236,7 +244,7 @@ def validate(body: ConvexBody) -> None:
     elif twice_area <= 0:
         raise BodyValidationError("EMPTY_INTERIOR", 0, "boundary encloses no area")
 
-    if abs(_total_turn(_turn_directions(body)) - 2 * math.pi) > 1.0:
+    if _winding(_turn_directions(body)) != 1:
         raise BodyValidationError("NOT_CONVEX", 0, "boundary does not wind exactly once")
 
 

@@ -7,10 +7,12 @@ yields an interval witness for free.  Sector systems add one twist: a large
 sector is a union of two half-planes, so the system splits into up to
 ``2**k`` conjunctive branches, visited in a fixed lexicographic order.
 
-With a positive tolerance every solve runs two extra "twin" passes, one
-with all constraints relaxed by a tolerance-scaled slack and one with all
-tightened; a verdict that flips between the twins is reported as
-near-degenerate rather than silently trusted.
+With a positive tolerance, sector and direction systems run two extra
+"twin" passes, one with every constraint (or arc) relaxed by a
+tolerance-scaled slack and one with every one tightened; a verdict that
+flips between the twins is reported as near-degenerate rather than silently
+trusted.  Plain ``linear_feasible`` systems are solved exactly, without
+twins.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import ConstraintLimitError, TooManyUnionSectorsError
 from .geom import Vec, dot, norm1, rot90_ccw, same_ray
 from .sectors import (
     INTERSECTION,
-    UNION,
     CircArc,
     DirectionSet,
     Sector,
@@ -160,34 +161,32 @@ def _feasible_exact(constraints: list[LinearConstraint]) -> tuple[bool, Vec | No
     return True, Vec(x, y)
 
 
-def _snap_witness(w: Vec, constraints: list[LinearConstraint]) -> Vec:
+def _snap_witness(w: Vec, constraints: list[LinearConstraint], floor: Fraction | None) -> Vec:
     """Round to the coarsest dyadic grid that still satisfies everything.
 
     Exact witnesses from elimination can carry huge denominators and sit
     close to strict boundaries; snapping picks a nearby point with small
-    terms and fatter margins.  Falls back to the exact witness when the
-    point is pinned to a non-dyadic equality.
+    terms and fatter margins.  With a ``floor`` the snapped point must also
+    keep a smallest normalized margin of at least ``floor``.  Falls back to
+    the exact witness when the point is pinned to a non-dyadic equality.
     """
     for k in range(_SNAP_BITS + 1):
         den = 1 << k
         snapped = Vec(Fraction(round(w.x * den), den), Fraction(round(w.y * den), den))
-        if all(lc.holds(snapped) for lc in constraints):
+        if all(lc.holds(snapped) for lc in constraints) and (
+            floor is None or _min_margin(constraints, snapped) >= floor
+        ):
             return snapped
     return w
 
 
-def linear_feasible(constraints: list[LinearConstraint], tol: Fraction = Fraction(0)) -> FeasibilityResult:
+def linear_feasible(constraints: list[LinearConstraint]) -> FeasibilityResult:
     if len(constraints) > MAX_CONSTRAINTS:
         raise ConstraintLimitError(f"{len(constraints)} constraints exceed the cap of {MAX_CONSTRAINTS}")
     ok, w = _feasible_exact(constraints)
     if ok:
-        w = _snap_witness(w, constraints)
-    flagged = False
-    if tol > 0:
-        relaxed, _ = _feasible_exact([lc.shifted(tol) for lc in constraints])
-        tightened, _ = _feasible_exact([lc.shifted(-tol) for lc in constraints])
-        flagged = relaxed != tightened
-    return FeasibilityResult(ok, w, flagged)
+        w = _snap_witness(w, constraints, None)
+    return FeasibilityResult(ok, w)
 
 
 # -- sector systems ----------------------------------------------------------
@@ -239,13 +238,6 @@ def _witness_quality(constraints: list[LinearConstraint], p: Vec, anchor: Vec, s
     return _min_margin(constraints, p) / (scale + dist)
 
 
-def _tightened(constraints: list[LinearConstraint], t: Fraction) -> list[LinearConstraint]:
-    out = []
-    for lc in constraints:
-        out.append(LinearConstraint(lc.nx, lc.ny, lc.c + t * (abs(lc.nx) + abs(lc.ny)), False, lc.scale))
-    return out
-
-
 def _box_around(anchor: Vec, size: Fraction) -> list[LinearConstraint]:
     one = Fraction(1)
     return [
@@ -256,19 +248,21 @@ def _box_around(anchor: Vec, size: Fraction) -> list[LinearConstraint]:
     ]
 
 
-def _max_margin(constraints: list[LinearConstraint], box: list[LinearConstraint]) -> Fraction | None:
-    """Largest ``t >= 0`` for which ``_tightened(constraints, t) + box`` is feasible.
+def _deepest_point(constraints: list[LinearConstraint], box: list[LinearConstraint]) -> Vec | None:
+    """The point of the box whose smallest normalized margin is largest.
 
     This is the exact optimum of the LP "maximise t subject to
     ``n.p - c >= t(|nx|+|ny|)`` for every constraint", with the box rows
-    kept as they are; None when not even ``t = 0`` is feasible.  Eliminating
-    y pairs the rows as ``_feasible_exact`` does, and every paired row keeps
-    a nonnegative t coefficient, so each x lower bound is a line in t that
-    rises and each upper bound one that falls.  The gap between the highest
-    lower and the lowest upper bound is then convex, nondecreasing and
-    piecewise linear, and Newton steps started right of its largest root
-    land on that root exactly.  The box and at least one constraint keep t
-    bounded.
+    kept as they are; None when that maximum ``t*`` is 0 or not even ``t = 0``
+    is feasible.  Eliminating y pairs the rows as ``_feasible_exact`` does,
+    and every paired row keeps a nonnegative t coefficient, so each x lower
+    bound is a line in t that rises and each upper bound one that falls.  The
+    gap between the highest lower and the lowest upper bound is then convex,
+    nondecreasing and piecewise linear, and Newton steps started right of its
+    largest root land on that root exactly.  The box and at least one
+    constraint keep t bounded.  The point is the midpoint of the x interval
+    at ``t*``, then of the y interval there: the witness ``_feasible_exact``
+    gives for the rows tightened by ``t*``, found without solving again.
     """
     rows = [(lc.nx, lc.ny, lc.c, abs(lc.nx) + abs(lc.ny)) for lc in constraints]
     rows += [(lc.nx, lc.ny, lc.c, 0) for lc in box]
@@ -300,12 +294,15 @@ def _max_margin(constraints: list[LinearConstraint], box: list[LinearConstraint]
     if top[0] > bottom[0]:
         caps.append((bottom[1] - top[1]) / (top[0] - bottom[0]))
     t = min(caps)
-    while t >= 0:
+    while t > 0:
         # The bound active at t on its left: ties go to the flatter line.
         lo, neg_lo_slope = max((s * t + b, -s) for s, b in lowers)
         hi, neg_hi_slope = min((s * t + b, -s) for s, b in uppers)
         if lo <= hi:
-            return t
+            x = (lo + hi) / 2
+            y_lo = max((c + t * w - nx * x) / ny for nx, ny, c, w in y_lowers)
+            y_hi = min((c + t * w - nx * x) / ny for nx, ny, c, w in y_uppers)
+            return Vec(x, (y_lo + y_hi) / 2)
         if neg_lo_slope == neg_hi_slope:  # the gap stays positive for all smaller t
             return None
         t -= (lo - hi) / (neg_hi_slope - neg_lo_slope)
@@ -320,10 +317,11 @@ def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, s
     certificates: the rotation family they describe clears the body only in a
     vanishing window of magnitudes.  When the original witness has a poor
     margin-to-distance ratio, this takes, in each of a few boxes around the
-    anchor, the deepest point: the one whose smallest normalized margin is
-    the exact maximum ``_max_margin`` finds, or a plain solution in the box
-    when that maximum is 0.  It keeps whichever candidate scores best.  The
-    result always satisfies the original constraints.
+    anchor, the deepest point ``_deepest_point`` finds, and keeps whichever
+    candidate scores best.  A box whose best margin is 0 is skipped: none of
+    its points can beat the original, feasible witness.  The result is
+    snapped to a coarse dyadic point that keeps at least half its margin, and
+    always satisfies the original constraints.
     """
     if not constraints:
         return w
@@ -331,27 +329,15 @@ def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, s
     if best_q >= _QUALITY_GOOD:
         return w
     for factor in _IMPROVE_BOXES:
-        box = _box_around(anchor, factor * scale)
-        t = _max_margin(constraints, box)
-        if t is None:
-            continue
-        rows = _tightened(constraints, t) if t > 0 else list(constraints)
-        ok, point = _feasible_exact(rows + box)
-        if not ok:
+        point = _deepest_point(constraints, _box_around(anchor, factor * scale))
+        if point is None:
             continue
         q = _witness_quality(constraints, point, anchor, scale)
         if q > best_q:
             best, best_q = point, q
     if best == w:
         return w
-    # Snap to a coarse dyadic point only where that keeps most of the margin.
-    floor = _min_margin(constraints, best) / 2
-    for k in range(_SNAP_BITS + 1):
-        den = 1 << k
-        snapped = Vec(Fraction(round(best.x * den), den), Fraction(round(best.y * den), den))
-        if _min_margin(constraints, snapped) >= floor and all(lc.holds(snapped) for lc in constraints):
-            return snapped
-    return best
+    return _snap_witness(best, constraints, _min_margin(constraints, best) / 2)
 
 
 def sectors_intersection(sectors: list[Sector], tol: Fraction = Fraction(0)) -> FeasibilityResult:

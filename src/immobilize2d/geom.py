@@ -113,24 +113,6 @@ def reversed_line(line: OrientedLine) -> OrientedLine:
     return OrientedLine(line.base, -line.dir)
 
 
-@dataclass(frozen=True)
-class HalfPlane:
-    """One side of an oriented line, open or closed."""
-
-    line: OrientedLine
-    side: str = "left"  # "left" | "right"
-    closed: bool = True
-
-    def margin(self, p: Vec) -> Fraction:
-        """Positive inside, zero on the line, negative outside (not normalized)."""
-        c = cross(self.line.dir, p - self.line.base)
-        return c if self.side == "left" else -c
-
-    def contains(self, p: Vec) -> bool:
-        m = self.margin(p)
-        return m >= 0 if self.closed else m > 0
-
-
 # -- rigid motions ----------------------------------------------------------
 
 

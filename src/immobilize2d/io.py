@@ -81,24 +81,28 @@ def body_to_json(body: ConvexBody) -> dict:
 
 
 def body_from_json(doc) -> ConvexBody:
-    mode = doc["mode"]
-    if mode not in (EXACT_POLYGON, MIXED_INEXACT):
-        raise OutOfRangeError(f"unknown body mode {mode!r}; expected {EXACT_POLYGON!r} or {MIXED_INEXACT!r}")
-    elements = []
-    for entry in doc["elements"]:
-        if entry["type"] == "segment":
-            elements.append(Segment(vec_from_json(entry["a"]), vec_from_json(entry["b"])))
-        elif entry["type"] == "arc":
-            elements.append(
-                Arc(
-                    vec_from_json(entry["center"]),
-                    scalar_from_json(entry["radius"]),
-                    vec_from_json(entry["from"]),
-                    vec_from_json(entry["to"]),
+    """A missing field or a value of the wrong type is OUT_OF_RANGE."""
+    try:
+        mode = doc["mode"]
+        if mode not in (EXACT_POLYGON, MIXED_INEXACT):
+            raise OutOfRangeError(f"unknown body mode {mode!r}; expected {EXACT_POLYGON!r} or {MIXED_INEXACT!r}")
+        elements = []
+        for entry in doc["elements"]:
+            if entry["type"] == "segment":
+                elements.append(Segment(vec_from_json(entry["a"]), vec_from_json(entry["b"])))
+            elif entry["type"] == "arc":
+                elements.append(
+                    Arc(
+                        vec_from_json(entry["center"]),
+                        scalar_from_json(entry["radius"]),
+                        vec_from_json(entry["from"]),
+                        vec_from_json(entry["to"]),
+                    )
                 )
-            )
-        else:
-            raise InvalidPointError(f"unknown element type {entry.get('type')!r}")
+            else:
+                raise InvalidPointError(f"unknown element type {entry.get('type')!r}")
+    except (KeyError, TypeError) as exc:
+        raise OutOfRangeError(f"malformed body document ({type(exc).__name__}: {exc})") from None
     return ConvexBody(tuple(elements), mode)
 
 
@@ -107,14 +111,20 @@ def points_to_json(pts) -> list:
 
 
 def points_from_json(doc, body: ConvexBody) -> list[BoundaryPoint]:
+    if not isinstance(doc, list):
+        raise InvalidPointError(f"points document must be a list of point entries, got {doc!r}")
     out = []
     for entry in doc:
-        if "coords" in entry:
+        if isinstance(entry, dict) and "coords" in entry:
             out.append(locate(body, vec_from_json(entry["coords"])))
-        elif "element" in entry:
-            out.append(boundary_point(body, int(entry["element"]), scalar_from_json(entry["param"])))
-        else:
-            raise InvalidPointError(f"point entry needs 'element'/'param' or 'coords': {entry!r}")
+            continue
+        try:
+            element, param = int(entry["element"]), scalar_from_json(entry["param"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise InvalidPointError(
+                f"point entry needs an integer 'element' and a 'param', or 'coords': {entry!r}"
+            ) from None
+        out.append(boundary_point(body, element, param))
     return out
 
 

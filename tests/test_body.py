@@ -10,6 +10,7 @@ from immobilize2d.body import (
     Containment,
     ConvexBody,
     EXACT_POLYGON,
+    MIXED_INEXACT,
     Segment,
     boundary_point,
     contains_interior,
@@ -27,7 +28,7 @@ from immobilize2d.errors import (
     NearDegenerateError,
     NotOnBoundaryError,
 )
-from immobilize2d.fixtures import unit_disc, unit_square
+from immobilize2d.fixtures import random_convex_polygon, unit_disc, unit_square
 from immobilize2d.geom import vec
 
 
@@ -81,6 +82,29 @@ def test_validate_rejects_single_element():
     with pytest.raises(BodyValidationError) as e:
         validate(body)
     assert e.value.code == "EMPTY_INTERIOR"
+
+
+def test_validation_counts_winding_without_floats(monkeypatch):
+    def no_float(*_):
+        raise AssertionError("math.atan2 called during validation")
+
+    monkeypatch.setattr(math, "atan2", no_float)
+    validate(unit_square())
+    for seed in range(20):
+        validate(random_convex_polygon(seed, 3 + seed % 8))
+    # A pentagram over a convex pentagon with rational vertices: every turn
+    # is a left turn and the signed area is positive, but it winds twice.
+    pentagon = [(3, 0), (Fraction(1, 2), Fraction(7, 3)), (Fraction(-5, 2), Fraction(3, 2)),
+                (Fraction(-5, 2), Fraction(-3, 2)), (Fraction(1, 2), Fraction(-7, 3))]
+    star = polygon([pentagon[(2 * i) % 5] for i in range(5)])
+    with pytest.raises(BodyValidationError) as e:
+        validate(star)
+    assert e.value.code == "NOT_CONVEX"
+    assert "wind" in str(e.value)
+    # A clockwise junction within tolerance passes as straight in mixed mode;
+    # it turns back over the direction (1, 0), and the winding still counts 1.
+    eps = Fraction(1, 10**12)
+    validate(polygon([(0, 0), (1, eps), (2, 0), (2, 2), (0, 2)], mode=MIXED_INEXACT))
 
 
 def test_validate_accepts_disc_in_mixed_mode():

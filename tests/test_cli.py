@@ -213,6 +213,37 @@ def test_unknown_body_mode_is_a_coded_error(square_files, tmp_path):
     assert r.stdout == ""
 
 
+# Structurally malformed points files (INVALID_POINT) and body files
+# (OUT_OF_RANGE), as raw JSON.
+BAD_POINTS = (
+    '[{"element": 0, "param": null}]',
+    '[{"element": "a", "param": "1/2"}]',
+    '[{"element": 0}]',
+    '{"element": 0, "param": "1/2"}',
+    "[5]",
+)
+BAD_BODIES = (
+    '{"mode": "exact_polygon"}',
+    "[]",
+    '{"mode": "exact_polygon", "elements": [5]}',
+    '{"mode": "exact_polygon", "elements": 5}',
+    '{"mode": "exact_polygon", "elements": [{"type": "segment", "a": {"x": "0", "y": "0"}}]}',
+)
+
+
+def test_malformed_documents_are_coded_errors(square_files, tmp_path):
+    sq, corners, _ = square_files
+    bad = tmp_path / "bad.json"
+    cases = [(doc, sq, bad, "INVALID_POINT") for doc in BAD_POINTS]
+    cases += [(doc, bad, corners, "OUT_OF_RANGE") for doc in BAD_BODIES]
+    for doc, body, points, code in cases:
+        bad.write_text(doc)
+        r = run_cli("classify", "--mode", "fix", "--body", str(body), "--points", str(points), "--exact")
+        assert r.returncode == 1, doc
+        assert f"error[{code}]" in r.stderr, (doc, r.stderr)
+        assert "Traceback" not in r.stderr, doc
+
+
 def test_repeated_runs_are_byte_identical(square_files, remark_files, tmp_path):
     sq, corners, _ = square_files
     remark_body, remark_points = remark_files

@@ -14,9 +14,10 @@ from immobilize2d.feasibility import (
     MAX_CONSTRAINTS,
     LinearConstraint,
     _box_around,
+    _deepest_point,
+    _feasible_exact,
     _improve_witness,
-    _max_margin,
-    _tightened,
+    _min_margin,
     directions_intersection,
     linear_feasible,
     sector_branches,
@@ -111,11 +112,19 @@ def integer_row(c, strict):
     return (int(c.nx * m), int(c.ny * m), int(c.c * m), strict)
 
 
+def tightened(constraints, t):
+    """The rows closed and shifted inward by ``t`` times their L1 norm."""
+    return [LinearConstraint(c.nx, c.ny, c.c + t * (abs(c.nx) + abs(c.ny))) for c in constraints]
+
+
 def test_max_margin_is_the_exact_optimum():
-    # t* is optimal iff the system tightened by t* is feasible while the same
-    # rows made strict (no point has a margin above t*) are not.
+    # p is optimal iff its smallest margin t is positive and the rows
+    # tightened by t and made strict (no point of the box has a margin above
+    # t) are infeasible.  p itself is the witness elimination gives for the
+    # tightened rows.  None means no point of the box has every margin
+    # positive: the best margin is 0, or the closed rows miss the box.
     rng = random.Random(515)
-    seen = {"infeasible": 0, "zero": 0, "positive": 0}
+    seen = {"infeasible": 0, "zero": 0, "point": 0}
     for _ in range(400):
         rows = random_system(rng)
         if not rows:
@@ -123,27 +132,35 @@ def test_max_margin_is_the_exact_optimum():
         cons = [lc(*row) for row in rows]
         box = _box_around(vec(rng.randint(-4, 4), rng.randint(-4, 4)), Fraction(rng.randint(1, 6)))
         box_rows = [integer_row(b, False) for b in box]
-        t = _max_margin(cons, box)
-        if t is None:
-            seen["infeasible"] += 1
-            assert not bruteforce_feasible([integer_row(c, False) for c in cons] + box_rows), rows
+        p = _deepest_point(cons, box)
+        if p is None:
+            closed = bruteforce_feasible([integer_row(c, False) for c in cons] + box_rows)
+            seen["zero" if closed else "infeasible"] += 1
+            assert not bruteforce_feasible([integer_row(c, True) for c in cons] + box_rows), rows
             continue
-        seen["zero" if t == 0 else "positive"] += 1
-        tight = _tightened(cons, t)
-        assert bruteforce_feasible([integer_row(c, False) for c in tight] + box_rows), (rows, t)
+        seen["point"] += 1
+        t = _min_margin(cons, p)
+        assert t > 0 and all(b.holds(p) for b in box), (rows, p)
+        tight = tightened(cons, t)
         assert not bruteforce_feasible([integer_row(c, True) for c in tight] + box_rows), (rows, t)
+        assert _feasible_exact(tight + box) == (True, p), (rows, t)
     assert min(seen.values()) > 0, seen
 
 
-def test_recentring_makes_at_most_two_solves_per_box(monkeypatch):
-    solves = []
-    exact = feasibility._feasible_exact
+def test_recentring_makes_no_exact_solve(monkeypatch):
+    solves, deepest = [], []
+    exact, deepest_point = feasibility._feasible_exact, feasibility._deepest_point
 
     def counting(constraints):
         solves.append(len(constraints))
         return exact(constraints)
 
+    def counting_deepest(constraints, box):
+        deepest.append(len(constraints))
+        return deepest_point(constraints, box)
+
     monkeypatch.setattr(feasibility, "_feasible_exact", counting)
+    monkeypatch.setattr(feasibility, "_deepest_point", counting_deepest)
     rng = random.Random(616)
     searched = 0
     for _ in range(300):
@@ -154,9 +171,11 @@ def test_recentring_makes_at_most_two_solves_per_box(monkeypatch):
             continue
         anchor = vec(rng.randint(-6, 6), rng.randint(-6, 6))
         solves.clear()
+        deepest.clear()
         w = _improve_witness(cons, res.witness, anchor, Fraction(rng.randint(1, 3)))
-        assert len(solves) <= 2 * len(feasibility._IMPROVE_BOXES), rows
-        searched += bool(solves)
+        assert solves == [], rows
+        assert len(deepest) in (0, len(feasibility._IMPROVE_BOXES)), rows
+        searched += bool(deepest)
         assert all(c.holds(w) for c in cons), (rows, w)
     assert searched > 20
 
