@@ -25,6 +25,7 @@ direction test) is reported so callers can probe it dynamically.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -308,7 +309,7 @@ def search_almost_fixing(
         raise InvalidPointError("tuple size must be 2 or 3")
     cands = candidates if candidates is not None else boundary_grid(body, resolution)
     m = len(cands)
-    total = _n_choose_k(m, n)
+    total = math.comb(m, n)
     keep_ranks = None
     if total > max_tuples:
         rng = random.Random(seed)
@@ -321,10 +322,3 @@ def search_almost_fixing(
         if verdict.status == POSITIVE:
             out.append((combo, verdict))
     return out
-
-
-def _n_choose_k(m: int, k: int) -> int:
-    num = 1
-    for i in range(k):
-        num = num * (m - i) // (i + 1)
-    return num

@@ -179,6 +179,8 @@ def _fuzz_trial(seed: int, index: int, max_points: int) -> dict:
 def cmd_fuzz(args) -> int:
     if not 0 <= args.trials <= 10**5:
         raise OutOfRangeError("trials must be between 0 and 100000")
+    if not 2 <= args.max_points <= 32:  # 32 contacts give the 64 rows MAX_CONSTRAINTS allows
+        raise OutOfRangeError("max-points must be between 2 and 32")
     results = [_fuzz_trial(args.seed, i, args.max_points) for i in range(args.trials)]
     fix_counts: dict[str, int] = {}
     almost_counts: dict[str, int] = {}

@@ -28,8 +28,8 @@ from .sectors import (
     CircArc,
     DirectionSet,
     Sector,
+    first_common_direction,
     grow_arc,
-    intersect_direction_sets,
     shrink_arc,
 )
 
@@ -398,16 +398,10 @@ def _unit_l1(d: Vec) -> Vec:
 
 def directions_intersection(sets: list[DirectionSet], tol: Fraction = Fraction(0)) -> FeasibilityResult:
     """Common direction of all sets; the witness is an L1-normalized direction."""
-    common = intersect_direction_sets(sets)
-    if common.full:
-        witness = Vec(Fraction(1), Fraction(0))
-    elif common.is_empty():
-        witness = None
-    else:
-        witness = _unit_l1(common.arcs[0].start)
+    start = first_common_direction(sets)
     flagged = False
     if tol > 0:
-        grown = intersect_direction_sets([_perturb_set(ds, tol, relax=True) for ds in sets])
-        shrunk = intersect_direction_sets([_perturb_set(ds, tol, relax=False) for ds in sets])
-        flagged = grown.is_empty() != shrunk.is_empty()
-    return FeasibilityResult(not common.is_empty(), witness, flagged)
+        grown = first_common_direction([_perturb_set(ds, tol, relax=True) for ds in sets])
+        shrunk = first_common_direction([_perturb_set(ds, tol, relax=False) for ds in sets])
+        flagged = (grown is None) != (shrunk is None)
+    return FeasibilityResult(start is not None, None if start is None else _unit_l1(start), flagged)

@@ -7,7 +7,6 @@ predicate downstream is decided by integer arithmetic.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -48,10 +47,6 @@ class Vec:
         return self.x == 0 and self.y == 0
 
 
-Point = Vec
-Direction = Vec
-
-
 def vec(x: ScalarLike, y: ScalarLike) -> Vec:
     return Vec(to_scalar(x), to_scalar(y))
 
@@ -68,10 +63,6 @@ def rot90_ccw(v: Vec) -> Vec:
     return Vec(-v.y, v.x)
 
 
-def rot90_cw(v: Vec) -> Vec:
-    return Vec(v.y, -v.x)
-
-
 def same_ray(u: Vec, v: Vec) -> bool:
     """True when u and v point the same way (positive multiples of each other)."""
     return cross(u, v) == 0 and dot(u, v) > 0
@@ -80,12 +71,6 @@ def same_ray(u: Vec, v: Vec) -> bool:
 def norm1(v: Vec) -> Fraction:
     """1-norm, used as a rational stand-in for length when scaling tolerances."""
     return abs(v.x) + abs(v.y)
-
-
-class Side(enum.Enum):
-    LEFT = "LEFT"
-    ON = "ON"
-    RIGHT = "RIGHT"
 
 
 @dataclass(frozen=True)
@@ -98,19 +83,6 @@ class OrientedLine:
     def __post_init__(self):
         if self.dir.is_zero():
             raise ValueError("oriented line needs a nonzero direction")
-
-
-def side_of(line: OrientedLine, p: Vec) -> Side:
-    c = cross(line.dir, p - line.base)
-    if c > 0:
-        return Side.LEFT
-    if c < 0:
-        return Side.RIGHT
-    return Side.ON
-
-
-def reversed_line(line: OrientedLine) -> OrientedLine:
-    return OrientedLine(line.base, -line.dir)
 
 
 # -- rigid motions ----------------------------------------------------------
@@ -163,31 +135,6 @@ def rotation_about(center: Vec, t: ScalarLike, sense: str = "CCW") -> Rotation:
     return Rotation(center, c, s)
 
 
-def _affine(m: RigidMotion) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Linear part (c, s) and translation part (tx, ty) of the motion."""
-    one, zero = Fraction(1), Fraction(0)
-    if isinstance(m, Identity):
-        return one, zero, zero, zero
-    if isinstance(m, Translation):
-        return one, zero, m.v.x, m.v.y
-    cx, cy = m.center.x, m.center.y
-    tx = cx - (m.c * cx - m.s * cy)
-    ty = cy - (m.s * cx + m.c * cy)
-    return m.c, m.s, tx, ty
-
-
-def _from_affine(c: Fraction, s: Fraction, tx: Fraction, ty: Fraction) -> RigidMotion:
-    if c == 1 and s == 0:
-        if tx == 0 and ty == 0:
-            return Identity()
-        return Translation(Vec(tx, ty))
-    # fixed point of p -> M p + t:  (I - M) center = t, det(I - M) = 2(1 - c) > 0
-    d = (1 - c) * (1 - c) + s * s
-    cx = ((1 - c) * tx - s * ty) / d
-    cy = (s * tx + (1 - c) * ty) / d
-    return Rotation(Vec(cx, cy), c, s)
-
-
 def apply_motion(m: RigidMotion, p: Vec) -> Vec:
     if isinstance(m, Identity):
         return p
@@ -197,31 +144,9 @@ def apply_motion(m: RigidMotion, p: Vec) -> Vec:
     return Vec(m.center.x + m.c * dx - m.s * dy, m.center.y + m.s * dx + m.c * dy)
 
 
-def apply_to_direction(m: RigidMotion, d: Vec) -> Vec:
-    """Rotate a direction by the motion's linear part (translations leave it alone)."""
-    if isinstance(m, Rotation):
-        return Vec(m.c * d.x - m.s * d.y, m.s * d.x + m.c * d.y)
-    return d
-
-
 def invert_motion(m: RigidMotion) -> RigidMotion:
     if isinstance(m, Identity):
         return m
     if isinstance(m, Translation):
         return Translation(-m.v)
     return Rotation(m.center, m.c, -m.s)
-
-
-def compose(first: RigidMotion, second: RigidMotion) -> RigidMotion:
-    """The motion applying ``first`` then ``second``."""
-    c1, s1, x1, y1 = _affine(first)
-    c2, s2, x2, y2 = _affine(second)
-    c = c2 * c1 - s2 * s1
-    s = s2 * c1 + c2 * s1
-    tx = c2 * x1 - s2 * y1 + x2
-    ty = s2 * x1 + c2 * y1 + y2
-    return _from_affine(c, s, tx, ty)
-
-
-def transform_line(m: RigidMotion, line: OrientedLine) -> OrientedLine:
-    return OrientedLine(apply_motion(m, line.base), apply_to_direction(m, line.dir))

@@ -119,7 +119,10 @@ def points_from_json(doc, body: ConvexBody) -> list[BoundaryPoint]:
             out.append(locate(body, vec_from_json(entry["coords"])))
             continue
         try:
-            element, param = int(entry["element"]), scalar_from_json(entry["param"])
+            raw = entry["element"]
+            element, param = int(raw), scalar_from_json(entry["param"])
+            if isinstance(raw, bool) or (isinstance(raw, float) and element != raw):
+                raise ValueError(raw)
         except (KeyError, TypeError, ValueError, OverflowError):
             raise InvalidPointError(
                 f"point entry needs an integer 'element' and a 'param', or 'coords': {entry!r}"

@@ -10,7 +10,8 @@ reported direction.  Motion paths, by contrast, are explicit motions of
 the body, so path simulation applies the inverse motion to each point.
 
 A validator accepts a witness when the smallest scheduled magnitudes (the
-last three of the schedule, or all of it if shorter) are penetration-free.
+last three of the schedule, or all of it if shorter) are penetration-free;
+the larger magnitudes are not evaluated.
 A first-order certificate only promises some unquantified neighbourhood of
 the identity, so it is checked from below; at larger magnitudes a perfectly
 valid rotation may carry a point back through the body (the circular
@@ -84,12 +85,6 @@ class EscapeReport:
     penetration_free: tuple[bool, ...]
 
 
-def _eventually_clear(flags: list[bool]) -> bool:
-    """Accept when the smallest scheduled magnitudes all pass (at least three)."""
-    tail = min(3, len(flags))
-    return tail > 0 and all(flags[-tail:])
-
-
 def validate_rotation_witness(
     body: ConvexBody,
     pts,
@@ -99,8 +94,8 @@ def validate_rotation_witness(
 ) -> bool:
     """Exactly check that rotating the points about the center stays penetration-free."""
     _require_exact(body)
-    flags = [_rotation_clear(body, pts, center, sense, t) for t in schedule]
-    return _eventually_clear(flags)
+    tail = schedule[-3:]
+    return bool(tail) and all(_rotation_clear(body, pts, center, sense, t) for t in tail)
 
 
 def validate_translation_witness(
@@ -111,8 +106,8 @@ def validate_translation_witness(
 ) -> bool:
     """Exactly check moving the points by each scheduled multiple of the direction."""
     _require_exact(body)
-    flags = [_translation_clear(body, pts, direction.scaled(m)) for m in schedule]
-    return _eventually_clear(flags)
+    tail = schedule[-3:]
+    return bool(tail) and all(_translation_clear(body, pts, direction.scaled(m)) for m in tail)
 
 
 def _require_exact(body: ConvexBody) -> None:
@@ -181,22 +176,14 @@ def escape_search(
         if disc and center == disc_center:
             continue  # rotating a disc about its center does not move it
         for sense in (CW, CCW):
-            flags = []
-            ok = True
-            for t in rot_schedule:
-                good = _rotation_clear(body, pts, center, sense, t)
-                flags.append(good)
-                if not good:
-                    ok = False
-                    break
-            if ok:
+            if all(_rotation_clear(body, pts, center, sense, t) for t in rot_schedule):
                 return EscapeReport(
                     family="rotation",
                     center=center,
                     sense=sense,
                     direction=None,
                     magnitudes=rot_schedule,
-                    penetration_free=tuple(flags),
+                    penetration_free=(True,) * len(rot_schedule),
                 )
 
     trans_budget = max(2, samples - 2 * len(centers))
@@ -211,22 +198,14 @@ def escape_search(
 
     tr_schedule = DEFAULT_TRANSLATION_SCHEDULE
     for d in directions:
-        flags = []
-        ok = True
-        for m in tr_schedule:
-            good = _translation_clear(body, pts, d.scaled(m))
-            flags.append(good)
-            if not good:
-                ok = False
-                break
-        if ok:
+        if all(_translation_clear(body, pts, d.scaled(m)) for m in tr_schedule):
             return EscapeReport(
                 family="translation",
                 center=None,
                 sense=None,
                 direction=d,
                 magnitudes=tr_schedule,
-                penetration_free=tuple(flags),
+                penetration_free=(True,) * len(tr_schedule),
             )
     return None
 

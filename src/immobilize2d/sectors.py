@@ -13,6 +13,12 @@ At a contact point the inward left/right normals bound four sector families:
 Direction sets are the circle traces of the closed sectors: a single closed
 arc of directions d such that apex + d stays in the closed sector.  They
 stand in for rotation centers at infinity, i.e. translations.
+
+Whether closed direction sets share a direction is decided without building
+their intersection: each arc of an intersection of closed arcs starts where
+some input arc starts, so ``first_common_direction`` scans the input starts
+once and keeps the earliest, counterclockwise from the first one, that every
+set contains.
 """
 
 from __future__ import annotations
@@ -127,9 +133,6 @@ class DirectionSet:
     arcs: tuple[CircArc, ...]
     full: bool = False
 
-    def is_empty(self) -> bool:
-        return not self.full and not self.arcs
-
 
 FULL_CIRCLE = DirectionSet(arcs=(), full=True)
 
@@ -176,7 +179,7 @@ def direction_set(kind: str, apex: Vec, t: TangentData) -> DirectionSet:
     raise ValueError(f"unknown sector kind {kind!r}")
 
 
-# -- arc intersection --------------------------------------------------------
+# -- common directions -------------------------------------------------------
 
 
 def _anch_class(u: Vec, d: Vec) -> int:
@@ -196,68 +199,23 @@ def _pos_lt(u: Vec, a: Vec, b: Vec) -> bool:
     return cross(a, b) > 0
 
 
-def _pos_eq(u: Vec, a: Vec, b: Vec) -> bool:
-    ca, cb = _anch_class(u, a), _anch_class(u, b)
-    return ca == cb and (ca in (0, 2) or cross(a, b) == 0)
+def first_common_direction(sets: list[DirectionSet]) -> Vec | None:
+    """The earliest direction in every set, CCW from the first arc's start.
 
-
-def _pos_le(u: Vec, a: Vec, b: Vec) -> bool:
-    return _pos_eq(u, a, b) or _pos_lt(u, a, b)
-
-
-def _arc_intersect(A: CircArc, B: CircArc) -> list[CircArc]:
-    """Intersection of two closed arcs: at most two closed arcs (or points).
-
-    Works in the chart anchored at A's start, where A covers positions
-    [0, ea] with ea in (0, 2*pi).  B is one interval when it does not pass
-    the anchor and two pieces (tail [pb, 2*pi] plus head [0, qb]) when it
-    does; each piece clips against [0, ea] independently.
+    Each arc of an intersection of closed arcs starts where some input arc
+    starts, so the earliest common direction is the earliest input start, in
+    CCW order from the first non-full set's first start, that every set
+    contains; a start is tested only when it comes before the best so far.
+    ``(1, 0)`` when every set is full; None when no direction is common.
     """
-    if A.is_point():
-        return [A] if arc_contains(B, A.start) else []
-    if B.is_point():
-        return [B] if arc_contains(A, B.start) else []
-    u = A.start
-    out: list[CircArc] = []
-    if _anch_class(u, B.start) == 0:
-        # B starts on the anchor ray: single interval [0, sweep(B)]
-        hi = A.end if _pos_lt(u, A.end, B.end) else B.end
-        out.append(CircArc(B.start, hi))
-    elif _pos_lt(u, B.start, B.end):
-        # no wrap: [pb, qb] with pb > 0
-        hi = A.end if _pos_lt(u, A.end, B.end) else B.end
-        if _pos_le(u, B.start, hi):
-            out.append(CircArc(B.start, hi))
-    else:
-        # B passes the anchor.  Head piece [0, qb] (the anchor alone when
-        # B ends exactly on the anchor ray), then tail piece [pb, ea].
-        if _anch_class(u, B.end) == 0:
-            out.append(CircArc(u, u))
-        else:
-            hi = A.end if _pos_lt(u, A.end, B.end) else B.end
-            out.append(CircArc(u, hi))
-        if _pos_le(u, B.start, A.end):
-            out.append(CircArc(B.start, A.end))
-    return out
-
-
-def intersect_direction_sets(sets: list[DirectionSet]) -> DirectionSet:
-    """Fold intersection; the result may have more arcs than its inputs."""
-    acc = FULL_CIRCLE
-    for ds in sets:
-        if ds.full:
-            continue
-        if acc.full:
-            acc = ds
-            continue
-        arcs: list[CircArc] = []
-        for a in acc.arcs:
-            for b in ds.arcs:
-                arcs.extend(_arc_intersect(a, b))
-        acc = DirectionSet(tuple(arcs))
-        if acc.is_empty():
-            return acc
-    return acc
+    starts = [a.start for ds in sets if not ds.full for a in ds.arcs]
+    if not starts:
+        return Vec(Fraction(1), Fraction(0)) if all(ds.full for ds in sets) else None
+    u, best = starts[0], None
+    for d in starts:
+        if (best is None or _pos_lt(u, d, best)) and all(direction_set_contains(ds, d) for ds in sets):
+            best = d
+    return best
 
 
 def _rotate_dir(d: Vec, t: Fraction, ccw: bool) -> Vec:

@@ -33,7 +33,7 @@ from immobilize2d.fixtures import (
     rectangle_remark,
     unit_square,
 )
-from immobilize2d.geom import Translation, apply_motion, compose, rotation_about, vec
+from immobilize2d.geom import Translation, apply_motion, rotation_about, vec
 
 
 def square_opposite_corners():
@@ -131,14 +131,12 @@ def test_conflicting_addresses_for_same_coords_are_rejected():
 
 def test_statuses_are_invariant_under_rigid_motions():
     rng = random.Random(818)
-    motion = compose(
-        rotation_about(vec(0, 0), Fraction(1, 2), "CCW"),
-        Translation(vec(Fraction(7, 3), -2)),
-    )
+    rotation = rotation_about(vec(0, 0), Fraction(1, 2), "CCW")
+    shift = Translation(vec(Fraction(7, 3), -2))
     for trial in range(12):
         body = random_convex_polygon(900 + trial, rng.randint(4, 7))
         pts = random_contact_points(body, rng, rng.randint(2, 4))
-        moved_body = polygon([apply_motion(motion, q) for q in body.vertices()])
+        moved_body = polygon([apply_motion(shift, apply_motion(rotation, q)) for q in body.vertices()])
         moved_pts = [boundary_point(moved_body, p.element_index, p.param) for p in pts]
         for ask in (classify_fix, classify_almost_fix):
             assert ask(body, pts).status == ask(moved_body, moved_pts).status

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from immobilize2d import cli
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -126,6 +128,23 @@ def test_fuzz_accepts_zero_and_rejects_out_of_range():
     assert r.returncode == 1
 
 
+def test_fuzz_refuses_max_points_out_of_range(monkeypatch, capsys):
+    trials = []
+
+    def fake_trial(seed, index, max_points):
+        trials.append(max_points)
+        return {"trial": index, "skipped": True}
+
+    monkeypatch.setattr(cli, "_fuzz_trial", fake_trial)
+    for bad in (1, 0, 33, 100000):
+        assert cli.main(["fuzz", "--trials", "3", "--max-points", str(bad)]) == 1
+        assert "error[OUT_OF_RANGE]" in capsys.readouterr().err
+    assert trials == []
+    for good in (2, 32):
+        assert cli.main(["fuzz", "--trials", "1", "--max-points", str(good)]) == 0
+    assert trials == [2, 32]
+
+
 def test_fuzz_small_run_is_clean_and_deterministic(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -221,6 +240,8 @@ BAD_POINTS = (
     '[{"element": 0}]',
     '{"element": 0, "param": "1/2"}',
     "[5]",
+    '[{"element": 1.5, "param": "1/2"}]',
+    '[{"element": true, "param": "1/2"}]',
 )
 BAD_BODIES = (
     '{"mode": "exact_polygon"}',

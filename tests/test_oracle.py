@@ -52,17 +52,35 @@ def test_validation_requires_exact_bodies():
         oracle.validate_translation_witness(disc, pts, vec(1, 0))
 
 
-def test_eventually_clear_accepts_late_windows():
-    ok = oracle._eventually_clear
-    assert ok([True, True, False, True, True, True])
-    assert ok([False, False, True, True, True])
-    assert not ok([True, True, True, True, False])
-    assert not ok([True, True, False, True, False, True])
-    assert ok([True, True])
-    assert not ok([False, True])
-    assert ok([True])
-    assert not ok([False])
-    assert not ok([])
+def test_validators_evaluate_only_the_last_three_magnitudes(monkeypatch):
+    sq = unit_square()
+    pts = [boundary_point(sq, 0, Fraction(1, 2))]
+    seen = []
+
+    def fake_rotation_clear(body, pts, center, sense, t):
+        seen.append(t)
+        return t not in failing
+
+    def fake_translation_clear(body, pts, v):
+        seen.append(v.x)
+        return v.x not in failing
+
+    monkeypatch.setattr(oracle, "_rotation_clear", fake_rotation_clear)
+    monkeypatch.setattr(oracle, "_translation_clear", fake_translation_clear)
+    validators = (
+        (oracle.DEFAULT_ROTATION_SCHEDULE, lambda s: oracle.validate_rotation_witness(sq, pts, vec(0, 0), oracle.CW, s)),
+        (oracle.DEFAULT_TRANSLATION_SCHEDULE, lambda s: oracle.validate_translation_witness(sq, pts, vec(1, 0), s)),
+    )
+    for full, validate in validators:
+        for n in range(len(full) + 1):
+            schedule = full[:n]
+            tail = schedule[-3:]
+            for mask in range(1 << n):
+                failing = {m for k, m in enumerate(schedule) if mask >> k & 1}
+                seen.clear()
+                ok = validate(schedule)
+                assert ok == (bool(tail) and not failing & set(tail)), (schedule, failing)
+                assert set(seen) <= set(tail), (schedule, failing, seen)
 
 
 def test_escape_search_finds_the_sliding_rectangle():

@@ -1,5 +1,6 @@
 """Contact sectors and circular direction sets."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from immobilize2d.sectors import (
     arc_contains,
     direction_set,
     direction_set_contains,
+    first_common_direction,
     grow_arc,
-    intersect_direction_sets,
     make_sector,
     sector_contains,
     shrink_arc,
@@ -202,40 +203,81 @@ def test_direction_set_of_smooth_contact_is_half_turn():
     assert not arc_contains(right, vec(-1, 0))
 
 
-def test_intersect_direction_sets_agrees_with_memberships():
+def _pseudo_angle(d):
+    """Exact stand-in for the CCW angle of d in [0, 4): monotone in the angle."""
+    x = d.x / (abs(d.x) + abs(d.y))
+    return 1 - x if d.y >= 0 else 3 + x
+
+
+def _ccw_from(u, d):
+    return (_pseudo_angle(d) - _pseudo_angle(u)) % 4
+
+
+NET = [vec(x, y) for x in range(-12, 13) for y in range(-12, 13) if math.gcd(x, y) == 1]
+
+
+def rand_direction_set(rng):
+    r = rng.random()
+    if r < 0.05:
+        return FULL_CIRCLE
+    if r < 0.08:
+        return DirectionSet(arcs=())
+    if r < 0.5:
+        t = TangentData(u_left=rand_dir(rng), u_right=rand_dir(rng))
+        return direction_set(rng.choice(SECTOR_KINDS), vec(0, 0), t)
+    if r < 0.6:
+        a = rand_dir(rng)
+        return DirectionSet(arcs=(CircArc(start=a, end=a.scaled(Fraction(rng.randint(1, 4), 3))),))
+    if r < 0.8:
+        # endpoints from the net, so common directions often start on a net ray
+        a, b = rng.choice(NET), rng.choice(NET)
+        return DirectionSet(arcs=(CircArc(start=a, end=b),))
+    return DirectionSet(arcs=(CircArc(start=rand_dir(rng), end=rand_dir(rng)),))
+
+
+def test_first_common_direction_against_a_sampled_net():
     rng = random.Random(41)
-    for _ in range(150):
-        sets = []
-        probe_rays = []
-        for _ in range(rng.randint(1, 4)):
-            a, b = rand_dir(rng), rand_dir(rng)
-            arc = CircArc(start=a, end=b)
-            sets.append(DirectionSet(arcs=(arc,)))
-            probe_rays += [a, b, -a, -b]
-        inter = intersect_direction_sets(sets)
-        probe_rays += [rand_dir(rng) for _ in range(20)]
-        for d in probe_rays:
-            expect = all(direction_set_contains(s, d) for s in sets)
-            assert direction_set_contains(inter, d) == expect, (sets, d)
+    outcomes = set()
+    for _ in range(400):
+        sets = [rand_direction_set(rng) for _ in range(rng.randint(1, 4))]
+        got = first_common_direction(sets)
+        common = [d for d in NET if all(direction_set_contains(ds, d) for ds in sets)]
+        outcomes.add((got is None, bool(common)))
+        if got is None:
+            assert not common, (sets, common[:3])
+            continue
+        assert all(direction_set_contains(ds, got) for ds in sets), (sets, got)
+        starts = [a.start for ds in sets if not ds.full for a in ds.arcs]
+        if starts:
+            u = starts[0]
+            assert all(_ccw_from(u, d) >= _ccw_from(u, got) for d in common), (sets, got)
+    assert outcomes >= {(True, False), (False, True), (False, False)}
 
 
-def test_intersect_direction_sets_with_full_circle():
+def test_first_common_direction_edge_cases():
     a = DirectionSet(arcs=(CircArc(start=vec(1, 0), end=vec(0, 1)),))
-    assert intersect_direction_sets([FULL_CIRCLE, a]) == a
-    assert intersect_direction_sets([]) == FULL_CIRCLE
+    empty = DirectionSet(arcs=())
+    assert first_common_direction([]) == vec(1, 0)
+    assert first_common_direction([FULL_CIRCLE, FULL_CIRCLE]) == vec(1, 0)
+    assert first_common_direction([FULL_CIRCLE, a]) == a.arcs[0].start
+    assert first_common_direction([empty]) is None
+    assert first_common_direction([a, FULL_CIRCLE, empty]) is None
+    assert first_common_direction([FULL_CIRCLE, empty, a]) is None
 
 
 def test_two_wide_arcs_intersect_in_two_pieces():
-    # Each arc sweeps 270 degrees; the overlap is a piece around east plus a
-    # piece around west.
+    # Each arc sweeps 270 degrees; the overlap is a piece from SE to NE around
+    # east plus a piece from NW to SW around west.
     a = DirectionSet(arcs=(CircArc(start=vec(1, -1), end=vec(-1, -1)),))
     b = DirectionSet(arcs=(CircArc(start=vec(-1, 1), end=vec(1, 1)),))
-    inter = intersect_direction_sets([a, b])
-    assert len(inter.arcs) == 2
-    for d in (vec(1, 0), vec(-1, 0), vec(1, 1), vec(1, -1), vec(-1, 1), vec(-1, -1)):
-        assert direction_set_contains(inter, d)
-    for d in (vec(0, 1), vec(0, -1)):
-        assert not direction_set_contains(inter, d)
+    assert first_common_direction([a, b]) == vec(1, -1)
+    assert first_common_direction([b, a]) == vec(-1, 1)
+    # A third arc, anchored at north or south, that leaves out its own start:
+    # the common piece met first counterclockwise from that start wins.
+    north_to_se = DirectionSet(arcs=(CircArc(start=vec(0, 1), end=vec(1, -1)),))
+    south_to_nw = DirectionSet(arcs=(CircArc(start=vec(0, -1), end=vec(-1, 1)),))
+    assert first_common_direction([north_to_se, a, b]) == vec(-1, 1)
+    assert first_common_direction([south_to_nw, a, b]) == vec(1, -1)
 
 
 def test_shrink_arc_nests_and_empties():
