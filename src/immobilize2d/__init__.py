@@ -50,7 +50,6 @@ from .errors import (
     NotOnBoundaryError,
     OutOfRangeError,
     RefinementExhaustedError,
-    TooManyUnionSectorsError,
 )
 from .feasibility import LinearConstraint, halfplane_constraint, linear_feasible
 from .geom import Scalar, Vec, to_scalar, vec
@@ -97,7 +96,6 @@ __all__ = [
     "Sector",
     "Segment",
     "TestResult",
-    "TooManyUnionSectorsError",
     "Verdict",
     "Vec",
     "Witness",

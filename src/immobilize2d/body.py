@@ -388,17 +388,16 @@ def _locate_on_arc(el: Arc, p: Vec, tol: Fraction) -> Fraction | None:
     return Fraction(round(frac * PARAM_SNAP_DEN), PARAM_SNAP_DEN)
 
 
-def locate(body: ConvexBody, p: Vec, tol: Fraction | None = None) -> BoundaryPoint:
+def locate(body: ConvexBody, p: Vec) -> BoundaryPoint:
     """Find the canonical boundary address of a point lying on the boundary.
 
     The queried coordinates are kept verbatim (they are on the element within
-    tol); a junction hit resolves to the departing element at param 0.
+    ``body.tolerance()``); a junction hit resolves to the departing element
+    at param 0.
     """
-    if tol is None:
-        tol = body.tolerance()
     hits: list[tuple[int, Fraction]] = []
     for i, el in enumerate(body.elements):
-        t = (_locate_on_segment if isinstance(el, Segment) else _locate_on_arc)(el, p, tol)
+        t = (_locate_on_segment if isinstance(el, Segment) else _locate_on_arc)(el, p, body.tolerance())
         if t is None:
             continue
         if t == 1 or (body.mode != EXACT_POLYGON and p == el.end()):

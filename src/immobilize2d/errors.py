@@ -47,10 +47,6 @@ class ConstraintLimitError(ImmobilizeError):
     code = "CONSTRAINT_LIMIT_EXCEEDED"
 
 
-class TooManyUnionSectorsError(ImmobilizeError):
-    code = "TOO_MANY_UNION_SECTORS"
-
-
 class NotAlmostPositiveError(ImmobilizeError):
     code = "NOT_ALMOST_POSITIVE"
 

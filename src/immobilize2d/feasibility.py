@@ -4,24 +4,24 @@ Systems are conjunctions of half-plane constraints ``n . p >= c`` (or strict
 ``>``), solved by eliminating one variable at a time (pairing each lower
 bound on y with each upper bound), which stays exact over rationals and
 yields an interval witness for free.  Sector systems add one twist: a large
-sector is a union of two half-planes, so the system splits into up to
-``2**k`` conjunctive branches, visited in a fixed lexicographic order.
+sector is a union of two half-planes, so the system is a union of branches,
+one half-plane per sector; ``first_branch`` finds the first nonempty one
+from the vertices of the boundary lines' arrangement, never enumerating.
 
-With a positive tolerance, sector and direction systems run two extra
-"twin" passes, one with every constraint (or arc) relaxed by a
-tolerance-scaled slack and one with every one tightened; a verdict that
-flips between the twins is reported as near-degenerate rather than silently
-trusted.  Plain ``linear_feasible`` systems are solved exactly, without
-twins.
+With a positive tolerance, sector and direction systems run one "twin" pass,
+relaxed by a tolerance-scaled slack if the system is empty and tightened if
+not; a verdict the twin flips is reported as near-degenerate rather than
+trusted.  Plain ``linear_feasible`` systems are solved exactly, without twins.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConstraintLimitError, TooManyUnionSectorsError
+from .errors import ConstraintLimitError
 from .geom import Vec, dot, norm1, rot90_ccw, same_ray
 from .sectors import (
     INTERSECTION,
@@ -34,7 +34,6 @@ from .sectors import (
 )
 
 MAX_CONSTRAINTS = 64
-MAX_UNION_SECTORS = 16
 _SNAP_BITS = 60
 
 
@@ -203,19 +202,55 @@ def _sector_choices(s: Sector) -> list[list[LinearConstraint]]:
     return [[left], [right]]
 
 
-def sector_branches(sectors: list[Sector]):
-    """All conjunctive branches of the sector intersection, lexicographically.
+def _integer_row(lc: LinearConstraint) -> tuple[int, int, int, int]:
+    """``(a, b, c, e)`` for ``a x + b y >= c + e * eps``, with ``e = 1`` when strict."""
+    m = math.lcm(lc.nx.denominator, lc.ny.denominator, lc.c.denominator)
+    return (int(lc.nx * m), int(lc.ny * m), int(lc.c * m), int(lc.strict))
 
-    The branch order fixes which witness a nonempty system reports.
+
+def first_branch(sectors: list[Sector], slack: Fraction) -> list[LinearConstraint] | None:
+    """The first nonempty branch, in ``itertools.product`` order of the sectors'
+    alternatives, with rows shifted by ``slack``; None when there is none.  A
+    sole branch is returned undecided.  Each candidate ``(x0 + eps x1, y0 +
+    eps y1) / w`` is the crossing of two boundary lines, strict ones pushed
+    inward by a symbolic eps, or of the first line and one across it.  Every
+    nonempty branch holds a candidate, and the first alternative of each sector
+    holding at a candidate forms a nonempty branch, so the least is the first.
     """
-    alternatives = [_sector_choices(s) for s in sectors]
-    n_union = sum(1 for alt in alternatives if len(alt) > 1)
-    if n_union > MAX_UNION_SECTORS:
-        raise TooManyUnionSectorsError(
-            f"{n_union} union sectors would expand to {2 ** n_union} branches (cap {2 ** MAX_UNION_SECTORS})"
-        )
-    for pick in itertools.product(*alternatives):
-        yield [lc for group in pick for lc in group]
+    alternatives = [[[lc.shifted(slack) for lc in group] for group in _sector_choices(s)] for s in sectors]
+    n_rows = sum(len(alts[0]) for alts in alternatives)  # the same in every branch
+    if n_rows > MAX_CONSTRAINTS:
+        raise ConstraintLimitError(f"{n_rows} constraints exceed the cap of {MAX_CONSTRAINTS}")
+    if all(len(alts) == 1 for alts in alternatives):
+        return [lc for alts in alternatives for lc in alts[0]]
+    rows = [[[_integer_row(lc) for lc in group] for group in alts] for alts in alternatives]
+    lines = [row for alts in rows for group in alts for row in group]
+    lines.append((-lines[0][1], lines[0][0], 0, 0))
+    best = None
+    for (a1, b1, c1, e1), (a2, b2, c2, e2) in itertools.combinations(lines, 2):
+        w = a1 * b2 - a2 * b1
+        if w == 0:
+            continue
+        s = 1 if w > 0 else -1
+        x0, y0, w = s * (c1 * b2 - c2 * b1), s * (a1 * c2 - a2 * c1), s * w
+        x1, y1 = s * (e1 * b2 - e2 * b1), s * (a1 * e2 - a2 * e1)
+        picks, tight = [], best is not None  # tight: picks so far equal best's prefix
+        for i, alts in enumerate(rows):
+            for j in range(best[i] + 1 if tight else len(alts)):
+                if all(
+                    (v := a * x0 + b * y0 - c * w) > 0 or (v == 0 and a * x1 + b * y1 >= e * w)
+                    for a, b, c, e in alts[j]
+                ):
+                    break
+            else:
+                break  # no alternative holds, or none that can beat best
+            picks.append(j)
+            tight = tight and j == best[i]
+        else:
+            best = picks
+            if not any(best):
+                break
+    return None if best is None else [lc for alts, j in zip(alternatives, best) for lc in alts[j]]
 
 
 _QUALITY_GOOD = Fraction(1, 64)
@@ -355,24 +390,20 @@ def sectors_intersection(sectors: list[Sector], tol: Fraction = Fraction(0)) -> 
         )
     else:
         anchor, spread = Vec(Fraction(0), Fraction(0)), Fraction(1)
-    for branch in sector_branches(sectors):
+    branch = first_branch(sectors, Fraction(0))
+    if branch is not None:
         res = linear_feasible(branch)
         if res.feasible:
             feasible = True
             witness = _improve_witness(branch, res.witness, anchor, spread)
-            break
-    flagged = False
-    if tol > 0:
-        flagged = _twin_any(sectors, tol) != _twin_any(sectors, -tol)
+    # Relaxing only adds points and tightening only removes them: one twin can flip the answer.
+    flagged = tol > 0 and _twin_any(sectors, -tol if feasible else tol) != feasible
     return FeasibilityResult(feasible, witness, flagged)
 
 
 def _twin_any(sectors: list[Sector], tol: Fraction) -> bool:
-    for branch in sector_branches(sectors):
-        ok, _ = _feasible_exact([lc.shifted(tol) for lc in branch])
-        if ok:
-            return True
-    return False
+    branch = first_branch(sectors, tol)
+    return branch is not None and _feasible_exact(branch)[0]
 
 
 # -- direction systems -------------------------------------------------------
@@ -399,9 +430,8 @@ def _unit_l1(d: Vec) -> Vec:
 def directions_intersection(sets: list[DirectionSet], tol: Fraction = Fraction(0)) -> FeasibilityResult:
     """Common direction of all sets; the witness is an L1-normalized direction."""
     start = first_common_direction(sets)
-    flagged = False
-    if tol > 0:
-        grown = first_common_direction([_perturb_set(ds, tol, relax=True) for ds in sets])
-        shrunk = first_common_direction([_perturb_set(ds, tol, relax=False) for ds in sets])
-        flagged = (grown is None) != (shrunk is None)
+    # Grown arcs contain the sets and shrunk ones lie in them: one twin can flip the answer.
+    flagged = tol > 0 and (
+        first_common_direction([_perturb_set(ds, tol, relax=start is None) for ds in sets]) is None
+    ) != (start is None)
     return FeasibilityResult(start is not None, None if start is None else _unit_l1(start), flagged)

@@ -36,7 +36,9 @@ def scalar_to_json(x: Fraction) -> str:
 
 
 def scalar_from_json(v) -> Fraction:
-    """Exact scalar; a zero denominator, non-finite or malformed value is OUT_OF_RANGE."""
+    """Exact scalar; a boolean, zero denominator, non-finite or malformed value is OUT_OF_RANGE."""
+    if isinstance(v, bool):
+        raise OutOfRangeError(f"scalar {v!r} is a boolean, not a number")
     try:
         if isinstance(v, str):
             v = v.strip()

@@ -229,7 +229,7 @@ def shrink_arc(arc: CircArc, t: Fraction) -> CircArc | None:
     """Pull both endpoints inward by the half-angle parameter t; None if emptied."""
     if arc.is_point():
         return None
-    s2 = _rotate_dir(arc.start, 2 * t, ccw=True)
+    s2 = _rotate_dir(_rotate_dir(arc.start, t, ccw=True), t, ccw=True)
     # emptied when the sweep is at most twice the shrink angle
     if arc_contains(CircArc(arc.start, s2), arc.end):
         return None
@@ -238,7 +238,7 @@ def shrink_arc(arc: CircArc, t: Fraction) -> CircArc | None:
 
 def grow_arc(arc: CircArc, t: Fraction) -> CircArc:
     """Push both endpoints outward by the half-angle parameter t (capped below full)."""
-    s2 = _rotate_dir(arc.start, 2 * t, ccw=False)
+    s2 = _rotate_dir(_rotate_dir(arc.start, t, ccw=False), t, ccw=False)
     if arc_contains(arc, s2):
         return arc  # would exceed the full circle; leave as is
     return CircArc(_rotate_dir(arc.start, t, ccw=False), _rotate_dir(arc.end, t, ccw=True))

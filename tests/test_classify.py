@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from immobilize2d import classify
-from immobilize2d.body import BoundaryPoint, boundary_point, polygon
+from immobilize2d.body import BoundaryPoint, boundary_point, offset_along_boundary, polygon
 from immobilize2d.classify import (
     CCW,
     CW,
@@ -31,6 +31,7 @@ from immobilize2d.errors import (
 from immobilize2d.fixtures import (
     random_convex_polygon,
     rectangle_remark,
+    regular_polygon,
     unit_square,
 )
 from immobilize2d.geom import Translation, apply_motion, rotation_about, vec
@@ -129,17 +130,40 @@ def test_conflicting_addresses_for_same_coords_are_rejected():
         classify_fix(sq, [fake, true_corner])
 
 
-def test_statuses_are_invariant_under_rigid_motions():
+def rigid_motion_cases():
+    """Random contacts (negative), vertex sets, straddled regular polygons
+    (POSITIVE) and the rectangle remark (INDETERMINATE)."""
     rng = random.Random(818)
-    rotation = rotation_about(vec(0, 0), Fraction(1, 2), "CCW")
-    shift = Translation(vec(Fraction(7, 3), -2))
     for trial in range(12):
         body = random_convex_polygon(900 + trial, rng.randint(4, 7))
-        pts = random_contact_points(body, rng, rng.randint(2, 4))
-        moved_body = polygon([apply_motion(shift, apply_motion(rotation, q)) for q in body.vertices()])
-        moved_pts = [boundary_point(moved_body, p.element_index, p.param) for p in pts]
-        for ask in (classify_fix, classify_almost_fix):
-            assert ask(body, pts).status == ask(moved_body, moved_pts).status
+        yield body, random_contact_points(body, rng, rng.randint(2, 4))
+    for trial in range(8):
+        body = random_convex_polygon(950 + trial, rng.randint(4, 7))
+        n = len(body.elements)
+        yield body, [boundary_point(body, j, Fraction(0)) for j in sorted(rng.sample(range(n), rng.randint(2, n)))]
+    for k in (4, 5, 6):
+        body = regular_polygon(k, 3)
+        corners = [boundary_point(body, j, Fraction(0)) for j in range(k)]
+        straddles = [offset_along_boundary(body, c, s) for c in corners for s in (Fraction(-1, 10), Fraction(1, 10))]
+        yield body, corners + straddles
+    fx = rectangle_remark()
+    yield fx.body, list(fx.points)
+
+
+def test_statuses_are_invariant_under_rigid_motions():
+    # Turns of about 53 and 143 degrees, so every contact normal changes
+    # quadrant under at least one of them.
+    rotations = [rotation_about(vec(0, 0), t, "CCW") for t in (Fraction(1, 2), 3)]
+    shift = Translation(vec(Fraction(7, 3), -2))
+    seen = set()
+    for body, pts in rigid_motion_cases():
+        statuses = [ask(body, pts).status for ask in (classify_fix, classify_almost_fix)]
+        seen.update(statuses)
+        for rotation in rotations:
+            moved_body = polygon([apply_motion(shift, apply_motion(rotation, q)) for q in body.vertices()])
+            moved_pts = [boundary_point(moved_body, p.element_index, p.param) for p in pts]
+            assert [ask(moved_body, moved_pts).status for ask in (classify_fix, classify_almost_fix)] == statuses
+    assert {POSITIVE, INDETERMINATE, NOT_WEAKLY_FIX, NOT_ALMOST_FIX} <= seen, seen
 
 
 def test_statuses_are_invariant_under_scaling():

@@ -205,8 +205,9 @@ def test_invalid_body_reports_validation_code(tmp_path, square_files):
 
 
 # Raw JSON for the param: a zero denominator, non-finite numbers (json.loads
-# accepts Infinity and NaN; 1e400 overflows to inf) and malformed strings.
-BAD_PARAMS = ('"1/0"', "Infinity", "-Infinity", "1e400", "NaN", '"inf"', '"nan"', '"x/2"', '"1/x"', '"1/2/3"', '""')
+# accepts Infinity and NaN; 1e400 overflows to inf), malformed strings and
+# booleans, which Python would otherwise read as 1 and 0.
+BAD_PARAMS = ('"1/0"', "Infinity", "-Infinity", "1e400", "NaN", '"inf"', '"nan"', '"x/2"', '"1/x"', '"1/2/3"', '""', "true", "false")
 
 
 def test_zero_denominator_is_a_coded_error(square_files, tmp_path):

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+import branch_reference
 from bruteforce import bruteforce_feasible, random_system
 from immobilize2d import feasibility
-from immobilize2d.body import TangentData
-from immobilize2d.errors import ConstraintLimitError, TooManyUnionSectorsError
+from immobilize2d.body import TangentData, boundary_point, offset_along_boundary
+from immobilize2d.classify import POSITIVE, classify_almost_fix, classify_fix
+from immobilize2d.errors import ConstraintLimitError
 from immobilize2d.feasibility import (
     MAX_CONSTRAINTS,
     LinearConstraint,
@@ -18,13 +20,23 @@ from immobilize2d.feasibility import (
     _feasible_exact,
     _improve_witness,
     _min_margin,
+    _perturb_set,
+    _sector_choices,
     directions_intersection,
     linear_feasible,
-    sector_branches,
     sectors_intersection,
 )
-from immobilize2d.geom import Vec, vec
-from immobilize2d.sectors import CircArc, DirectionSet, FULL_CIRCLE, make_sector
+from immobilize2d.fixtures import regular_polygon
+from immobilize2d.geom import Vec, rational_rotation, vec
+from immobilize2d.sectors import (
+    FULL_CIRCLE,
+    SECTOR_KINDS,
+    CircArc,
+    DirectionSet,
+    direction_set,
+    first_common_direction,
+    make_sector,
+)
 
 
 def lc(nx, ny, c, strict=False):
@@ -187,15 +199,93 @@ def test_constraint_cap_is_enforced():
         linear_feasible(cons + [lc(0, 1, 0)])
 
 
-def test_union_sector_cap_is_enforced():
+def straddled_polygon(k):
+    """Every vertex of the regular k-gon plus points 1/10 to either side: POSITIVE."""
+    body = regular_polygon(k, 5)
+    corners = [boundary_point(body, j, Fraction(0)) for j in range(k)]
+    straddles = [offset_along_boundary(body, c, s) for c in corners for s in (Fraction(-1, 10), Fraction(1, 10))]
+    return body, corners + straddles
+
+
+def test_union_sectors_have_no_cap():
+    body = regular_polygon(17, 5)
+    corners = [boundary_point(body, j, Fraction(0)) for j in range(17)]
+    for ask in (classify_fix, classify_almost_fix):
+        assert ask(body, corners).status  # 17 union sectors per test, no cap on them
+    assert classify_fix(*straddled_polygon(16)).status == POSITIVE
+    # Every branch has the same number of rows, so the row cap fires before
+    # any scan, for an empty system (facing open cones at one apex) and for a
+    # nonempty one (the same cones apart) alike.
     t = corner_tangents()
-    # Each large sector at a corner splits into two half-plane branches, so
-    # seventeen of them overflow the branch budget while four stay cheap.
-    sectors = [make_sector("L", closed=True, apex=vec(i, 0), t=t) for i in range(4)]
-    list(sector_branches(sectors))
-    too_many = [make_sector("L", closed=True, apex=vec(i, 0), t=t) for i in range(17)]
-    with pytest.raises(TooManyUnionSectorsError):
-        list(sector_branches(too_many))
+    unions = [make_sector("L", closed=False, apex=vec(5 + i, -i), t=t) for i in range(MAX_CONSTRAINTS - 3)]
+    for far in (0, 5):
+        cones = [make_sector("small_r", False, vec(0, 0), t), make_sector("small_l", False, vec(far, far), t)]
+        assert sectors_intersection(cones + unions[:-1]).feasible == bool(far)
+        with pytest.raises(ConstraintLimitError):
+            sectors_intersection(cones + unions)
+
+
+def random_sectors(rng):
+    """A few sectors with small apexes and tangents: corners, smooth contacts,
+    all normals parallel, mixed kinds and openness."""
+    dirs = [vec(1, 0), vec(0, 1), vec(1, 1), vec(-1, 0), vec(0, -1), vec(2, 1), vec(-1, 2), vec(1, -3), vec(-2, -1)]
+    family, d0 = rng.choice(["free", "parallel", "smooth"]), rng.choice(dirs)
+    kind, closed = rng.choice(SECTOR_KINDS), rng.random() < 0.5
+    sectors = []
+    for _ in range(rng.randint(1, 5)):
+        apex = Vec(Fraction(rng.randint(-6, 6), rng.choice([1, 2])), Fraction(rng.randint(-6, 6), rng.choice([1, 2])))
+        if family == "parallel":
+            u_left, u_right = rng.choice([d0, -d0]), rng.choice([d0, -d0])
+        elif family == "smooth" and rng.random() < 0.6:
+            u_left = u_right = rng.choice(dirs)
+        else:
+            u_left, u_right = rng.choice(dirs), rng.choice(dirs)
+        k = kind if rng.random() < 0.6 else rng.choice(SECTOR_KINDS)
+        c = closed if rng.random() < 0.7 else not closed
+        sectors.append(make_sector(k, c, apex, TangentData(u_left, u_right)))
+    return sectors
+
+
+def test_first_branch_races_the_enumeration():
+    rng = random.Random(6006)
+    scanned = parallel = feasible = flagged = 0
+    for _ in range(2400):
+        sectors = random_sectors(rng)
+        tol = rng.choice([Fraction(0), Fraction(1, 1000), Fraction(1, 20)])
+        got = sectors_intersection(sectors, tol)
+        want = branch_reference.sectors_intersection(sectors, tol)
+        assert (got.feasible, got.witness, got.near_degenerate) == (want.feasible, want.witness, want.near_degenerate)
+        if any(len(_sector_choices(s)) > 1 for s in sectors):
+            scanned += 1
+            rows = [lc for s in sectors for group in _sector_choices(s) for lc in group]
+            parallel += all(lc.nx * rows[0].ny == lc.ny * rows[0].nx for lc in rows)
+        feasible += want.feasible
+        flagged += want.near_degenerate
+    counts = (scanned, parallel, feasible, flagged)
+    assert scanned > 1000 and parallel > 200 and 1000 < feasible < 2000 and flagged > 80, counts
+
+
+def rand_dir(rng):
+    c, s = rational_rotation(Fraction(rng.randint(-400, 400), 101))
+    return Vec(-c, -s) if rng.random() < 0.5 else Vec(c, s)
+
+
+def rand_direction_set(rng, t):
+    r = rng.random()
+    if r < 0.05:
+        return FULL_CIRCLE
+    if r < 0.08:
+        return DirectionSet(arcs=())
+    if r < 0.4:
+        return direction_set(rng.choice(SECTOR_KINDS), vec(0, 0), TangentData(rand_dir(rng), rand_dir(rng)))
+    if r < 0.6:
+        # A sweep close to twice the perturbation angle, or that far short of a full turn.
+        a = rand_dir(rng)
+        c, s = rational_rotation(t * Fraction(rng.randint(95, 105), 100))
+        b = Vec(c * a.x - s * a.y, s * a.x + c * a.y)
+        b = Vec(c * b.x - s * b.y, s * b.x + c * b.y)
+        return DirectionSet(arcs=(CircArc(a, b) if rng.random() < 0.5 else CircArc(b, a),))
+    return DirectionSet(arcs=(CircArc(rand_dir(rng), rand_dir(rng)),))
 
 
 def test_sector_intersection_of_facing_cones():
@@ -282,3 +372,21 @@ def test_directions_intersection_flags_pole_touch():
     assert res.near_degenerate
     solo = directions_intersection([west], tol=Fraction(1, 1000))
     assert solo.feasible and not solo.near_degenerate
+
+
+def test_one_twin_flags_as_both_twins_did():
+    # The relaxed twin contains the exact system and the tightened one lies
+    # in it, so the twin on the exact answer's own side never differs from it.
+    rng = random.Random(7007)
+    flagged = 0
+    for _ in range(1000):
+        tol = rng.choice([Fraction(1, 1000), Fraction(1, 20), Fraction(1, 5)])
+        sectors = random_sectors(rng)
+        both = branch_reference.twin_any(sectors, tol) != branch_reference.twin_any(sectors, -tol)
+        assert sectors_intersection(sectors, tol).near_degenerate == both
+        sets = [rand_direction_set(rng, tol) for _ in range(rng.randint(1, 4))]
+        grown = first_common_direction([_perturb_set(ds, tol, relax=True) for ds in sets])
+        shrunk = first_common_direction([_perturb_set(ds, tol, relax=False) for ds in sets])
+        assert directions_intersection(sets, tol).near_degenerate == ((grown is None) != (shrunk is None))
+        flagged += both + ((grown is None) != (shrunk is None))
+    assert flagged > 200, flagged

@@ -317,3 +317,25 @@ def test_shrink_then_grow_stays_inside_original():
         back = grow_arc(smaller, t)
         for probe in (back.start, back.end, smaller.start, smaller.end):
             assert arc_contains(arc, probe)
+
+
+def test_perturbed_arcs_nest_at_twice_the_turn():
+    # Shrinking and growing turn each end by the angle of t, so an arc empties
+    # once its sweep is twice that angle and grows to a full turn once it is
+    # twice that angle short of one.  Sweeps just on either side of those two
+    # points must still give a shrunk arc inside and a grown arc around.
+    rng = random.Random(71)
+    for _ in range(200):
+        t = Fraction(rng.randint(1, 60), 100)
+        c, s = rational_rotation(t * Fraction(rng.randint(95, 105), 100))
+        a = rand_dir(rng)
+        b = Vec(c * a.x - s * a.y, s * a.x + c * a.y)
+        b = Vec(c * b.x - s * b.y, s * b.x + c * b.y)
+        for arc in (CircArc(start=a, end=b), CircArc(start=b, end=a)):
+            smaller = shrink_arc(arc, t)
+            if smaller is not None:
+                assert arc_contains(arc, smaller.start) and arc_contains(arc, smaller.end)
+                assert not arc_contains(smaller, arc.start) and not arc_contains(smaller, arc.end)
+            bigger = grow_arc(arc, t)
+            assert arc_contains(bigger, arc.start) and arc_contains(bigger, arc.end)
+            assert bigger == arc or not (arc_contains(arc, bigger.start) or arc_contains(arc, bigger.end))
