@@ -37,7 +37,7 @@ from .body import (
     offset_along_boundary,
     tangents_at,
 )
-from .errors import InvalidPointError, NotAlmostPositiveError, RefinementExhaustedError
+from .errors import InvalidPointError, NotAlmostPositiveError, OutOfRangeError, RefinementExhaustedError
 from .feasibility import directions_intersection, sectors_intersection
 from .geom import Vec, rot90_ccw, to_scalar
 from .sectors import direction_set, make_sector
@@ -135,6 +135,8 @@ def _dedupe_points(pts: list[BoundaryPoint]) -> list[BoundaryPoint]:
 def _classify(body: ConvexBody, pts: list[BoundaryPoint], question: str, tol: Fraction | None) -> Verdict:
     if tol is None:
         tol = body.tolerance()
+    if tol < 0:
+        raise OutOfRangeError(f"tolerance {tol} is negative")
     pts = _dedupe_points(list(pts))
     kind_left, kind_right = _QUESTION_KINDS[question]
     tds = [(bp.coords, tangents_at(body, bp)) for bp in pts]

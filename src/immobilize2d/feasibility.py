@@ -1,12 +1,13 @@
 """Exact feasibility of small planar constraint systems.
 
 Systems are conjunctions of half-plane constraints ``n . p >= c`` (or strict
-``>``), solved by eliminating one variable at a time (pairing each lower
-bound on y with each upper bound), which stays exact over rationals and
-yields an interval witness for free.  Sector systems add one twist: a large
-sector is a union of two half-planes, so the system is a union of branches,
-one half-plane per sector; ``first_branch`` finds the first nonempty one
-from the vertices of the boundary lines' arrangement, never enumerating.
+``>``), solved by eliminating y (pairing each lower bound on y with each upper
+bound), which stays exact over rationals and yields an interval witness for
+free.  One elimination and one y read-out serve both the feasibility solve
+and witness re-centring.  Sector systems add one twist: a large sector is a
+union of two half-planes, so the system is a union of branches, one
+half-plane per sector; ``first_branch`` finds the first nonempty one from
+the vertices of the boundary lines' arrangement, never enumerating.
 
 With a positive tolerance, sector and direction systems run one "twin" pass,
 relaxed by a tolerance-scaled slack if the system is empty and tightened if
@@ -114,50 +115,46 @@ def _solve_interval(lowers, uppers):
     return True, Fraction(0)
 
 
+def _eliminate_y(rows: list[tuple]):
+    """Fourier-Motzkin over rows ``(a, b, c, w, strict)``, each ``a x + b y >= c
+    + w t`` (``>`` when strict): yields the x rows ``(a, c, w, strict)`` of the
+    rows free of y, then of each y-lower row paired with each y-upper row,
+    lazily, so a caller that meets a contradiction stops the pairing there."""
+    for a, b, c, w, strict in rows:
+        if b == 0:
+            yield a, c, w, strict
+    uppers = [row for row in rows if row[1] < 0]
+    for la, lb, lc, lw, ls in rows:
+        if lb > 0:
+            for ua, ub, uc, uw, us in uppers:
+                w = lb * uw - ub * lw if uw or lw else 0  # no Fraction products for w = 0 rows
+                yield ua * lb - la * ub, lb * uc - ub * lc, w, ls or us
+
+
+def _point_at(rows: list[tuple], x: Fraction, t) -> Vec:
+    """``(x, y)``, y picked by ``_solve_interval`` from the interval the rows
+    leave at ``(x, t)``: its midpoint when it is bounded on both sides."""
+    lowers, uppers = [], []
+    for a, b, c, w, strict in rows:
+        if b:
+            (lowers if b > 0 else uppers).append(((c + w * t - a * x) / b, strict))
+    return Vec(x, _solve_interval(lowers, uppers)[1])
+
+
 def _feasible_exact(constraints: list[LinearConstraint]) -> tuple[bool, Vec | None]:
-    """Eliminate y, solve for x, back-substitute.  Exact, no tolerance."""
-    y_lowers = []  # constraints with ny > 0: y >= (c - nx x)/ny
-    y_uppers = []  # ny < 0
-    x_only = []  # ny == 0
-    for lc in constraints:
-        if lc.ny > 0:
-            y_lowers.append(lc)
-        elif lc.ny < 0:
-            y_uppers.append(lc)
-        else:
-            x_only.append(lc)
-
+    """Eliminate y, solve for x, read y off.  Exact, no tolerance."""
+    rows = [(lc.nx, lc.ny, lc.c, 0, lc.strict) for lc in constraints]
     x_lowers, x_uppers = [], []
-
-    def add_x(nx: Fraction, c: Fraction, strict: bool) -> bool:
-        """Record nx * x >= c; False means an outright contradiction."""
-        if nx > 0:
-            x_lowers.append((c / nx, strict))
-        elif nx < 0:
-            x_uppers.append((c / nx, strict))
+    for a, c, _, strict in _eliminate_y(rows):
+        if a > 0:
+            x_lowers.append((c / a, strict))
+        elif a < 0:
+            x_uppers.append((c / a, strict))
         elif c > 0 or (strict and c == 0):
-            return False
-        return True
-
-    for lc in x_only:
-        if not add_x(lc.nx, lc.c, lc.strict):
             return False, None
-    for li, uj in itertools.product(y_lowers, y_uppers):
-        a = uj.nx * li.ny - li.nx * uj.ny
-        c = li.ny * uj.c - uj.ny * li.c
-        if not add_x(a, c, li.strict or uj.strict):
-            return False, None
-
     ok, x = _solve_interval(x_lowers, x_uppers)
-    if not ok:
-        return False, None
-    ok, y = _solve_interval(
-        [((lc.c - lc.nx * x) / lc.ny, lc.strict) for lc in y_lowers],
-        [((lc.c - lc.nx * x) / lc.ny, lc.strict) for lc in y_uppers],
-    )
-    if not ok:  # cannot happen: the pairing made the x interval exact
-        return False, None
-    return True, Vec(x, y)
+    # The pairing makes the x interval exact, so the y interval at x is nonempty.
+    return (True, _point_at(rows, x, 0)) if ok else (False, None)
 
 
 def _snap_witness(w: Vec, constraints: list[LinearConstraint], floor: Fraction | None) -> Vec:
@@ -208,16 +205,15 @@ def _integer_row(lc: LinearConstraint) -> tuple[int, int, int, int]:
     return (int(lc.nx * m), int(lc.ny * m), int(lc.c * m), int(lc.strict))
 
 
-def first_branch(sectors: list[Sector], slack: Fraction) -> list[LinearConstraint] | None:
-    """The first nonempty branch, in ``itertools.product`` order of the sectors'
-    alternatives, with rows shifted by ``slack``; None when there is none.  A
+def first_branch(alternatives: list[list[list[LinearConstraint]]]) -> list[LinearConstraint] | None:
+    """The first nonempty branch, picking one of each sector's ``_sector_choices``
+    alternatives in ``itertools.product`` order; None when there is none.  A
     sole branch is returned undecided.  Each candidate ``(x0 + eps x1, y0 +
     eps y1) / w`` is the crossing of two boundary lines, strict ones pushed
     inward by a symbolic eps, or of the first line and one across it.  Every
     nonempty branch holds a candidate, and the first alternative of each sector
     holding at a candidate forms a nonempty branch, so the least is the first.
     """
-    alternatives = [[[lc.shifted(slack) for lc in group] for group in _sector_choices(s)] for s in sectors]
     n_rows = sum(len(alts[0]) for alts in alternatives)  # the same in every branch
     if n_rows > MAX_CONSTRAINTS:
         raise ConstraintLimitError(f"{n_rows} constraints exceed the cap of {MAX_CONSTRAINTS}")
@@ -289,22 +285,21 @@ def _deepest_point(constraints: list[LinearConstraint], box: list[LinearConstrai
     This is the exact optimum of the LP "maximise t subject to
     ``n.p - c >= t(|nx|+|ny|)`` for every constraint", with the box rows
     kept as they are; None when that maximum ``t*`` is 0 or not even ``t = 0``
-    is feasible.  Eliminating y pairs the rows as ``_feasible_exact`` does,
-    and every paired row keeps a nonnegative t coefficient, so each x lower
-    bound is a line in t that rises and each upper bound one that falls.  The
-    gap between the highest lower and the lowest upper bound is then convex,
-    nondecreasing and piecewise linear, and Newton steps started right of its
-    largest root land on that root exactly.  The box and at least one
-    constraint keep t bounded.  The point is the midpoint of the x interval
-    at ``t*``, then of the y interval there: the witness ``_feasible_exact``
-    gives for the rows tightened by ``t*``, found without solving again.
+    is feasible.  ``_eliminate_y`` pairs the rows as it does for
+    ``_feasible_exact``, and every paired row keeps a nonnegative t
+    coefficient, so each x lower bound is a line in t that rises and each
+    upper bound one that falls.  The gap between the highest lower and the
+    lowest upper bound is then convex, nondecreasing and piecewise linear,
+    and Newton steps started right of its largest root land on that root
+    exactly.  The box and at least one constraint keep t bounded.  The point is the midpoint of the x interval
+    at ``t*``, then ``_point_at`` reads y there: the witness
+    ``_feasible_exact`` gives for the rows tightened by ``t*``, by
+    construction, found without solving again.
     """
-    rows = [(lc.nx, lc.ny, lc.c, abs(lc.nx) + abs(lc.ny)) for lc in constraints]
-    rows += [(lc.nx, lc.ny, lc.c, 0) for lc in box]
+    rows = [(lc.nx, lc.ny, lc.c, abs(lc.nx) + abs(lc.ny), False) for lc in constraints]
+    rows += [(lc.nx, lc.ny, lc.c, 0, False) for lc in box]
     lowers, uppers, caps = [], [], []  # x >= s t + b, x <= s t + b as (s, b); t <= cap
-
-    def add_x(a, c, w) -> bool:
-        """Record a x >= c + w t; False means no t satisfies it."""
+    for a, c, w, _ in _eliminate_y(rows):
         if a > 0:
             lowers.append((w / a, c / a))
         elif a < 0:
@@ -312,16 +307,6 @@ def _deepest_point(constraints: list[LinearConstraint], box: list[LinearConstrai
         elif w > 0:
             caps.append(-c / w)
         elif c > 0:
-            return False
-        return True
-
-    y_lowers = [r for r in rows if r[1] > 0]
-    y_uppers = [r for r in rows if r[1] < 0]
-    for nx, ny, c, w in rows:
-        if ny == 0 and not add_x(nx, c, w):
-            return None
-    for (lx, ly, lc, lw), (ux, uy, uc, uw) in itertools.product(y_lowers, y_uppers):
-        if not add_x(ux * ly - lx * uy, ly * uc - uy * lc, ly * uw - uy * lw):
             return None
 
     # Start at the root of the pair that dominates as t grows, or at a lower cap.
@@ -334,10 +319,7 @@ def _deepest_point(constraints: list[LinearConstraint], box: list[LinearConstrai
         lo, neg_lo_slope = max((s * t + b, -s) for s, b in lowers)
         hi, neg_hi_slope = min((s * t + b, -s) for s, b in uppers)
         if lo <= hi:
-            x = (lo + hi) / 2
-            y_lo = max((c + t * w - nx * x) / ny for nx, ny, c, w in y_lowers)
-            y_hi = min((c + t * w - nx * x) / ny for nx, ny, c, w in y_uppers)
-            return Vec(x, (y_lo + y_hi) / 2)
+            return _point_at(rows, (lo + hi) / 2, t)
         if neg_lo_slope == neg_hi_slope:  # the gap stays positive for all smaller t
             return None
         t -= (lo - hi) / (neg_hi_slope - neg_lo_slope)
@@ -390,19 +372,21 @@ def sectors_intersection(sectors: list[Sector], tol: Fraction = Fraction(0)) -> 
         )
     else:
         anchor, spread = Vec(Fraction(0), Fraction(0)), Fraction(1)
-    branch = first_branch(sectors, Fraction(0))
+    alternatives = [_sector_choices(s) for s in sectors]
+    branch = first_branch(alternatives)
     if branch is not None:
         res = linear_feasible(branch)
         if res.feasible:
             feasible = True
             witness = _improve_witness(branch, res.witness, anchor, spread)
     # Relaxing only adds points and tightening only removes them: one twin can flip the answer.
-    flagged = tol > 0 and _twin_any(sectors, -tol if feasible else tol) != feasible
+    flagged = tol > 0 and _twin_any(alternatives, -tol if feasible else tol) != feasible
     return FeasibilityResult(feasible, witness, flagged)
 
 
-def _twin_any(sectors: list[Sector], tol: Fraction) -> bool:
-    branch = first_branch(sectors, tol)
+def _twin_any(alternatives: list[list[list[LinearConstraint]]], slack: Fraction) -> bool:
+    """Is the sector system with every row shifted by ``slack`` nonempty?"""
+    branch = first_branch([[[lc.shifted(slack) for lc in group] for group in alts] for alts in alternatives])
     return branch is not None and _feasible_exact(branch)[0]
 
 

@@ -145,8 +145,8 @@ def escape_search(
     says nothing (sampled search); a report certifies exactly the scheduled
     magnitudes it lists.
     """
-    if samples > 10**6:
-        raise OutOfRangeError("sample budget capped at 10**6")
+    if not 0 <= samples <= 10**6:
+        raise OutOfRangeError("sample budget must be between 0 and 10**6")
     pts = list(pts)
     lo, hi = body.bounding_box()
     center0 = Vec((lo.x + hi.x) / 2, (lo.y + hi.y) / 2)

@@ -26,6 +26,7 @@ from immobilize2d.classify import (
 from immobilize2d.errors import (
     InvalidPointError,
     NotAlmostPositiveError,
+    OutOfRangeError,
     RefinementExhaustedError,
 )
 from immobilize2d.fixtures import (
@@ -114,6 +115,14 @@ def test_verdict_carries_question_and_mode():
     a = classify_almost_fix(sq, oc)
     assert a.question == "ALMOST_FIX"
     assert not v.near_degenerate
+
+
+def test_negative_tolerance_is_refused():
+    sq, oc = square_opposite_corners()
+    for ask in (classify_fix, classify_almost_fix):
+        with pytest.raises(OutOfRangeError):
+            ask(sq, oc, tol=Fraction(-1, 10))
+    assert classify_fix(sq, oc, tol=Fraction(0)).status == NOT_WEAKLY_FIX
 
 
 def test_duplicate_contact_points_collapse():

@@ -145,6 +145,18 @@ def test_fuzz_refuses_max_points_out_of_range(monkeypatch, capsys):
     assert trials == [2, 32]
 
 
+def test_negative_tolerance_and_sample_budget_are_coded_errors(square_files, capsys):
+    sq, corners, _ = square_files
+    for argv in (
+        ["classify", "--mode", "fix", "--body", str(sq), "--points", str(corners), "--tol=-1/10"],
+        ["classify", "--mode", "almost", "--body", str(sq), "--points", str(corners), "--tol=-1/10"],
+        ["escape", "--body", str(sq), "--points", str(corners), "--samples", "-5"],
+    ):
+        assert cli.main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert "error[OUT_OF_RANGE]" in out.err and out.out == "", (argv, out)
+
+
 def test_fuzz_small_run_is_clean_and_deterministic(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -133,6 +133,8 @@ def test_escape_search_sample_budget():
     sq, oc = square_opposite_corners()
     with pytest.raises(OutOfRangeError):
         oracle.escape_search(sq, oc, samples=10**6 + 1)
+    with pytest.raises(OutOfRangeError):
+        oracle.escape_search(sq, oc, samples=-1)
 
 
 def test_simulate_rotation_path_reports_first_penetration():
