@@ -51,8 +51,8 @@ from .errors import (
     OutOfRangeError,
     RefinementExhaustedError,
 )
-from .feasibility import LinearConstraint, halfplane_constraint, linear_feasible
-from .geom import Scalar, Vec, to_scalar, vec
+from .feasibility import linear_feasible
+from .geom import LinearConstraint, Scalar, Vec, halfplane_constraint, to_scalar, vec
 from .oracle import (
     EscapeReport,
     MotionPath,

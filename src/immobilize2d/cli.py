@@ -10,6 +10,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -253,7 +254,10 @@ def cmd_render(args) -> int:
         parts = args.window.split(",")
         if len(parts) != 4:
             raise OutOfRangeError("window must be x0,y0,x1,y1")
-        x0, y0, x1, y1 = (float(p) for p in parts)
+        try:
+            x0, y0, x1, y1 = (float(p) for p in parts)
+        except ValueError:
+            raise OutOfRangeError(f"window coordinates must be numbers, got {args.window!r}") from None
         if not (x0 < x1 and y0 < y1):
             raise OutOfRangeError("window must have positive extent")
         window = (x0, y0, x1, y1)
@@ -264,6 +268,7 @@ def cmd_render(args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="immobilize2d",
@@ -280,14 +285,12 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tol", help="near-degeneracy reporting tolerance, e.g. 1/1000000000")
     p.add_argument("--out", help="write the verdict JSON here instead of stdout")
     p.add_argument("--timings", action="store_true", help="include wall-clock durations in metadata")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("refine", help="double almost-fixing contacts into a fixing placement")
     p.add_argument("--body", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--epsilon", required=True, help="neighbourhood radius, e.g. 1/5")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("escape", help="search for a first-order escape motion")
     p.add_argument("--body", required=True)
@@ -296,14 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_escape)
 
     p = sub.add_parser("fuzz", help="random bodies/points through the consistency invariants")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-points", type=int, default=5)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("fixture", help="export a built-in fixture to body/points JSON")
     p.add_argument("--name", choices=("remark", "square", "disc", "e1", "e2", "regular", "random"), required=True)
@@ -313,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5, help="vertex count for regular/random polygons")
     p.add_argument("--circumradius", default="1")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fixture)
 
     p = sub.add_parser("render", help="draw body, contacts, normal rays, and witnesses to SVG")
     p.add_argument("--body", required=True)
@@ -321,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verdict")
     p.add_argument("--svg", required=True)
     p.add_argument("--window", help="x0,y0,x1,y1 in body coordinates")
-    p.set_defaults(func=cmd_render)
 
     return parser
 
@@ -329,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a wrapper installed over cmd_* is the one called.
+        return globals()[f"cmd_{args.command}"](args)
     except BodyValidationError as exc:
         where = f" element {exc.element}" if exc.element is not None else ""
         print(f"error[{exc.code}]{where}: {exc}", file=sys.stderr)

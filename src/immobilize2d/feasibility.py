@@ -4,10 +4,11 @@ Systems are conjunctions of half-plane constraints ``n . p >= c`` (or strict
 ``>``), solved by eliminating y (pairing each lower bound on y with each upper
 bound), which stays exact over rationals and yields an interval witness for
 free.  One elimination and one y read-out serve both the feasibility solve
-and witness re-centring.  Sector systems add one twist: a large sector is a
-union of two half-planes, so the system is a union of branches, one
-half-plane per sector; ``first_branch`` finds the first nonempty one from
-the vertices of the boundary lines' arrangement, never enumerating.
+and witness re-centring.  Sector systems add one twist: a large sector at a
+corner is a union of two half-planes, so the system is a union of branches,
+one of each sector's ``alternatives`` (its rows, built once by
+``make_sector``); ``first_branch`` finds the first nonempty one from the
+vertices of the boundary lines' arrangement, never enumerating.
 
 With a positive tolerance, sector and direction systems run one "twin" pass,
 relaxed by a tolerance-scaled slack if the system is empty and tightened if
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstraintLimitError
-from .geom import Vec, dot, norm1, rot90_ccw, same_ray
+from .geom import LinearConstraint, Vec, norm1
 from .sectors import (
-    INTERSECTION,
     CircArc,
     DirectionSet,
     Sector,
@@ -36,41 +36,6 @@ from .sectors import (
 
 MAX_CONSTRAINTS = 64
 _SNAP_BITS = 60
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """``nx * x + ny * y >= c`` (``> c`` when strict)."""
-
-    nx: Fraction
-    ny: Fraction
-    c: Fraction
-    strict: bool = False
-    scale: Fraction = Fraction(1)
-
-    def margin(self, p: Vec) -> Fraction:
-        return self.nx * p.x + self.ny * p.y - self.c
-
-    def holds(self, p: Vec) -> bool:
-        m = self.margin(p)
-        return m > 0 if self.strict else m >= 0
-
-    def shifted(self, slack: Fraction) -> "LinearConstraint":
-        """Positive slack relaxes the constraint, negative tightens it."""
-        return LinearConstraint(self.nx, self.ny, self.c - slack * self.scale, self.strict, self.scale)
-
-
-def halfplane_constraint(base: Vec, direction: Vec, side: str, closed: bool) -> LinearConstraint:
-    """Constraint for one side of the oriented line through ``base``.
-
-    The left side is where ``cross(direction, p - base)`` is positive.
-    """
-    n = rot90_ccw(direction)
-    c = dot(n, base)
-    if side == "right":
-        n, c = -n, -c
-    scale = norm1(n) * (Fraction(1) + norm1(base))
-    return LinearConstraint(n.x, n.y, c, strict=not closed, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -188,27 +153,16 @@ def linear_feasible(constraints: list[LinearConstraint]) -> FeasibilityResult:
 # -- sector systems ----------------------------------------------------------
 
 
-def _sector_choices(s: Sector) -> list[list[LinearConstraint]]:
-    """Conjunctive alternatives whose union is the sector."""
-    left = halfplane_constraint(s.n_left.base, s.n_left.dir, s.side, s.closed)
-    right = halfplane_constraint(s.n_right.base, s.n_right.dir, s.side, s.closed)
-    if s.combinator == INTERSECTION:
-        return [[left, right]]
-    if same_ray(s.n_left.dir, s.n_right.dir):
-        return [[left]]  # smooth contact: both normals bound the same half-plane
-    return [[left], [right]]
-
-
 def _integer_row(lc: LinearConstraint) -> tuple[int, int, int, int]:
     """``(a, b, c, e)`` for ``a x + b y >= c + e * eps``, with ``e = 1`` when strict."""
     m = math.lcm(lc.nx.denominator, lc.ny.denominator, lc.c.denominator)
     return (int(lc.nx * m), int(lc.ny * m), int(lc.c * m), int(lc.strict))
 
 
-def first_branch(alternatives: list[list[list[LinearConstraint]]]) -> list[LinearConstraint] | None:
-    """The first nonempty branch, picking one of each sector's ``_sector_choices``
-    alternatives in ``itertools.product`` order; None when there is none.  A
-    sole branch is returned undecided.  Each candidate ``(x0 + eps x1, y0 +
+def first_branch(alternatives: list[tuple[tuple[LinearConstraint, ...], ...]]) -> list[LinearConstraint] | None:
+    """The first nonempty branch, picking one of each sector's ``alternatives``
+    in ``itertools.product`` order; None when there is none.  A sole branch
+    is returned undecided.  Each candidate ``(x0 + eps x1, y0 +
     eps y1) / w`` is the crossing of two boundary lines, strict ones pushed
     inward by a symbolic eps, or of the first line and one across it.  Every
     nonempty branch holds a candidate, and the first alternative of each sector
@@ -372,7 +326,7 @@ def sectors_intersection(sectors: list[Sector], tol: Fraction = Fraction(0)) -> 
         )
     else:
         anchor, spread = Vec(Fraction(0), Fraction(0)), Fraction(1)
-    alternatives = [_sector_choices(s) for s in sectors]
+    alternatives = [s.alternatives for s in sectors]
     branch = first_branch(alternatives)
     if branch is not None:
         res = linear_feasible(branch)
@@ -384,7 +338,7 @@ def sectors_intersection(sectors: list[Sector], tol: Fraction = Fraction(0)) -> 
     return FeasibilityResult(feasible, witness, flagged)
 
 
-def _twin_any(alternatives: list[list[list[LinearConstraint]]], slack: Fraction) -> bool:
+def _twin_any(alternatives: list[tuple[tuple[LinearConstraint, ...], ...]], slack: Fraction) -> bool:
     """Is the sector system with every row shifted by ``slack`` nonempty?"""
     branch = first_branch([[[lc.shifted(slack) for lc in group] for group in alts] for alts in alternatives])
     return branch is not None and _feasible_exact(branch)[0]

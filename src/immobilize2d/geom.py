@@ -1,8 +1,12 @@
-"""Exact planar primitives: rational vectors, oriented lines, rigid motions.
+"""Exact planar primitives: rational vectors, half-planes, rigid motions.
 
 All coordinates are ``fractions.Fraction``.  Floats are accepted at the
 boundary of the API and converted to their exact binary value, so every
 predicate downstream is decided by integer arithmetic.
+
+A half-plane is one ``LinearConstraint`` row, ``n . p >= c`` (strict when
+open); contact sectors are built from these rows and the exact solver
+eliminates them, so both read the same side convention.
 """
 
 from __future__ import annotations
@@ -74,15 +78,34 @@ def norm1(v: Vec) -> Fraction:
 
 
 @dataclass(frozen=True)
-class OrientedLine:
-    """Line through ``base`` with direction ``dir``; its left side is cross(dir, p-base) > 0."""
+class LinearConstraint:
+    """``nx * x + ny * y >= c`` (``> c`` when strict)."""
 
-    base: Vec
-    dir: Vec
+    nx: Fraction
+    ny: Fraction
+    c: Fraction
+    strict: bool = False
+    scale: Fraction = Fraction(1)
 
-    def __post_init__(self):
-        if self.dir.is_zero():
-            raise ValueError("oriented line needs a nonzero direction")
+    def margin(self, p: Vec) -> Fraction:
+        return self.nx * p.x + self.ny * p.y - self.c
+
+    def holds(self, p: Vec) -> bool:
+        m = self.margin(p)
+        return m > 0 if self.strict else m >= 0
+
+    def shifted(self, slack: Fraction) -> "LinearConstraint":
+        """Positive slack relaxes the constraint, negative tightens it."""
+        return LinearConstraint(self.nx, self.ny, self.c - slack * self.scale, self.strict, self.scale)
+
+
+def halfplane_constraint(base: Vec, normal: Vec, closed: bool) -> LinearConstraint:
+    """``normal . p >= normal . base``, strict unless closed: the half-plane
+    whose rim passes through ``base`` and which ``normal`` points into."""
+    if normal.is_zero():
+        raise ValueError("half-plane needs a nonzero normal")
+    scale = norm1(normal) * (Fraction(1) + norm1(base))
+    return LinearConstraint(normal.x, normal.y, dot(normal, base), strict=not closed, scale=scale)
 
 
 # -- rigid motions ----------------------------------------------------------

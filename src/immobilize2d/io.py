@@ -146,15 +146,34 @@ def _witness_to_json(w: Witness | None):
 
 
 def witness_from_json(d) -> Witness | None:
+    """A missing field or a value of the wrong type is OUT_OF_RANGE."""
     if d is None:
         return None
-    if d["kind"] == "rotation_center":
-        return Witness(kind="rotation_center", point=vec_from_json(d["point"]), sense=d["sense"])
-    return Witness(
-        kind="direction",
-        direction=vec_from_json(d["direction"]),
-        translation=vec_from_json(d["translation"]),
-    )
+    try:
+        if d["kind"] == "rotation_center":
+            return Witness(kind="rotation_center", point=vec_from_json(d["point"]), sense=d["sense"])
+        return Witness(
+            kind="direction",
+            direction=vec_from_json(d["direction"]),
+            translation=vec_from_json(d["translation"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise OutOfRangeError(f"malformed witness ({type(exc).__name__}: {exc})") from None
+
+
+def verdict_marks_from_json(doc) -> tuple[Witness | None, dict]:
+    """The witness and the test name -> status map of a verdict document.
+
+    A document that is not an object, or a malformed witness or ``tests``
+    entry, is OUT_OF_RANGE.
+    """
+    if not isinstance(doc, dict):
+        raise OutOfRangeError(f"verdict document must be an object, got {type(doc).__name__}")
+    try:
+        statuses = {name: entry.get("status") for name, entry in doc.get("tests", {}).items()}
+    except AttributeError:
+        raise OutOfRangeError("verdict 'tests' must map each test name to an object") from None
+    return witness_from_json(doc.get("witness")), statuses
 
 
 def verdict_to_json(verdict: Verdict, tol: Fraction | None = None, durations: dict | None = None) -> dict:
@@ -216,4 +235,8 @@ def dumps(doc) -> str:
 
 
 def loads(text: str):
-    return json.loads(text)
+    """Parsed JSON; text that is not JSON is OUT_OF_RANGE."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise OutOfRangeError(f"malformed JSON ({exc})") from None

@@ -7,10 +7,10 @@ a fixed order, making the output byte-stable for identical inputs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .body import Arc, BoundaryPoint, ConvexBody, Segment, tangents_at
-from .geom import Vec, rot90_ccw, same_ray
+from . import io
+from .body import BoundaryPoint, ConvexBody, Segment, tangents_at
+from .classify import Witness
+from .geom import rot90_ccw, same_ray
 
 _VIEW_W = 640.0
 _MARGIN = 24.0
@@ -123,21 +123,15 @@ def _clip_polygon(poly, base, direction, keep_left: bool):
     return out
 
 
-def _witness_region(body, pts, verdict_doc, fr: _Frame):
+def _witness_region(body, pts, witness: Witness | None, statuses: dict, fr: _Frame):
     """Polygon of the sector-system branch containing the verdict witness."""
-    w = verdict_doc.get("witness")
-    if not w or w.get("kind") != "rotation_center":
+    if witness is None or witness.kind != "rotation_center":
         return None
-    tests = verdict_doc.get("tests", {})
-    name = next(
-        (n for n in ("openL", "openR", "closedL", "closedR") if tests.get(n, {}).get("status") == "NONEMPTY"),
-        None,
-    )
+    name = next((n for n in ("openL", "openR", "closedL", "closedR") if statuses.get(n) == "NONEMPTY"), None)
     if name is None:
         return None
     keep_left = name.endswith("L")
-    wx = float(Fraction(w["point"]["x"]))
-    wy = float(Fraction(w["point"]["y"]))
+    wx, wy = float(witness.point.x), float(witness.point.y)
     poly = [(fr.x0, fr.y0), (fr.x1, fr.y0), (fr.x1, fr.y1), (fr.x0, fr.y1)]
     for bp in pts:
         td = tangents_at(body, bp)
@@ -164,6 +158,7 @@ def render_svg(
     verdict_doc: dict | None = None,
     window: tuple[float, float, float, float] | None = None,
 ) -> str:
+    witness, statuses = io.verdict_marks_from_json(verdict_doc) if verdict_doc is not None else (None, {})
     window = window or _default_window(body)
     fr = _Frame(window)
     lines = [
@@ -173,7 +168,7 @@ def render_svg(
         f'  <rect x="0" y="0" width="{_f(_VIEW_W)}" height="{_f(fr.height)}" fill="#ffffff"/>',
     ]
 
-    region = _witness_region(body, pts, verdict_doc, fr) if verdict_doc else None
+    region = _witness_region(body, pts, witness, statuses, fr)
     if region:
         d = " ".join(
             ("M" if i == 0 else "L") + f" {_f(fr.sx(x))} {_f(fr.sy(y))}" for i, (x, y) in enumerate(region)
@@ -200,17 +195,16 @@ def render_svg(
         lines.append(f'  <circle class="contact" cx="{_f(x)}" cy="{_f(y)}" r="3.2"/>')
         lines.append(f'  <text class="label" x="{_f(x + 5)}" y="{_f(y - 5)}">a{i + 1}</text>')
 
-    if verdict_doc and verdict_doc.get("witness"):
-        w = verdict_doc["witness"]
-        if w["kind"] == "rotation_center":
-            x = fr.sx(float(Fraction(w["point"]["x"])))
-            y = fr.sy(float(Fraction(w["point"]["y"])))
+    if witness is not None:
+        if witness.kind == "rotation_center":
+            x = fr.sx(float(witness.point.x))
+            y = fr.sy(float(witness.point.y))
             lines.append(f'  <circle class="witness" cx="{_f(x)}" cy="{_f(y)}" r="6"/>')
             lines.append(f'  <circle class="witnessdot" cx="{_f(x)}" cy="{_f(y)}" r="1.8"/>')
-            lines.append(f'  <text class="label" x="{_f(x + 8)}" y="{_f(y + 4)}">center ({w["sense"]})</text>')
+            lines.append(f'  <text class="label" x="{_f(x + 8)}" y="{_f(y + 4)}">center ({witness.sense})</text>')
         else:
-            dx = float(Fraction(w["direction"]["x"]))
-            dy = float(Fraction(w["direction"]["y"]))
+            dx = float(witness.direction.x)
+            dy = float(witness.direction.y)
             norm = max((dx * dx + dy * dy) ** 0.5, 1e-12)
             cx = (fr.x0 + fr.x1) / 2
             cy = (fr.y0 + fr.y1) / 2

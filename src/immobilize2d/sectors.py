@@ -1,6 +1,9 @@
 """First-order sectors at a boundary contact.
 
-At a contact point the inward left/right normals bound four sector families:
+At a contact point with one-sided tangents ``u_left`` and ``u_right`` (body
+on the left of travel), the inward normal line of each tangent ``u`` bounds
+two half-planes: its left side ``-u . p >= -u . apex`` and its right side
+``u . p >= u . apex``.  They make four sector families:
 
 * ``L``       union of the open left half-planes of both normals
               (rotation centers whose small clockwise turns are not blocked
@@ -9,6 +12,12 @@ At a contact point the inward left/right normals bound four sector families:
 * ``small_l`` intersection of the left half-planes (centers that survive the
               contact even when the point is perturbed to either side),
 * ``small_r`` intersection of the right half-planes.
+
+A sector is stored as those half-plane rows, grouped into conjunctive
+alternatives whose union it is: two one-row alternatives for a large sector
+at a corner, one row at a smooth contact (both tangents bound the same
+half-plane), one two-row alternative for a small sector.  Membership and
+the exact sector-system solver both read these rows.
 
 Direction sets are the circle traces of the closed sectors: a single closed
 arc of directions d such that apex + d stays in the closed sector.  They
@@ -29,61 +38,42 @@ from fractions import Fraction
 from .body import TangentData, _snap_sign
 from .errors import NearDegenerateError
 from .geom import (
-    OrientedLine,
+    LinearConstraint,
     Vec,
     cross,
     dot,
+    halfplane_constraint,
     norm1,
     rational_rotation,
     rot90_ccw,
     same_ray,
 )
 
-UNION = "UNION"
-INTERSECTION = "INTERSECTION"
-
 SECTOR_KINDS = ("L", "R", "small_l", "small_r")
-
-_KIND_TABLE = {
-    "L": (UNION, "left"),
-    "R": (UNION, "right"),
-    "small_l": (INTERSECTION, "left"),
-    "small_r": (INTERSECTION, "right"),
-}
-
-
-def normals_at(apex: Vec, t: TangentData) -> tuple[OrientedLine, OrientedLine]:
-    """Inward left/right normal lines at the contact (body on the left of travel)."""
-    return (
-        OrientedLine(apex, rot90_ccw(t.u_left)),
-        OrientedLine(apex, rot90_ccw(t.u_right)),
-    )
 
 
 @dataclass(frozen=True)
 class Sector:
+    """The union of ``alternatives``, each the intersection of its rows."""
+
     apex: Vec
-    n_left: OrientedLine
-    n_right: OrientedLine
-    combinator: str  # UNION | INTERSECTION
-    side: str  # left | right
     closed: bool
-    kind: str
+    alternatives: tuple[tuple[LinearConstraint, ...], ...]
 
 
 def make_sector(kind: str, closed: bool, apex: Vec, t: TangentData) -> Sector:
-    if kind not in _KIND_TABLE:
+    if kind not in SECTOR_KINDS:
         raise ValueError(f"unknown sector kind {kind!r}")
-    combinator, side = _KIND_TABLE[kind]
-    nl, nr = normals_at(apex, t)
-    return Sector(apex, nl, nr, combinator, side, closed, kind)
-
-
-def _half_margin(line: OrientedLine, side: str, p: Vec) -> tuple[Fraction, Fraction]:
-    m = cross(line.dir, p - line.base)
-    if side == "right":
-        m = -m
-    return m, norm1(line.dir)
+    n_left, n_right = (-t.u_left, -t.u_right) if kind in ("L", "small_l") else (t.u_left, t.u_right)
+    left = halfplane_constraint(apex, n_left, closed)
+    right = halfplane_constraint(apex, n_right, closed)
+    if kind.startswith("small"):
+        alternatives = ((left, right),)
+    elif same_ray(n_left, n_right):
+        alternatives = ((left,),)  # smooth contact: both tangents bound the same half-plane
+    else:
+        alternatives = ((left,), (right,))
+    return Sector(apex, closed, alternatives)
 
 
 def sector_contains(s: Sector, p: Vec, tol: Fraction = Fraction(0)) -> str:
@@ -92,14 +82,15 @@ def sector_contains(s: Sector, p: Vec, tol: Fraction = Fraction(0)) -> str:
     Raises NearDegenerateError when tol > 0 and a deciding margin is within
     tol of zero without being exactly zero.
     """
-    signs = []
     degenerate = False
-    for line in (s.n_left, s.n_right):
-        m, scale = _half_margin(line, s.side, p)
-        sign, flagged = _snap_sign(m, tol * scale * norm1(p - s.apex))
-        degenerate = degenerate or flagged
-        signs.append(sign)
-    agg = max(signs) if s.combinator == UNION else min(signs)
+    agg = -1
+    for rows in s.alternatives:
+        lowest = 1
+        for lc in rows:
+            sign, flagged = _snap_sign(lc.margin(p), tol * (abs(lc.nx) + abs(lc.ny)) * norm1(p - s.apex))
+            degenerate = degenerate or flagged
+            lowest = min(lowest, sign)
+        agg = max(agg, lowest)
     if degenerate:
         guess = "IN" if agg > 0 else ("ON_BOUNDARY" if s.closed and agg == 0 else "OUT")
         raise NearDegenerateError("sector margin below tolerance", guess=guess)

@@ -16,14 +16,13 @@ from immobilize2d.feasibility import (
     FeasibilityResult,
     _feasible_exact,
     _improve_witness,
-    _sector_choices,
     linear_feasible,
 )
 from immobilize2d.geom import Vec, norm1
 
 
 def sector_branches(sectors):
-    for pick in itertools.product(*(_sector_choices(s) for s in sectors)):
+    for pick in itertools.product(*(s.alternatives for s in sectors)):
         yield [lc for group in pick for lc in group]
 
 

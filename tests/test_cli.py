@@ -265,14 +265,37 @@ BAD_BODIES = (
 )
 
 
+# Verdict files handed to render --verdict (OUT_OF_RANGE).
+_CENTER = '{"kind": "rotation_center", "point": {"x": "1", "y": "0"}, "sense": "CW"}'
+BAD_VERDICTS = (
+    '{"witness": 5}',
+    '{"tests": 3, "witness": ' + _CENTER + "}",
+    '{"tests": {"openL": 3}, "witness": ' + _CENTER + "}",
+    '{"witness": {"kind": "rotation_center", "point": {"x": "1/0", "y": "0"}, "sense": "CW"}}',
+    '{"witness": {"kind": "rotation_center", "sense": "CW"}}',
+    '{"witness": {"kind": "spiral"}}',
+    "[]",
+)
+BROKEN_JSON = '{"mode": "exact_polygon", '
+
+
 def test_malformed_documents_are_coded_errors(square_files, tmp_path):
     sq, corners, _ = square_files
     bad = tmp_path / "bad.json"
-    cases = [(doc, sq, bad, "INVALID_POINT") for doc in BAD_POINTS]
-    cases += [(doc, bad, corners, "OUT_OF_RANGE") for doc in BAD_BODIES]
-    for doc, body, points, code in cases:
+    svg = tmp_path / "bad.svg"
+
+    def classify(body, points):
+        return ("classify", "--mode", "fix", "--body", str(body), "--points", str(points), "--exact")
+
+    render = ("render", "--body", str(sq), "--points", str(corners), "--verdict", str(bad), "--svg", str(svg))
+    cases = [(doc, classify(sq, bad), "INVALID_POINT") for doc in BAD_POINTS]
+    cases += [(doc, classify(bad, corners), "OUT_OF_RANGE") for doc in BAD_BODIES + (BROKEN_JSON,)]
+    cases += [(BROKEN_JSON, classify(sq, bad), "OUT_OF_RANGE")]
+    cases += [(doc, render, "OUT_OF_RANGE") for doc in BAD_VERDICTS + (BROKEN_JSON,)]
+    cases += [("{}", ("render", "--body", str(sq), "--svg", str(svg), "--window", "a,b,c,d"), "OUT_OF_RANGE")]
+    for doc, argv, code in cases:
         bad.write_text(doc)
-        r = run_cli("classify", "--mode", "fix", "--body", str(body), "--points", str(points), "--exact")
+        r = run_cli(*argv)
         assert r.returncode == 1, doc
         assert f"error[{code}]" in r.stderr, (doc, r.stderr)
         assert "Traceback" not in r.stderr, doc
@@ -295,6 +318,29 @@ def test_repeated_runs_are_byte_identical(square_files, remark_files, tmp_path):
     run_cli("render", "--body", str(sq), "--points", str(corners), "--svg", str(s1))
     run_cli("render", "--body", str(sq), "--points", str(corners), "--svg", str(s2))
     assert s1.read_bytes() == s2.read_bytes()
+
+
+def test_one_process_serves_alternating_commands(square_files, remark_files, capsys):
+    """The parser built once serves every call: exit codes and bytes match fresh processes."""
+    sq, corners, _ = square_files
+    remark_body, remark_points = remark_files
+    runs = [
+        ("classify", "--mode", "fix", "--body", str(sq), "--points", str(corners), "--exact"),
+        ("classify", "--mode", "almost", "--body", str(remark_body), "--points", str(remark_points)),
+        ("escape", "--body", str(remark_body), "--points", str(remark_points), "--samples", "200", "--seed", "3"),
+        ("classify", "--mode", "fix", "--exact"),  # usage error: no --body, no --points
+    ]
+    codes = []
+    for argv in runs + runs[::-1]:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        r = run_cli(*argv)
+        assert (code, out, err) == (r.returncode, r.stdout, r.stderr), argv
+        codes.append(code)
+    assert codes[0] == 10 and codes[3] == 2, codes
 
 
 def test_fixture_export_random_body_is_seed_stable(tmp_path):

@@ -21,7 +21,6 @@ from immobilize2d.feasibility import (
     _improve_witness,
     _min_margin,
     _perturb_set,
-    _sector_choices,
     directions_intersection,
     linear_feasible,
     sectors_intersection,
@@ -255,9 +254,9 @@ def test_first_branch_races_the_enumeration():
         got = sectors_intersection(sectors, tol)
         want = branch_reference.sectors_intersection(sectors, tol)
         assert (got.feasible, got.witness, got.near_degenerate) == (want.feasible, want.witness, want.near_degenerate)
-        if any(len(_sector_choices(s)) > 1 for s in sectors):
+        if any(len(s.alternatives) > 1 for s in sectors):
             scanned += 1
-            rows = [lc for s in sectors for group in _sector_choices(s) for lc in group]
+            rows = [lc for s in sectors for group in s.alternatives for lc in group]
             parallel += all(lc.nx * rows[0].ny == lc.ny * rows[0].nx for lc in rows)
         feasible += want.feasible
         flagged += want.near_degenerate

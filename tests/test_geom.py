@@ -1,4 +1,4 @@
-"""Exact-arithmetic geometry kernel: vectors, lines, rational rigid motions."""
+"""Exact-arithmetic geometry kernel: vectors, half-planes, rational rigid motions."""
 
 import random
 from fractions import Fraction
@@ -7,13 +7,13 @@ import pytest
 
 from immobilize2d.geom import (
     Identity,
-    OrientedLine,
     Rotation,
     Translation,
     Vec,
     apply_motion,
     cross,
     dot,
+    halfplane_constraint,
     invert_motion,
     norm1,
     rational_rotation,
@@ -77,9 +77,12 @@ def test_norm1():
     assert norm1(vec(0, 0)) == 0
 
 
-def test_oriented_line_rejects_zero_direction():
+def test_halfplane_constraint_rejects_zero_normal():
     with pytest.raises(ValueError):
-        OrientedLine(base=vec(0, 0), dir=vec(0, 0))
+        halfplane_constraint(vec(0, 0), vec(0, 0), closed=True)
+    row = halfplane_constraint(vec(1, 2), vec(-3, 1), closed=False)
+    assert (row.nx, row.ny, row.c, row.strict, row.scale) == (-3, 1, -1, True, 16)
+    assert not row.holds(vec(1, 2)) and row.holds(vec(0, 2))
 
 
 def test_rational_rotation_lies_on_unit_circle():

@@ -4,7 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from immobilize2d.body import TangentData, boundary_point, tangents_at
+from immobilize2d.errors import NearDegenerateError
 from immobilize2d.fixtures import unit_square
 from immobilize2d.geom import Vec, rational_rotation, vec
 from immobilize2d.sectors import (
@@ -133,6 +136,48 @@ def test_smooth_contact_collapses_large_onto_small():
         for _ in range(120):
             p = apex + Vec(Fraction(rng.randint(-9, 9), 5), Fraction(rng.randint(-9, 9), 5))
             assert sector_contains(big, p) == sector_contains(small, p)
+
+
+def test_tolerance_snaps_only_near_rim_margins():
+    """With tol > 0 a margin within tol * |n|_1 * |p - apex|_1 of zero, but not
+    zero, raises NearDegenerateError whose guess is the verdict on the rim
+    itself; rim points, the apex and clear points get the tol = 0 verdict."""
+    tol = Fraction(1, 1000)
+    corner_apex, corner_t = corner_tangents()
+    contacts = [
+        # corner at (1, -1): rims x = 1 and y = -1
+        (corner_apex, corner_t, (vec(0, 1), vec(1, 0))),
+        # smooth contact with normals of unequal length: one rim, x = 1/2
+        (vec(Fraction(1, 2), 0), TangentData(u_left=vec(2, 0), u_right=vec(1, 0)), (vec(0, 1),)),
+    ]
+    guesses = set()
+    for apex, t, rims in contacts:
+        for kind in SECTOR_KINDS:
+            for closed in (False, True):
+                s = make_sector(kind, closed, apex, t)
+                assert sector_contains(s, apex, tol) == sector_contains(s, apex)
+                for along in rims:
+                    across = Vec(along.y, -along.x)
+                    for k in (-1, 1):
+                        q = apex + along.scaled(k)
+                        on_rim = sector_contains(s, q)
+                        assert sector_contains(s, q, tol) == on_rim
+                        for side in (-1, 1):
+                            for offset in (Fraction(side, 10**6), Fraction(side, 10**4)):
+                                with pytest.raises(NearDegenerateError) as err:
+                                    sector_contains(s, q + across.scaled(offset), tol)
+                                assert err.value.guess == on_rim, (kind, closed, q, offset)
+                            guesses.add(on_rim)
+                            # The snap shrinks with |p - apex|_1: 1/10^4 off the rim is
+                            # clear 1/100 from the apex, and 1/100 off is clear anywhere here.
+                            for p in (apex + along.scaled(Fraction(k, 100)) + across.scaled(Fraction(side, 10**4)),
+                                      q + across.scaled(Fraction(side, 100))):
+                                assert sector_contains(s, p, tol) == sector_contains(s, p), (kind, closed, p)
+                for i in range(-8, 9):
+                    for j in range(-8, 9):
+                        p = apex + Vec(Fraction(i, 4), Fraction(j, 4))
+                        assert sector_contains(s, p, tol) == sector_contains(s, p), (kind, closed, p)
+    assert guesses == {"IN", "ON_BOUNDARY", "OUT"}
 
 
 def test_arc_contains_point_arc():
