@@ -15,11 +15,17 @@ Conventions
   degenerate instead of being trusted).
 * A boundary point is addressed as (element index, param in [0, 1)); a
   vertex is canonically addressed on its departing element at param 0.
+* Containment reads each segment off its integer row ``Segment.row``,
+  ``(A, B, C, S)`` with ``A x + B y + C = k cross(b - a, p - a)`` for some
+  ``k > 0`` and ``S = |A| + |B|``, computed once on first use.  A query
+  point goes over one denominator, so each segment sign is a few integer
+  products; arcs keep their ``Fraction`` margin.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +65,19 @@ class Segment:
 
     def end_tangent(self) -> Vec:
         return self.direction()
+
+    @functools.cached_property
+    def row(self) -> tuple[int, int, int, int]:
+        """Coprime integers (A, B, C, S): ``A x + B y + C`` is a positive
+        multiple of ``cross(b - a, p - a)`` at p = (x, y), ``S = |A| + |B|``
+        the same multiple of ``norm1(b - a)``."""
+        d = self.b - self.a
+        a, b, c = -d.y, d.x, d.y * self.a.x - d.x * self.a.y
+        den = math.lcm(a.denominator, b.denominator, c.denominator)
+        a, b, c = (v.numerator * (den // v.denominator) for v in (a, b, c))
+        g = math.gcd(a, b, c) or 1
+        a, b, c = a // g, b // g, c // g
+        return a, b, c, abs(a) + abs(b)
 
 
 @dataclass(frozen=True)
@@ -305,17 +324,14 @@ def tangents_at(body: ConvexBody, bp: BoundaryPoint) -> TangentData:
 # -- containment -------------------------------------------------------------
 
 
-def _element_margin(el: BoundaryElement, p: Vec) -> tuple[Fraction, Fraction]:
-    """(margin, scale): margin > 0 strictly inside the element's supporting region.
+def _arc_margin(el: Arc, p: Vec) -> tuple[Fraction, Fraction]:
+    """(margin, scale): margin > 0 strictly inside the arc's supporting region.
 
-    For a segment the region is the closed left half-plane of its line; for an
-    arc it is the union of the closed disc and the closed left half-plane of
-    its chord.  The intersection of these regions over all elements is the
-    body.  ``scale`` makes margin/scale roughly a distance.
+    The region is the union of the closed disc and the closed left
+    half-plane of the chord; with the segments' left half-planes, these
+    regions intersect in the body.  ``scale`` makes margin/scale roughly a
+    distance.
     """
-    if isinstance(el, Segment):
-        d = el.direction()
-        return cross(d, p - el.a), norm1(d)
     off = p - el.center
     disc_m = el.radius * el.radius - dot(off, off)
     disc_scale = 2 * el.radius
@@ -335,13 +351,26 @@ def contains_interior(body: ConvexBody, p: Vec) -> Containment:
     (tolerance > 0) a nonzero margin within it of zero raises
     NearDegenerateError carrying the snapped best guess; exact bodies
     decide every sign exactly.
+
+    Segments are decided in integers.  With p = (X / W, Y / W) over the one
+    denominator ``W``, a segment's margin ``cross(b - a, p - a)`` is
+    ``(A X + B Y + C W) / (k W)`` for its row ``(A, B, C, S)``, and
+    ``|margin| <= tol * norm1(b - a)`` reads ``|M| * tol.den <= tol.num * S * W``
+    with ``M = A X + B Y + C W``, so one comparison serves both modes.
     """
     tol = body.tolerance()
+    tol_num, tol_den = tol.numerator, tol.denominator
+    xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+    px, py, w = xn * yd, yn * xd, xd * yd
     worst = 1
     degenerate = False
     for el in body.elements:
-        m, scale = _element_margin(el, p)
-        sign, flagged = _snap_sign(m, tol * scale)
+        if isinstance(el, Segment):
+            a, b, c, s = el.row
+            sign, flagged = _snap_sign((a * px + b * py + c * w) * tol_den, tol_num * s * w)
+        else:
+            m, scale = _arc_margin(el, p)
+            sign, flagged = _snap_sign(m, tol * scale)
         if flagged:
             degenerate = True
             continue

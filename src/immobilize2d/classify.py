@@ -256,11 +256,12 @@ def refine_almost_to_fix(
     (offsets -d, +d along the boundary) or one-sided (+d, +2d or -2d, -d).
     The first doubled set to classify POSITIVE for FIX wins.  Placements are
     scanned in lexicographic order of ``_TAG_ORDER``, which starts with
-    straddling, so the all-straddling placement is tried first.
+    straddling, so the all-straddling placement is tried first.  An eps
+    that is not positive raises OutOfRangeError.
     """
     eps = to_scalar(eps)
     if eps <= 0:
-        raise InvalidPointError("neighbourhood radius must be positive")
+        raise OutOfRangeError("neighbourhood radius must be positive")
     pts = _dedupe_points(list(pts))
     pre = classify_almost_fix(body, pts)
     if pre.status != POSITIVE:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import random
 import sys
 import time
@@ -258,6 +259,8 @@ def cmd_render(args) -> int:
             x0, y0, x1, y1 = (float(p) for p in parts)
         except ValueError:
             raise OutOfRangeError(f"window coordinates must be numbers, got {args.window!r}") from None
+        if not all(map(math.isfinite, (x0, y0, x1, y1, x1 - x0, y1 - y0))):
+            raise OutOfRangeError(f"window corners and extent must be finite, got {args.window!r}")
         if not (x0 < x1 and y0 < y1):
             raise OutOfRangeError("window must have positive extent")
         window = (x0, y0, x1, y1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 Scalar = Fraction
@@ -120,7 +121,9 @@ class Rotation:
     s: Fraction
 
     def __post_init__(self):
-        if self.c * self.c + self.s * self.s != 1:
+        # reduced rationals on the unit circle share their denominator
+        den = self.c.denominator
+        if self.s.denominator != den or self.c.numerator**2 + self.s.numerator**2 != den * den:
             raise ValueError("rotation unit must satisfy c^2 + s^2 = 1")
 
 
@@ -141,11 +144,13 @@ def rational_rotation(t: ScalarLike) -> tuple[Fraction, Fraction]:
     """Exact unit (cos, sin) from the half-angle parameter t.
 
     The map t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)) covers every rational point of
-    the unit circle except (-1, 0); t = tan(angle/2).
+    the unit circle except (-1, 0); t = tan(angle/2).  With t = p/q that is
+    ((q^2 - p^2) / (q^2 + p^2), 2pq / (q^2 + p^2)).
     """
     t = to_scalar(t)
-    d = 1 + t * t
-    return Fraction(1 - t * t, 1) / d, Fraction(2 * t, 1) / d
+    p, q = t.numerator, t.denominator
+    d = q * q + p * p
+    return Fraction(q * q - p * p, d), Fraction(2 * p * q, d)
 
 
 def rotation_about(center: Vec, t: ScalarLike, sense: str = "CCW") -> Rotation:
@@ -163,8 +168,13 @@ def apply_motion(m: RigidMotion, p: Vec) -> Vec:
         return p
     if isinstance(m, Translation):
         return p + m.v
-    dx, dy = p.x - m.center.x, p.y - m.center.y
-    return Vec(m.center.x + m.c * dx - m.s * dy, m.center.y + m.s * dx + m.c * dy)
+    # p and the center over one denominator w, the unit over its shared one
+    o = m.center
+    w = lcm(p.x.denominator, p.y.denominator, o.x.denominator, o.y.denominator)
+    px, py, ox, oy = (v.numerator * (w // v.denominator) for v in (p.x, p.y, o.x, o.y))
+    c, s, d = m.c.numerator, m.s.numerator, m.c.denominator
+    dx, dy = px - ox, py - oy
+    return Vec(Fraction(ox * d + c * dx - s * dy, w * d), Fraction(oy * d + s * dx + c * dy, w * d))
 
 
 def invert_motion(m: RigidMotion) -> RigidMotion:

@@ -143,7 +143,7 @@ def escape_search(
     radius disc, each with sense CW then CCW; then translation directions
     from a rational unit-circle net starting at (1, 0).  Absence of a report
     says nothing (sampled search); a report certifies exactly the scheduled
-    magnitudes it lists.
+    magnitudes it lists.  The radius, when given, must be positive.
     """
     if not 0 <= samples <= 10**6:
         raise OutOfRangeError("sample budget must be between 0 and 10**6")
@@ -153,6 +153,8 @@ def escape_search(
     if radius is None:
         radius = 4 * ((hi.x - lo.x) + (hi.y - lo.y))
     radius = to_scalar(radius)
+    if radius <= 0:
+        raise OutOfRangeError("search radius must be positive")
 
     disc, disc_center = is_full_disc(body)
 

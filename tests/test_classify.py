@@ -259,6 +259,14 @@ def test_refine_rejects_non_almost_positive_input():
         refine_almost_to_fix(fx.body, fx.points, Fraction(1, 5))
 
 
+def test_refine_refuses_a_non_positive_epsilon(monkeypatch):
+    sq, oc = square_opposite_corners()
+    monkeypatch.setattr(classify, "classify_almost_fix", lambda *a, **k: pytest.fail("classified"))
+    for eps in (0, -1, Fraction(-1, 5), "0"):
+        with pytest.raises(OutOfRangeError):
+            refine_almost_to_fix(sq, oc, eps)
+
+
 def test_refine_reports_exhaustion():
     sq, oc = square_opposite_corners()
     with pytest.raises(RefinementExhaustedError):

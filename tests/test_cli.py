@@ -157,6 +157,24 @@ def test_negative_tolerance_and_sample_budget_are_coded_errors(square_files, cap
         assert "error[OUT_OF_RANGE]" in out.err and out.out == "", (argv, out)
 
 
+def test_non_positive_radius_and_epsilon_and_infinite_window_are_coded_errors(square_files, tmp_path, capsys):
+    sq, corners, _ = square_files
+    svg = tmp_path / "x.svg"
+    argvs = [["escape", "--body", str(sq), "--points", str(corners), "--samples", "20", f"--radius={r}"] for r in ("0", "-1")]
+    argvs += [["refine", "--body", str(sq), "--points", str(corners), f"--epsilon={e}"] for e in ("0", "-1")]
+    argvs += [
+        ["render", "--body", str(sq), "--svg", str(svg), f"--window={w}"]
+        for w in ("0,0,inf,1", "-inf,0,1,1", "0,0,1,1e400", "0,-Infinity,1,1", "-1e308,0,1e308,1")
+    ]
+    for argv in argvs:
+        assert cli.main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert "error[OUT_OF_RANGE]" in out.err and "Traceback" not in out.err and out.out == "", (argv, out)
+    assert not svg.exists()
+    assert cli.main(["escape", "--body", str(sq), "--points", str(corners), "--samples", "20", "--radius=1/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["escape"]["family"] == "rotation"
+
+
 def test_fuzz_small_run_is_clean_and_deterministic(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

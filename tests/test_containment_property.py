@@ -1,0 +1,155 @@
+"""Property tests: integer containment and rotations against Fraction references.
+
+``contains_interior`` decides segments from integer rows and ``apply_motion``
+rotates over one denominator; ``tests/containment_reference.py`` writes both
+out in ``Fraction``s.  Bodies are ``random_convex_polygon`` under a rational
+scale and shift, so rows carry denominators.  Points are drawn at random, on
+vertices, on edges and ``2^-k`` off an edge on either side; in mixed mode
+some are placed inside the tolerance band of an edge, where the verdict must
+be the same ``NearDegenerateError`` guess.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from containment_reference import reference_containment, reference_rotate, reference_rotation  # noqa: E402
+from immobilize2d.body import EXACT_POLYGON, MIXED_INEXACT, contains_interior, polygon, validate  # noqa: E402
+from immobilize2d.errors import NearDegenerateError  # noqa: E402
+from immobilize2d.fixtures import random_convex_polygon  # noqa: E402
+from immobilize2d.geom import Rotation, Vec, apply_motion, invert_motion, rational_rotation, rotation_about  # noqa: E402
+
+SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+@st.composite
+def bodies(draw, mode):
+    base = random_convex_polygon(draw(st.integers(0, 10**6)), draw(st.integers(3, 9)))
+    scale = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    sx, sy = draw(rationals), draw(rationals)
+    body = polygon([(v.x * scale + sx, v.y * scale + sy) for v in base.vertices()], mode)
+    validate(body)
+    return body
+
+
+@st.composite
+def edge_points(draw, body):
+    """A point on an edge (param in [0, 1]) and that edge's left normal."""
+    el = body.elements[draw(st.integers(0, len(body.elements) - 1))]
+    d = el.b - el.a
+    t = Fraction(draw(st.integers(0, 64)), 64)
+    return el.a + d.scaled(t), Vec(-d.y, d.x)
+
+
+@st.composite
+def probes(draw, body):
+    kind = draw(st.sampled_from(("random", "vertex", "edge", "off_edge")))
+    if kind == "vertex":
+        return body.vertex(draw(st.integers(0, len(body.elements) - 1)))
+    if kind == "random":
+        lo, hi = body.bounding_box()
+        x = lo.x + (hi.x - lo.x) * Fraction(draw(st.integers(-8, 72)), 64)
+        y = lo.y + (hi.y - lo.y) * Fraction(draw(st.integers(-8, 72)), 64)
+        return Vec(x, y)
+    p, n = draw(edge_points(body))
+    if kind == "edge":
+        return p
+    return p + n.scaled(Fraction(draw(st.sampled_from((1, -1))), 2 ** draw(st.integers(0, 80))))
+
+
+def library_containment(body, p):
+    try:
+        return "ok", contains_interior(body, p).value
+    except NearDegenerateError as exc:
+        return "near", exc.guess.value
+
+
+def reference(body, p):
+    edges = [((el.a.x, el.a.y), (el.b.x, el.b.y)) for el in body.elements]
+    return reference_containment(edges, (p.x, p.y), body.tolerance())
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_exact_containment_matches_the_fraction_reference(data):
+    body = data.draw(bodies(EXACT_POLYGON))
+    for _ in range(8):
+        p = data.draw(probes(body))
+        assert library_containment(body, p) == reference(body, p), p
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_mixed_containment_matches_the_fraction_reference(data):
+    body = data.draw(bodies(MIXED_INEXACT))
+    for _ in range(8):
+        p = data.draw(probes(body))
+        assert library_containment(body, p) == reference(body, p), p
+    # inside the tolerance band of an edge, off its ends: the edge snaps
+    # without being zero, so the verdict is a near-degenerate guess
+    el = body.elements[data.draw(st.integers(0, len(body.elements) - 1))]
+    d = el.b - el.a
+    band = body.tolerance() * (abs(d.x) + abs(d.y)) / (d.x * d.x + d.y * d.y)
+    offset = data.draw(st.sampled_from((1, -1))) * band / 2 ** data.draw(st.integers(1, 40))
+    p = el.a + d.scaled(Fraction(data.draw(st.integers(1, 63)), 64)) + Vec(-d.y, d.x).scaled(offset)
+    expected = reference(body, p)
+    assert expected[0] == "near"
+    assert library_containment(body, p) == expected, p
+
+
+def test_rows_are_computed_on_first_containment_only():
+    body = random_convex_polygon(5, 6)
+    validate(body)
+    assert not any("row" in vars(el) for el in body.elements)
+    contains_interior(body, Vec(Fraction(1, 3), Fraction(1, 7)))
+    assert "row" in vars(body.elements[0])
+
+
+@SETTINGS
+@hypothesis.given(st.integers(-10**12, 10**12), st.integers(1, 10**12), rationals, rationals, rationals, rationals)
+def test_rotations_match_the_fraction_formulas(p, q, cx, cy, x, y):
+    t = Fraction(p, q)
+    c, s = rational_rotation(t)
+    assert (c, s) == reference_rotation(t)
+    center, point = Vec(cx, cy), Vec(x, y)
+    for sense, sign in (("CCW", 1), ("CW", -1)):
+        m = rotation_about(center, t, sense)
+        for motion, unit in ((m, (c, sign * s)), (invert_motion(m), (c, -sign * s))):
+            moved = apply_motion(motion, point)
+            assert (moved.x, moved.y) == reference_rotate((cx, cy), *unit, (x, y))
+
+
+units = st.builds(reference_rotation, rationals)
+candidate_units = st.one_of(
+    st.tuples(rationals, rationals),
+    units,
+    units.map(lambda u: (u[1], -u[0])),
+    st.tuples(units, rationals).map(lambda ur: (ur[0][0], ur[1])),
+)
+
+
+@SETTINGS
+@hypothesis.given(candidate_units)
+def test_rotation_accepts_exactly_the_unit_circle(unit):
+    c, s = unit
+    on_circle = c * c + s * s == 1
+    try:
+        Rotation(Vec(Fraction(0), Fraction(0)), c, s)
+    except ValueError:
+        assert not on_circle
+    else:
+        assert on_circle
+
+
+def test_rotation_refuses_units_off_the_circle():
+    o = Vec(Fraction(0), Fraction(0))
+    for c, s in ((Fraction(3, 5), Fraction(3, 5)), (Fraction(1), Fraction(1)), (Fraction(3, 5), Fraction(4, 7))):
+        with pytest.raises(ValueError):
+            Rotation(o, c, s)
+    for c, s in ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))):
+        assert Rotation(o, c, s).c == c

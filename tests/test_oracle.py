@@ -137,6 +137,15 @@ def test_escape_search_sample_budget():
         oracle.escape_search(sq, oc, samples=-1)
 
 
+def test_escape_search_refuses_a_non_positive_radius():
+    sq, oc = square_opposite_corners()
+    for radius in (0, -1, Fraction(-1, 2), "0"):
+        with pytest.raises(OutOfRangeError):
+            oracle.escape_search(sq, oc, radius=radius, samples=20)
+    report = oracle.escape_search(sq, oc, radius=Fraction(1, 2), samples=20)
+    assert report is not None and report.family == "rotation"
+
+
 def test_simulate_rotation_path_reports_first_penetration():
     sq, mids = square_edge_midpoints()
     path = oracle.MotionPath.rotation(vec(0, 0), "CW", Fraction(1, 50))
