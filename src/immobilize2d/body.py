@@ -15,9 +15,10 @@ Conventions
   degenerate instead of being trusted).
 * A boundary point is addressed as (element index, param in [0, 1)); a
   vertex is canonically addressed on its departing element at param 0.
-* Containment reads each segment off its integer row ``Segment.row``,
+* Containment reads each segment off its integer row ``Segment.row``: the
+  segment's left half-plane from ``geom.halfplane_constraint``, read as
   ``(A, B, C, S)`` with ``A x + B y + C = k cross(b - a, p - a)`` for some
-  ``k > 0`` and ``S = |A| + |B|``, computed once on first use.  A query
+  ``k > 0`` and ``S = |A| + |B|``, built once on first use.  A query
   point goes over one denominator, so each segment sign is a few integer
   products; arcs keep their ``Fraction`` margin.
 """
@@ -36,7 +37,7 @@ from .errors import (
     NearDegenerateError,
     NotOnBoundaryError,
 )
-from .geom import Vec, cross, dot, norm1, rot90_ccw, to_scalar
+from .geom import Vec, cross, dot, halfplane_constraint, norm1, rot90_ccw, to_scalar
 
 EXACT_POLYGON = "exact_polygon"
 MIXED_INEXACT = "mixed_inexact"
@@ -68,16 +69,12 @@ class Segment:
 
     @functools.cached_property
     def row(self) -> tuple[int, int, int, int]:
-        """Coprime integers (A, B, C, S): ``A x + B y + C`` is a positive
-        multiple of ``cross(b - a, p - a)`` at p = (x, y), ``S = |A| + |B|``
-        the same multiple of ``norm1(b - a)``."""
-        d = self.b - self.a
-        a, b, c = -d.y, d.x, d.y * self.a.x - d.x * self.a.y
-        den = math.lcm(a.denominator, b.denominator, c.denominator)
-        a, b, c = (v.numerator * (den // v.denominator) for v in (a, b, c))
-        g = math.gcd(a, b, c) or 1
-        a, b, c = a // g, b // g, c // g
-        return a, b, c, abs(a) + abs(b)
+        """Coprime integers (A, B, C, S) of the segment's closed left
+        half-plane row: ``A x + B y + C`` is a positive multiple of
+        ``cross(b - a, p - a)`` at p = (x, y), ``S = |A| + |B|`` the same
+        multiple of ``norm1(b - a)``."""
+        lc = halfplane_constraint(self.a, rot90_ccw(self.b - self.a), True)
+        return lc.nx, lc.ny, -lc.c, abs(lc.nx) + abs(lc.ny)
 
 
 @dataclass(frozen=True)

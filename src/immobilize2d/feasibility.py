@@ -1,14 +1,15 @@
 """Exact feasibility of small planar constraint systems.
 
-Systems are conjunctions of half-plane constraints ``n . p >= c`` (or strict
-``>``), solved by eliminating y (pairing each lower bound on y with each upper
-bound), which stays exact over rationals and yields an interval witness for
-free.  One elimination and one y read-out serve both the feasibility solve
-and witness re-centring.  Sector systems add one twist: a large sector at a
-corner is a union of two half-planes, so the system is a union of branches,
-one of each sector's ``alternatives`` (its rows, built once by
-``make_sector``); ``first_branch`` finds the first nonempty one from the
-vertices of the boundary lines' arrangement, never enumerating.
+Systems are conjunctions of half-plane rows ``n . p >= c`` (or strict ``>``),
+coprime ints as ``geom.halfplane_constraint`` builds them, solved by eliminating
+y (pairing each lower bound on y with each upper bound in ints, each bound
+then an exact ``Fraction(c, a)``), which yields an interval witness for free.
+One elimination and one y read-out serve the feasibility solve and witness
+re-centring.  Sector systems add one twist: a large sector at a corner is a
+union of two half-planes, so the system is a union of branches, one of each
+sector's ``alternatives`` (its rows, built once by ``make_sector``);
+``first_branch`` finds the first nonempty one from the integer vertices of the
+boundary lines' arrangement, read off the rows as they are, never enumerating.
 
 With a positive tolerance, sector and direction systems run one "twin" pass,
 relaxed by a tolerance-scaled slack if the system is empty and tightened if
@@ -19,12 +20,11 @@ trusted.  Plain ``linear_feasible`` systems are solved exactly, without twins.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstraintLimitError
-from .geom import LinearConstraint, Vec, norm1
+from .geom import LinearConstraint, Vec, halfplane_constraint, norm1, vec
 from .sectors import (
     CircArc,
     DirectionSet,
@@ -112,9 +112,9 @@ def _feasible_exact(constraints: list[LinearConstraint]) -> tuple[bool, Vec | No
     x_lowers, x_uppers = [], []
     for a, c, _, strict in _eliminate_y(rows):
         if a > 0:
-            x_lowers.append((c / a, strict))
+            x_lowers.append((Fraction(c, a), strict))
         elif a < 0:
-            x_uppers.append((c / a, strict))
+            x_uppers.append((Fraction(c, a), strict))
         elif c > 0 or (strict and c == 0):
             return False, None
     ok, x = _solve_interval(x_lowers, x_uppers)
@@ -153,12 +153,6 @@ def linear_feasible(constraints: list[LinearConstraint]) -> FeasibilityResult:
 # -- sector systems ----------------------------------------------------------
 
 
-def _integer_row(lc: LinearConstraint) -> tuple[int, int, int, int]:
-    """``(a, b, c, e)`` for ``a x + b y >= c + e * eps``, with ``e = 1`` when strict."""
-    m = math.lcm(lc.nx.denominator, lc.ny.denominator, lc.c.denominator)
-    return (int(lc.nx * m), int(lc.ny * m), int(lc.c * m), int(lc.strict))
-
-
 def first_branch(alternatives: list[tuple[tuple[LinearConstraint, ...], ...]]) -> list[LinearConstraint] | None:
     """The first nonempty branch, picking one of each sector's ``alternatives``
     in ``itertools.product`` order; None when there is none.  A sole branch
@@ -173,11 +167,11 @@ def first_branch(alternatives: list[tuple[tuple[LinearConstraint, ...], ...]]) -
         raise ConstraintLimitError(f"{n_rows} constraints exceed the cap of {MAX_CONSTRAINTS}")
     if all(len(alts) == 1 for alts in alternatives):
         return [lc for alts in alternatives for lc in alts[0]]
-    rows = [[[_integer_row(lc) for lc in group] for group in alts] for alts in alternatives]
-    lines = [row for alts in rows for group in alts for row in group]
-    lines.append((-lines[0][1], lines[0][0], 0, 0))
+    lines = [lc for alts in alternatives for group in alts for lc in group]
+    lines.append(LinearConstraint(-lines[0].ny, lines[0].nx, 0))
     best = None
-    for (a1, b1, c1, e1), (a2, b2, c2, e2) in itertools.combinations(lines, 2):
+    for l1, l2 in itertools.combinations(lines, 2):
+        (a1, b1, c1, e1), (a2, b2, c2, e2) = (l1.nx, l1.ny, l1.c, l1.strict), (l2.nx, l2.ny, l2.c, l2.strict)
         w = a1 * b2 - a2 * b1
         if w == 0:
             continue
@@ -185,11 +179,12 @@ def first_branch(alternatives: list[tuple[tuple[LinearConstraint, ...], ...]]) -
         x0, y0, w = s * (c1 * b2 - c2 * b1), s * (a1 * c2 - a2 * c1), s * w
         x1, y1 = s * (e1 * b2 - e2 * b1), s * (a1 * e2 - a2 * e1)
         picks, tight = [], best is not None  # tight: picks so far equal best's prefix
-        for i, alts in enumerate(rows):
+        for i, alts in enumerate(alternatives):
             for j in range(best[i] + 1 if tight else len(alts)):
                 if all(
-                    (v := a * x0 + b * y0 - c * w) > 0 or (v == 0 and a * x1 + b * y1 >= e * w)
-                    for a, b, c, e in alts[j]
+                    (v := lc.nx * x0 + lc.ny * y0 - lc.c * w) > 0
+                    or (v == 0 and lc.nx * x1 + lc.ny * y1 >= lc.strict * w)
+                    for lc in alts[j]
                 ):
                     break
             else:
@@ -224,13 +219,8 @@ def _witness_quality(constraints: list[LinearConstraint], p: Vec, anchor: Vec, s
 
 
 def _box_around(anchor: Vec, size: Fraction) -> list[LinearConstraint]:
-    one = Fraction(1)
-    return [
-        LinearConstraint(one, Fraction(0), anchor.x - size),
-        LinearConstraint(-one, Fraction(0), -anchor.x - size),
-        LinearConstraint(Fraction(0), one, anchor.y - size),
-        LinearConstraint(Fraction(0), -one, -anchor.y - size),
-    ]
+    units = (vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1))
+    return [halfplane_constraint(anchor - n.scaled(size), n, True) for n in units]
 
 
 def _deepest_point(constraints: list[LinearConstraint], box: list[LinearConstraint]) -> Vec | None:
@@ -255,11 +245,11 @@ def _deepest_point(constraints: list[LinearConstraint], box: list[LinearConstrai
     lowers, uppers, caps = [], [], []  # x >= s t + b, x <= s t + b as (s, b); t <= cap
     for a, c, w, _ in _eliminate_y(rows):
         if a > 0:
-            lowers.append((w / a, c / a))
+            lowers.append((Fraction(w, a), Fraction(c, a)))
         elif a < 0:
-            uppers.append((w / a, c / a))
+            uppers.append((Fraction(w, a), Fraction(c, a)))
         elif w > 0:
-            caps.append(-c / w)
+            caps.append(Fraction(-c, w))
         elif c > 0:
             return None
 

@@ -199,10 +199,13 @@ def unit_disc() -> ConvexBody:
 
 
 def regular_polygon(k: int, circumradius) -> ConvexBody:
-    """Rational snap of the regular k-gon with a vertex at angle 0."""
+    """Rational snap of the regular k-gon with a vertex at angle 0; the
+    circumradius must be positive."""
     if not 3 <= k <= 64:
         raise OutOfRangeError("vertex count must be between 3 and 64")
     r = to_scalar(circumradius)
+    if r <= 0:
+        raise OutOfRangeError("circumradius must be positive")
     verts = []
     for j in range(k):
         theta = 2 * math.pi * j / k

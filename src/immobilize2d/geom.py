@@ -6,14 +6,17 @@ predicate downstream is decided by integer arithmetic.
 
 A half-plane is one ``LinearConstraint`` row, ``n . p >= c`` (strict when
 open); contact sectors are built from these rows and the exact solver
-eliminates them, so both read the same side convention.
+eliminates them, so both read the same side convention.  Rows come from
+``halfplane_constraint`` and ``shifted`` as coprime ints, ``scale`` times the
+same positive factor, so ``c / norm1(n)`` and ``scale / norm1(n)`` are unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from numbers import Rational
 from typing import Union
 
 Scalar = Fraction
@@ -80,11 +83,12 @@ def norm1(v: Vec) -> Fraction:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """``nx * x + ny * y >= c`` (``> c`` when strict)."""
+    """``nx * x + ny * y >= c`` (``> c`` when strict): coprime ints as
+    ``halfplane_constraint`` builds it; Fraction rows solve just as exactly."""
 
-    nx: Fraction
-    ny: Fraction
-    c: Fraction
+    nx: int | Fraction
+    ny: int | Fraction
+    c: int | Fraction
     strict: bool = False
     scale: Fraction = Fraction(1)
 
@@ -97,16 +101,24 @@ class LinearConstraint:
 
     def shifted(self, slack: Fraction) -> "LinearConstraint":
         """Positive slack relaxes the constraint, negative tightens it."""
-        return LinearConstraint(self.nx, self.ny, self.c - slack * self.scale, self.strict, self.scale)
+        return _coprime_row(self.nx, self.ny, self.c - slack * self.scale, self.strict, self.scale)
+
+
+def _coprime_row(nx, ny, c, strict: bool, scale: Fraction) -> LinearConstraint:
+    """``nx x + ny y >= c`` and its ``scale`` times the positive factor making the row coprime ints."""
+    den = lcm(nx.denominator, ny.denominator, c.denominator)
+    a, b, k = (v.numerator * (den // v.denominator) for v in (nx, ny, c))
+    g = gcd(a, b, k) or 1
+    return LinearConstraint(a // g, b // g, k // g, strict, scale * Fraction(den, g))
 
 
 def halfplane_constraint(base: Vec, normal: Vec, closed: bool) -> LinearConstraint:
-    """``normal . p >= normal . base``, strict unless closed: the half-plane
-    whose rim passes through ``base`` and which ``normal`` points into."""
+    """``normal . p >= normal . base`` as coprime ints, strict unless closed: the
+    half-plane whose rim passes through ``base`` and which ``normal`` points into."""
     if normal.is_zero():
         raise ValueError("half-plane needs a nonzero normal")
     scale = norm1(normal) * (Fraction(1) + norm1(base))
-    return LinearConstraint(normal.x, normal.y, dot(normal, base), strict=not closed, scale=scale)
+    return _coprime_row(normal.x, normal.y, dot(normal, base), not closed, scale)
 
 
 # -- rigid motions ----------------------------------------------------------
@@ -114,7 +126,8 @@ def halfplane_constraint(base: Vec, normal: Vec, closed: bool) -> LinearConstrai
 
 @dataclass(frozen=True)
 class Rotation:
-    """Rotation about ``center`` by the angle with cosine c and sine s (c*c + s*s == 1)."""
+    """Rotation about ``center`` by the angle with rational cosine c and sine s
+    (c*c + s*s == 1); any other unit raises ValueError."""
 
     center: Vec
     c: Fraction
@@ -122,9 +135,10 @@ class Rotation:
 
     def __post_init__(self):
         # reduced rationals on the unit circle share their denominator
-        den = self.c.denominator
-        if self.s.denominator != den or self.c.numerator**2 + self.s.numerator**2 != den * den:
-            raise ValueError("rotation unit must satisfy c^2 + s^2 = 1")
+        c, s = self.c, self.s
+        rational = isinstance(c, Rational) and isinstance(s, Rational)
+        if not rational or s.denominator != c.denominator or c.numerator**2 + s.numerator**2 != c.denominator**2:
+            raise ValueError("rotation unit must be rational with c^2 + s^2 = 1")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .geom import (
     Vec,
     apply_motion,
     invert_motion,
+    rational_rotation,
     rotation_about,
     to_scalar,
 )
@@ -118,11 +119,6 @@ def _require_exact(body: ConvexBody) -> None:
 # -- escape search -----------------------------------------------------------
 
 
-def _unit_from_halfangle(t: Fraction) -> Vec:
-    den = 1 + t * t
-    return Vec((1 - t * t) / den, 2 * t / den)
-
-
 def _grid_offsets(g: int):
     ks = [(abs(kx) + abs(ky), kx, ky) for kx in range(-g, g + 1) for ky in range(-g, g + 1)]
     ks.sort()
@@ -192,7 +188,7 @@ def escape_search(
     net = max(1, trans_budget // 4)
     directions: list[Vec] = []
     for k in range(net + 1):
-        d = _unit_from_halfangle(Fraction(k, net))
+        d = Vec(*rational_rotation(Fraction(k, net)))
         directions.append(d)
         directions.append(-d)
     directions.append(Vec(Fraction(0), Fraction(1)))

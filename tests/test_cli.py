@@ -166,11 +166,13 @@ def test_non_positive_radius_and_epsilon_and_infinite_window_are_coded_errors(sq
         ["render", "--body", str(sq), "--svg", str(svg), f"--window={w}"]
         for w in ("0,0,inf,1", "-inf,0,1,1", "0,0,1,1e400", "0,-Infinity,1,1", "-1e308,0,1e308,1")
     ]
+    body_out = tmp_path / "regular.json"
+    argvs += [["fixture", "--name", "regular", f"--circumradius={r}", "--body-out", str(body_out)] for r in ("-1", "0")]
     for argv in argvs:
         assert cli.main(argv) == 1, argv
         out = capsys.readouterr()
         assert "error[OUT_OF_RANGE]" in out.err and "Traceback" not in out.err and out.out == "", (argv, out)
-    assert not svg.exists()
+    assert not svg.exists() and not body_out.exists()
     assert cli.main(["escape", "--body", str(sq), "--points", str(corners), "--samples", "20", "--radius=1/2"]) == 0
     assert json.loads(capsys.readouterr().out)["escape"]["family"] == "rotation"
 

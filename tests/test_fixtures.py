@@ -83,6 +83,9 @@ def test_parameter_bounds():
         regular_polygon(2, 1)
     with pytest.raises(OutOfRangeError):
         regular_polygon(65, 1)
+    for circumradius in (-1, 0):
+        with pytest.raises(OutOfRangeError):
+            regular_polygon(5, circumradius)
     with pytest.raises(OutOfRangeError):
         random_convex_polygon(0, 2)
     with pytest.raises(OutOfRangeError):

@@ -99,6 +99,9 @@ def test_rotation_constructor_enforces_unit_norm():
     Rotation(center=vec(0, 0), c=Fraction(3, 5), s=Fraction(4, 5))
     with pytest.raises(ValueError):
         Rotation(center=vec(0, 0), c=Fraction(1, 2), s=Fraction(1, 2))
+    for c, s in ((0.6, 0.8), (1.0, 0.0), (Fraction(3, 5), 0.8)):  # not rational: a ValueError, not AttributeError
+        with pytest.raises(ValueError):
+            Rotation(center=vec(0, 0), c=c, s=s)
 
 
 def test_rotation_about_fixes_its_center():
