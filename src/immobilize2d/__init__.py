@@ -50,6 +50,7 @@ from .errors import (
     NotOnBoundaryError,
     OutOfRangeError,
     RefinementExhaustedError,
+    SolverStepLimitError,
 )
 from .feasibility import linear_feasible
 from .geom import LinearConstraint, Scalar, Vec, halfplane_constraint, to_scalar, vec
@@ -95,6 +96,7 @@ __all__ = [
     "Scalar",
     "Sector",
     "Segment",
+    "SolverStepLimitError",
     "TestResult",
     "Verdict",
     "Vec",

@@ -293,6 +293,20 @@ def boundary_grid(body: ConvexBody, resolution: int) -> list[BoundaryPoint]:
     return pts
 
 
+def _combination_at(rank: int, m: int, n: int) -> list[int]:
+    """The ``rank``-th n-subset of ``range(m)`` in ``itertools.combinations``
+    order, read off the combinatorial number system: ``comb(m - c - 1, k - 1)``
+    subsets of the k places left start at c."""
+    out, c = [], 0
+    for k in range(n, 0, -1):
+        while rank >= (count := math.comb(m - c - 1, k - 1)):
+            rank -= count
+            c += 1
+        out.append(c)
+        c += 1
+    return out
+
+
 def search_almost_fixing(
     body: ConvexBody,
     n: int,
@@ -305,22 +319,20 @@ def search_almost_fixing(
 
     Deterministic: candidates in boundary order, tuples in combination order.
     When the combination count exceeds ``max_tuples`` a seeded sample of that
-    size is examined instead (ranks drawn without replacement, scanned in
-    order), so large grids stay bounded but reproducible.
+    size is examined instead (ranks drawn without replacement, sorted and
+    unranked directly), so large grids stay bounded but reproducible.
     """
     if n not in (2, 3):
         raise InvalidPointError("tuple size must be 2 or 3")
     cands = candidates if candidates is not None else boundary_grid(body, resolution)
     m = len(cands)
     total = math.comb(m, n)
-    keep_ranks = None
+    combos = itertools.combinations(cands, n)
     if total > max_tuples:
-        rng = random.Random(seed)
-        keep_ranks = set(rng.sample(range(total), max_tuples))
+        ranks = sorted(random.Random(seed).sample(range(total), max_tuples))
+        combos = (tuple(cands[i] for i in _combination_at(rank, m, n)) for rank in ranks)
     out = []
-    for rank, combo in enumerate(itertools.combinations(cands, n)):
-        if keep_ranks is not None and rank not in keep_ranks:
-            continue
+    for combo in combos:
         verdict = classify_almost_fix(body, list(combo))
         if verdict.status == POSITIVE:
             out.append((combo, verdict))

@@ -65,3 +65,9 @@ class OutOfRangeError(ImmobilizeError):
 
 class DegenerateError(ImmobilizeError):
     code = "DEGENERATE"
+
+
+class SolverStepLimitError(ImmobilizeError):
+    """An iterative solver ran past its proven step bound: an internal invariant broke."""
+
+    code = "SOLVER_STEP_LIMIT"

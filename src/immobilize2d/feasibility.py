@@ -5,11 +5,16 @@ coprime ints as ``geom.halfplane_constraint`` builds them, solved by eliminating
 y (pairing each lower bound on y with each upper bound in ints, each bound
 then an exact ``Fraction(c, a)``), which yields an interval witness for free.
 One elimination and one y read-out serve the feasibility solve and witness
-re-centring.  Sector systems add one twist: a large sector at a corner is a
-union of two half-planes, so the system is a union of branches, one of each
-sector's ``alternatives`` (its rows, built once by ``make_sector``);
-``first_branch`` finds the first nonempty one from the integer vertices of the
-boundary lines' arrangement, read off the rows as they are, never enumerating.
+re-centring.  Re-centring pairs its margin rows once per witness, adds per
+box only the box's x rows and the pairs of its y rows, and runs a bounded
+Newton search on ints (lines compared by cross-multiplication), building a
+``Fraction`` only for the point it returns.
+
+Sector systems add one twist: a large sector at a corner is a union of two
+half-planes, so the system is a union of branches, one of each sector's
+``alternatives`` (its rows, built once by ``make_sector``); ``first_branch``
+finds the first nonempty one from the integer vertices of the boundary
+lines' arrangement, read off the rows as they are, never enumerating.
 
 With a positive tolerance, sector and direction systems run one "twin" pass,
 relaxed by a tolerance-scaled slack if the system is empty and tightened if
@@ -22,9 +27,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import ConstraintLimitError
-from .geom import LinearConstraint, Vec, halfplane_constraint, norm1, vec
+from .errors import ConstraintLimitError, SolverStepLimitError
+from .geom import LinearConstraint, Vec, norm1
 from .sectors import (
     CircArc,
     DirectionSet,
@@ -80,6 +86,15 @@ def _solve_interval(lowers, uppers):
     return True, Fraction(0)
 
 
+def _pair(lowers: list[tuple], uppers: list[tuple]):
+    """The x rows ``(a, c, w, strict)`` of each y-lower row paired with each
+    y-upper row, lowers outermost, lazily."""
+    for la, lb, lc, lw, ls in lowers:
+        for ua, ub, uc, uw, us in uppers:
+            w = lb * uw - ub * lw if uw or lw else 0  # no Fraction products for w = 0 rows
+            yield ua * lb - la * ub, lb * uc - ub * lc, w, ls or us
+
+
 def _eliminate_y(rows: list[tuple]):
     """Fourier-Motzkin over rows ``(a, b, c, w, strict)``, each ``a x + b y >= c
     + w t`` (``>`` when strict): yields the x rows ``(a, c, w, strict)`` of the
@@ -88,12 +103,7 @@ def _eliminate_y(rows: list[tuple]):
     for a, b, c, w, strict in rows:
         if b == 0:
             yield a, c, w, strict
-    uppers = [row for row in rows if row[1] < 0]
-    for la, lb, lc, lw, ls in rows:
-        if lb > 0:
-            for ua, ub, uc, uw, us in uppers:
-                w = lb * uw - ub * lw if uw or lw else 0  # no Fraction products for w = 0 rows
-                yield ua * lb - la * ub, lb * uc - ub * lc, w, ls or us
+    yield from _pair([row for row in rows if row[1] > 0], [row for row in rows if row[1] < 0])
 
 
 def _point_at(rows: list[tuple], x: Fraction, t) -> Vec:
@@ -203,7 +213,16 @@ _IMPROVE_BOXES = (Fraction(8), Fraction(128), Fraction(2048))
 
 
 def _min_margin(constraints: list[LinearConstraint], p: Vec) -> Fraction:
-    return min(lc.margin(p) / (abs(lc.nx) + abs(lc.ny)) for lc in constraints)
+    """Smallest normalized margin ``(n.p - c) / norm1(n)``: p over one
+    denominator, the least ratio found by cross-multiplication."""
+    den = lcm(p.x.denominator, p.y.denominator)
+    x, y = p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator)
+    m0 = n0 = None
+    for lc in constraints:
+        m, n = lc.nx * x + lc.ny * y - lc.c * den, abs(lc.nx) + abs(lc.ny)
+        if m0 is None or m * n0 < m0 * n:
+            m0, n0 = m, n
+    return Fraction(m0, n0 * den)
 
 
 def _witness_quality(constraints: list[LinearConstraint], p: Vec, anchor: Vec, scale: Fraction) -> Fraction:
@@ -218,55 +237,115 @@ def _witness_quality(constraints: list[LinearConstraint], p: Vec, anchor: Vec, s
     return _min_margin(constraints, p) / (scale + dist)
 
 
-def _box_around(anchor: Vec, size: Fraction) -> list[LinearConstraint]:
-    units = (vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1))
-    return [halfplane_constraint(anchor - n.scaled(size), n, True) for n in units]
+def _x_lines(x_rows, lowers: list, uppers: list, caps: list) -> bool:
+    """Sort x rows ``a x >= c + w t`` into the lines ``(A, W, C)``, ``A > 0``,
+    that bound x by ``(W t + C) / A`` from below and above, and the caps
+    ``t <= p / q`` as ``(p, q)``, ``q > 0``; False when a row holds for no t."""
+    for a, c, w, _ in x_rows:
+        if a > 0:
+            lowers.append((a, w, c))
+        elif a < 0:
+            uppers.append((-a, -w, -c))
+        elif w > 0:
+            caps.append((-c, w))
+        elif c > 0:
+            return False
+    return True
 
 
-def _deepest_point(constraints: list[LinearConstraint], box: list[LinearConstraint]) -> Vec | None:
-    """The point of the box whose smallest normalized margin is largest.
+def _margin_system(constraints: list[LinearConstraint]):
+    """The rows of "``n.p - c >= t norm1(n)`` for every constraint", its y-lower
+    and y-upper rows, and the x lines and caps of their one pairing; None when
+    they hold for no t.  Every box of one re-centring starts from this."""
+    rows = [(lc.nx, lc.ny, lc.c, abs(lc.nx) + abs(lc.ny), False) for lc in constraints]
+    lowers, uppers, caps = [], [], []
+    if not _x_lines(_eliminate_y(rows), lowers, uppers, caps):
+        return None
+    return rows, [r for r in rows if r[1] > 0], [r for r in rows if r[1] < 0], lowers, uppers, caps
+
+
+def _deepest_point(system, anchor: Vec, size: Fraction) -> Vec | None:
+    """The point of the box ``|x - anchor.x|, |y - anchor.y| <= size`` whose
+    smallest normalized margin is largest, for the ``_margin_system`` rows.
 
     This is the exact optimum of the LP "maximise t subject to
-    ``n.p - c >= t(|nx|+|ny|)`` for every constraint", with the box rows
-    kept as they are; None when that maximum ``t*`` is 0 or not even ``t = 0``
-    is feasible.  ``_eliminate_y`` pairs the rows as it does for
-    ``_feasible_exact``, and every paired row keeps a nonnegative t
-    coefficient, so each x lower bound is a line in t that rises and each
-    upper bound one that falls.  The gap between the highest lower and the
-    lowest upper bound is then convex, nondecreasing and piecewise linear,
-    and Newton steps started right of its largest root land on that root
-    exactly.  The box and at least one constraint keep t bounded.  The point is the midpoint of the x interval
-    at ``t*``, then ``_point_at`` reads y there: the witness
-    ``_feasible_exact`` gives for the rows tightened by ``t*``, by
-    construction, found without solving again.
+    ``n.p - c >= t(|nx|+|ny|)`` for every constraint" within the box; None
+    when that maximum ``t*`` is 0 or not even ``t = 0`` is feasible.  The box
+    rows are the coprime ints ``halfplane_constraint`` would build: the two
+    x rows are lines as they are, and only the pairs that involve the two y
+    rows are added to the system's one pairing.  Every paired row keeps a
+    nonnegative t coefficient, so each x lower bound is a line in t that
+    rises and each upper bound one that falls.  The gap between the highest
+    lower and the lowest upper bound is then convex, nondecreasing and
+    piecewise linear, and Newton steps started right of its largest root
+    land on that root exactly, on integers: t is ``p / q``, lines are
+    compared by cross-multiplication, and each step jumps to the root of
+    the active pair.  A line leaves the envelope at most once as t falls, so
+    more than ``len(lowers) + len(uppers) + 1`` steps means an invariant
+    broke, and ``SolverStepLimitError`` is raised.  The point is the midpoint
+    of the x interval at ``t*``, then ``_point_at`` reads y there: the
+    witness ``_feasible_exact`` gives for the rows and box tightened by
+    ``t*``, by construction, found without solving again.
     """
-    rows = [(lc.nx, lc.ny, lc.c, abs(lc.nx) + abs(lc.ny), False) for lc in constraints]
-    rows += [(lc.nx, lc.ny, lc.c, 0, False) for lc in box]
-    lowers, uppers, caps = [], [], []  # x >= s t + b, x <= s t + b as (s, b); t <= cap
-    for a, c, w, _ in _eliminate_y(rows):
-        if a > 0:
-            lowers.append((Fraction(w, a), Fraction(c, a)))
-        elif a < 0:
-            uppers.append((Fraction(w, a), Fraction(c, a)))
-        elif w > 0:
-            caps.append(Fraction(-c, w))
-        elif c > 0:
-            return None
+    if system is None:
+        return None
+    rows, y_lowers, y_uppers, lowers, uppers, caps = system
+    (xn, xd), (xn2, xd2) = (anchor.x - size).as_integer_ratio(), (anchor.x + size).as_integer_ratio()
+    (yn, yd), (yn2, yd2) = (anchor.y - size).as_integer_ratio(), (anchor.y + size).as_integer_ratio()
+    y_low, y_high = (0, yd, yn, 0, False), (0, -yd2, -yn2, 0, False)
+    lowers, uppers, caps = lowers + [(xd, 0, xn)], uppers + [(xd2, 0, xn2)], caps[:]
+    box_pairs = itertools.chain(_pair([y_low], y_uppers + [y_high]), _pair(y_lowers, [y_high]))
+    if not _x_lines(box_pairs, lowers, uppers, caps):
+        return None
+    xt = _newton(lowers, uppers, caps)
+    return None if xt is None else _point_at(rows + [y_low, y_high], *xt)
 
+
+def _newton(lowers: list, uppers: list, caps: list) -> tuple[Fraction, Fraction] | None:
+    """Newton on the x gap of ``_deepest_point``'s lines, from the least cap:
+    the midpoint x of the x interval at the largest root t, and t."""
     # Start at the root of the pair that dominates as t grows, or at a lower cap.
-    top, bottom = max(lowers), min(uppers)
-    if top[0] > bottom[0]:
-        caps.append((bottom[1] - top[1]) / (top[0] - bottom[0]))
-    t = min(caps)
-    while t > 0:
+    ta, tw, tc = lowers[0]  # top: the highest slope, then intercept
+    for a, w, c in lowers:
+        if w * ta > tw * a or (w * ta == tw * a and c * ta > tc * a):
+            ta, tw, tc = a, w, c
+    ba, bw, bc = uppers[0]  # bottom: the lowest slope, then intercept
+    for a, w, c in uppers:
+        if w * ba < bw * a or (w * ba == bw * a and c * ba < bc * a):
+            ba, bw, bc = a, w, c
+    if tw * ba > bw * ta:
+        caps = caps + [(bc * ta - tc * ba, tw * ba - bw * ta)]
+    p, q = caps[0]
+    for cp, cq in caps:
+        if cp * q < p * cq:
+            p, q = cp, cq
+    steps = len(lowers) + len(uppers) + 1
+    while p > 0:
         # The bound active at t on its left: ties go to the flatter line.
-        lo, neg_lo_slope = max((s * t + b, -s) for s, b in lowers)
-        hi, neg_hi_slope = min((s * t + b, -s) for s, b in uppers)
-        if lo <= hi:
-            return _point_at(rows, (lo + hi) / 2, t)
-        if neg_lo_slope == neg_hi_slope:  # the gap stays positive for all smaller t
+        la, lw, lc = lowers[0]
+        lv = lw * p + lc * q  # the line's value at t, times A q
+        for a, w, c in lowers:
+            v = w * p + c * q
+            d = v * la - lv * a
+            if d > 0 or (d == 0 and w * la < lw * a):
+                la, lw, lc, lv = a, w, c, v
+        ua, uw, uc = uppers[0]
+        uv = uw * p + uc * q
+        for a, w, c in uppers:
+            v = w * p + c * q
+            d = v * ua - uv * a
+            if d < 0 or (d == 0 and w * ua > uw * a):
+                ua, uw, uc, uv = a, w, c, v
+        if lv * ua <= uv * la:
+            return Fraction(lv * ua + uv * la, 2 * la * ua * q), Fraction(p, q)
+        if lw * ua == uw * la:  # the gap stays positive for all smaller t
             return None
-        t -= (lo - hi) / (neg_hi_slope - neg_lo_slope)
+        if not steps:
+            raise SolverStepLimitError(f"witness re-centring ran past {len(lowers) + len(uppers) + 1} Newton steps")
+        steps -= 1
+        p, q = uc * la - lc * ua, lw * ua - uw * la
+        if q < 0:  # only if a lower falls or an upper rises: t stays p / q with q > 0
+            p, q = -p, -q
     return None
 
 
@@ -277,20 +356,22 @@ def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, s
     bounding lines, far from the contact region.  Such points are terrible
     certificates: the rotation family they describe clears the body only in a
     vanishing window of magnitudes.  When the original witness has a poor
-    margin-to-distance ratio, this takes, in each of a few boxes around the
-    anchor, the deepest point ``_deepest_point`` finds, and keeps whichever
-    candidate scores best.  A box whose best margin is 0 is skipped: none of
-    its points can beat the original, feasible witness.  The result is
-    snapped to a coarse dyadic point that keeps at least half its margin, and
-    always satisfies the original constraints.
+    margin-to-distance ratio, this pairs the margin rows once, takes, in each
+    of a few boxes around the anchor, the deepest point ``_deepest_point``
+    finds, and keeps whichever candidate scores best.  A box whose best
+    margin is 0 is skipped: none of its points can beat the original,
+    feasible witness.  The result is snapped to a coarse dyadic point that
+    keeps at least half its margin, and always satisfies the original
+    constraints.
     """
     if not constraints:
         return w
     best, best_q = w, _witness_quality(constraints, w, anchor, scale)
     if best_q >= _QUALITY_GOOD:
         return w
+    system = _margin_system(constraints)
     for factor in _IMPROVE_BOXES:
-        point = _deepest_point(constraints, _box_around(anchor, factor * scale))
+        point = _deepest_point(system, anchor, factor * scale)
         if point is None:
             continue
         q = _witness_quality(constraints, point, anchor, scale)

@@ -1,6 +1,7 @@
 """First-order fixing and almost-fixing verdicts, refinement, search."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from immobilize2d.classify import (
     NOT_WEAKLY_FIX,
     POSITIVE,
     TEST_NAMES,
+    _combination_at,
     boundary_grid,
     classify_almost_fix,
     classify_fix,
@@ -302,6 +304,36 @@ def test_search_finds_the_diagonal_pairs():
     # Deterministic across calls with the same seed.
     again = search_almost_fixing(sq, 2, resolution=1, seed=3)
     assert [tuple(t) for t, _ in again] == [tuple(t) for t, _ in hits]
+
+
+def test_combination_at_unranks_combination_order():
+    for m in range(9):
+        for n in (1, 2, 3):
+            unranked = [tuple(_combination_at(r, m, n)) for r in range(math.comb(m, n))]
+            assert unranked == list(itertools.combinations(range(m), n)), (m, n)
+
+
+def test_search_examines_the_sampled_ranks_in_combination_order(monkeypatch):
+    # Stub classifier: records each tuple, and calls a tuple POSITIVE when it
+    # starts at the first candidate, so the returned hits are checked too.
+    sq = unit_square()
+    cands = boundary_grid(sq, 2)
+    seen = []
+
+    def record(body, pts):
+        seen.append(tuple(pts))
+        return SimpleNamespace(status=POSITIVE if pts[0] == cands[0] else INDETERMINATE)
+
+    monkeypatch.setattr(classify, "classify_almost_fix", record)
+    for n, max_tuples in ((2, 5), (3, 40), (2, 10**6), (3, 10**6)):
+        seen.clear()
+        hits = search_almost_fixing(sq, n, seed=4, candidates=cands, max_tuples=max_tuples)
+        total = math.comb(len(cands), n)
+        keep = set(random.Random(4).sample(range(total), max_tuples)) if total > max_tuples else set(range(total))
+        expected = [c for r, c in enumerate(itertools.combinations(cands, n)) if r in keep]
+        assert len(expected) == min(total, max_tuples)
+        assert seen == expected, (n, max_tuples)
+        assert [c for c, _ in hits] == [c for c in expected if c[0] == cands[0]]
 
 
 def test_search_rejects_unsupported_tuple_size():

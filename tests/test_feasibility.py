@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import branch_reference
+import recentre_reference
 from bruteforce import bruteforce_feasible, random_system
 from immobilize2d import feasibility
 from immobilize2d.body import TangentData, boundary_point, offset_along_boundary
@@ -15,10 +16,10 @@ from immobilize2d.errors import ConstraintLimitError
 from immobilize2d.feasibility import (
     MAX_CONSTRAINTS,
     LinearConstraint,
-    _box_around,
     _deepest_point,
     _feasible_exact,
     _improve_witness,
+    _margin_system,
     _min_margin,
     _perturb_set,
     directions_intersection,
@@ -141,9 +142,10 @@ def test_max_margin_is_the_exact_optimum():
         if not rows:
             continue
         cons = [lc(*row) for row in rows]
-        box = _box_around(vec(rng.randint(-4, 4), rng.randint(-4, 4)), Fraction(rng.randint(1, 6)))
+        anchor, size = vec(rng.randint(-4, 4), rng.randint(-4, 4)), Fraction(rng.randint(1, 6))
+        box = recentre_reference.box_around(anchor, size)
         box_rows = [integer_row(b, False) for b in box]
-        p = _deepest_point(cons, box)
+        p = _deepest_point(_margin_system(cons), anchor, size)
         if p is None:
             closed = bruteforce_feasible([integer_row(c, False) for c in cons] + box_rows)
             seen["zero" if closed else "infeasible"] += 1
@@ -166,9 +168,9 @@ def test_recentring_makes_no_exact_solve(monkeypatch):
         solves.append(len(constraints))
         return exact(constraints)
 
-    def counting_deepest(constraints, box):
-        deepest.append(len(constraints))
-        return deepest_point(constraints, box)
+    def counting_deepest(system, anchor, size):
+        deepest.append(size)
+        return deepest_point(system, anchor, size)
 
     monkeypatch.setattr(feasibility, "_feasible_exact", counting)
     monkeypatch.setattr(feasibility, "_deepest_point", counting_deepest)

@@ -1,13 +1,14 @@
-"""Property test: a row is coprime ints from one builder, and no positive
-factor on a row changes a pick, a witness or a coordinate's type.
+"""Property test: a row is coprime ints in one form, and no positive factor
+on a row changes a pick, a witness or a coordinate's type.
 
 ``halfplane_constraint`` and ``shifted`` are checked against the rational
 row they stand for: ``nx, ny, c`` are coprime Python ints with the same
-direction, ``c / norm1(n)`` and ``scale / norm1(n)``.  Then every row of a
-random sector system is multiplied by its own positive rational, which
-leaves Fraction rows: ``first_branch`` must pick the same alternatives, and
-``linear_feasible`` and ``_improve_witness`` must return the same witness,
-whose coordinates are ``Fraction``s, never floats.
+direction, ``c / norm1(n)`` and ``scale / norm1(n)``.  ``Segment.row``, built
+from the endpoints on its own, must be that same coprime form.  Then every
+row of a random sector system is multiplied by its own positive rational,
+which leaves Fraction rows: ``first_branch`` must pick the same
+alternatives, and ``linear_feasible`` and ``_improve_witness`` must return
+the same witness, whose coordinates are ``Fraction``s, never floats.
 """
 
 from fractions import Fraction
@@ -18,9 +19,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from immobilize2d.body import TangentData  # noqa: E402
+from immobilize2d.body import Segment, TangentData  # noqa: E402
 from immobilize2d.feasibility import _improve_witness, first_branch, linear_feasible  # noqa: E402
-from immobilize2d.geom import LinearConstraint, Vec, dot, halfplane_constraint, norm1  # noqa: E402
+from immobilize2d.geom import LinearConstraint, Vec, dot, halfplane_constraint, norm1, rot90_ccw  # noqa: E402
 from immobilize2d.sectors import SECTOR_KINDS, make_sector  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -48,6 +49,14 @@ def test_rows_are_coprime_ints_with_the_rational_rows_terms(base, normal, closed
     assert_coprime_form(row, normal.x, normal.y, dot(normal, base), not closed, scale)
     twin = row.shifted(slack)
     assert_coprime_form(twin, normal.x, normal.y, dot(normal, base) - slack * scale, not closed, scale)
+
+
+@SETTINGS
+@hypothesis.given(points, points)
+def test_segment_rows_are_the_builders_coprime_form(a, b):
+    hypothesis.assume(a != b)
+    lc = halfplane_constraint(a, rot90_ccw(b - a), True)
+    assert Segment(a, b).row == (lc.nx, lc.ny, -lc.c, abs(lc.nx) + abs(lc.ny))
 
 
 @st.composite
