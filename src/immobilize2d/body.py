@@ -18,10 +18,9 @@ Conventions
 * Containment reads each segment off its integer row ``Segment.row``: the
   segment's left half-plane as the coprime ints ``geom.halfplane_constraint``
   gives, read as ``(A, B, C, S)`` with ``A x + B y + C = k cross(b - a, p -
-  a)`` for some ``k > 0`` and ``S = |A| + |B|``, built from the endpoints
-  over one denominator on first use.  A query point goes over one
-  denominator, so each segment sign is a few integer products; arcs keep
-  their ``Fraction`` margin.
+  a)`` for some ``k > 0`` and ``S = |A| + |B|``, built on first use.  A
+  query point goes over one denominator, so each segment sign is a few
+  integer products; arcs keep their ``Fraction`` margin.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errors import (
     NearDegenerateError,
     NotOnBoundaryError,
 )
-from .geom import Vec, cross, dot, norm1, rot90_ccw, to_scalar
+from .geom import Vec, cross, dot, halfplane_constraint, norm1, rot90_ccw, to_scalar
 
 EXACT_POLYGON = "exact_polygon"
 MIXED_INEXACT = "mixed_inexact"
@@ -71,18 +70,11 @@ class Segment:
     @functools.cached_property
     def row(self) -> tuple[int, int, int, int]:
         """Coprime integers (A, B, C, S) of the segment's closed left
-        half-plane row: ``A x + B y + C`` is a positive multiple of
-        ``cross(b - a, p - a)`` at p = (x, y), ``S = |A| + |B|`` the same
-        multiple of ``norm1(b - a)``.  With a and b over one denominator d
-        that is ``(ay - by) d x + (bx - ax) d y + (ax by - ay bx)``, divided
-        by its gcd: the form ``halfplane_constraint`` gives."""
-        a, b = self.a, self.b
-        d = math.lcm(a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator)
-        ax, ay, bx, by = (v.numerator * (d // v.denominator) for v in (a.x, a.y, b.x, b.y))
-        row = ((ay - by) * d, (bx - ax) * d, ax * by - ay * bx)
-        g = math.gcd(*row)
-        A, B, C = (v // g for v in row)
-        return A, B, C, abs(A) + abs(B)
+        half-plane row ``halfplane_constraint`` builds: ``A x + B y + C`` is
+        a positive multiple of ``cross(b - a, p - a)`` at p = (x, y), ``S =
+        |A| + |B|`` the same multiple of ``norm1(b - a)``."""
+        lc = halfplane_constraint(self.a, rot90_ccw(self.b - self.a), True)
+        return lc.nx, lc.ny, -lc.c, abs(lc.nx) + abs(lc.ny)
 
 
 @dataclass(frozen=True)

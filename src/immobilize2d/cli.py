@@ -340,6 +340,9 @@ def main(argv=None) -> int:
     except ImmobilizeError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except OverflowError as exc:  # a float step (trig, lengths, drawing) met a coordinate past float range
+        print(f"error[{OutOfRangeError.code}]: coordinates too large for floating point ({exc})", file=sys.stderr)
+        return EXIT_ERROR
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -19,7 +19,8 @@ lines' arrangement, read off the rows as they are, never enumerating.
 With a positive tolerance, sector and direction systems run one "twin" pass,
 relaxed by a tolerance-scaled slack if the system is empty and tightened if
 not; a verdict the twin flips is reported as near-degenerate rather than
-trusted.  Plain ``linear_feasible`` systems are solved exactly, without twins.
+trusted; ``_twin_any`` takes a row's unit, ``(|nx| + |ny|) (1 + norm1(apex))``,
+from its sector's apex.  Plain ``linear_feasible`` systems have no twin.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ConstraintLimitError, SolverStepLimitError
-from .geom import LinearConstraint, Vec, norm1
+from .geom import LinearConstraint, Vec, _coprime_row, norm1
 from .sectors import (
     CircArc,
     DirectionSet,
@@ -397,21 +398,28 @@ def sectors_intersection(sectors: list[Sector], tol: Fraction = Fraction(0)) -> 
         )
     else:
         anchor, spread = Vec(Fraction(0), Fraction(0)), Fraction(1)
-    alternatives = [s.alternatives for s in sectors]
-    branch = first_branch(alternatives)
+    branch = first_branch([s.alternatives for s in sectors])
     if branch is not None:
         res = linear_feasible(branch)
         if res.feasible:
             feasible = True
             witness = _improve_witness(branch, res.witness, anchor, spread)
     # Relaxing only adds points and tightening only removes them: one twin can flip the answer.
-    flagged = tol > 0 and _twin_any(alternatives, -tol if feasible else tol) != feasible
+    flagged = tol > 0 and _twin_any(sectors, -tol if feasible else tol) != feasible
     return FeasibilityResult(feasible, witness, flagged)
 
 
-def _twin_any(alternatives: list[tuple[tuple[LinearConstraint, ...], ...]], slack: Fraction) -> bool:
-    """Is the sector system with every row shifted by ``slack`` nonempty?"""
-    branch = first_branch([[[lc.shifted(slack) for lc in group] for group in alts] for alts in alternatives])
+def _twin_any(sectors: list[Sector], slack: Fraction) -> bool:
+    """Is the sector system nonempty with each row ``n . p >= c`` relaxed to
+    ``c - slack (|nx| + |ny|) (1 + norm1(apex))`` (tightened when slack < 0)?"""
+    shifted = []
+    for s in sectors:
+        unit = slack * (1 + norm1(s.apex))
+        alts = []
+        for group in s.alternatives:
+            alts.append([_coprime_row(lc.nx, lc.ny, lc.c - unit * (abs(lc.nx) + abs(lc.ny)), lc.strict) for lc in group])
+        shifted.append(alts)
+    branch = first_branch(shifted)
     return branch is not None and _feasible_exact(branch)[0]
 
 

@@ -6,9 +6,9 @@ predicate downstream is decided by integer arithmetic.
 
 A half-plane is one ``LinearConstraint`` row, ``n . p >= c`` (strict when
 open); contact sectors are built from these rows and the exact solver
-eliminates them, so both read the same side convention.  Rows come from
-``halfplane_constraint`` and ``shifted`` as coprime ints, ``scale`` times the
-same positive factor, so ``c / norm1(n)`` and ``scale / norm1(n)`` are unchanged.
+eliminates them, so both read the same side convention.  A row is its four
+terms, made coprime ints by ``_coprime_row``, the one normaliser; it carries
+no tolerance unit: the tolerance twin takes that from the sector's apex.
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ class LinearConstraint:
     ny: int | Fraction
     c: int | Fraction
     strict: bool = False
-    scale: Fraction = Fraction(1)
 
     def margin(self, p: Vec) -> Fraction:
         return self.nx * p.x + self.ny * p.y - self.c
@@ -99,17 +98,13 @@ class LinearConstraint:
         m = self.margin(p)
         return m > 0 if self.strict else m >= 0
 
-    def shifted(self, slack: Fraction) -> "LinearConstraint":
-        """Positive slack relaxes the constraint, negative tightens it."""
-        return _coprime_row(self.nx, self.ny, self.c - slack * self.scale, self.strict, self.scale)
 
-
-def _coprime_row(nx, ny, c, strict: bool, scale: Fraction) -> LinearConstraint:
-    """``nx x + ny y >= c`` and its ``scale`` times the positive factor making the row coprime ints."""
+def _coprime_row(nx, ny, c, strict: bool) -> LinearConstraint:
+    """``nx x + ny y >= c`` times the positive factor making it coprime ints."""
     den = lcm(nx.denominator, ny.denominator, c.denominator)
     a, b, k = (v.numerator * (den // v.denominator) for v in (nx, ny, c))
     g = gcd(a, b, k) or 1
-    return LinearConstraint(a // g, b // g, k // g, strict, scale * Fraction(den, g))
+    return LinearConstraint(a // g, b // g, k // g, strict)
 
 
 def halfplane_constraint(base: Vec, normal: Vec, closed: bool) -> LinearConstraint:
@@ -117,8 +112,7 @@ def halfplane_constraint(base: Vec, normal: Vec, closed: bool) -> LinearConstrai
     half-plane whose rim passes through ``base`` and which ``normal`` points into."""
     if normal.is_zero():
         raise ValueError("half-plane needs a nonzero normal")
-    scale = norm1(normal) * (Fraction(1) + norm1(base))
-    return _coprime_row(normal.x, normal.y, dot(normal, base), not closed, scale)
+    return _coprime_row(normal.x, normal.y, dot(normal, base), not closed)
 
 
 # -- rigid motions ----------------------------------------------------------

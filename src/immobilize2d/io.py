@@ -58,6 +58,7 @@ def vec_to_json(v: Vec) -> dict:
 
 
 def vec_from_json(d) -> Vec:
+    """A malformed vector is INVALID_POINT; body and witness documents report it as OUT_OF_RANGE."""
     try:
         return Vec(scalar_from_json(d["x"]), scalar_from_json(d["y"]))
     except (KeyError, TypeError) as exc:
@@ -102,8 +103,8 @@ def body_from_json(doc) -> ConvexBody:
                     )
                 )
             else:
-                raise InvalidPointError(f"unknown element type {entry.get('type')!r}")
-    except (KeyError, TypeError) as exc:
+                raise OutOfRangeError(f"unknown element type {entry['type']!r}")
+    except (KeyError, TypeError, InvalidPointError) as exc:
         raise OutOfRangeError(f"malformed body document ({type(exc).__name__}: {exc})") from None
     return ConvexBody(tuple(elements), mode)
 
@@ -157,7 +158,7 @@ def witness_from_json(d) -> Witness | None:
             direction=vec_from_json(d["direction"]),
             translation=vec_from_json(d["translation"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, InvalidPointError) as exc:
         raise OutOfRangeError(f"malformed witness ({type(exc).__name__}: {exc})") from None
 
 

@@ -177,6 +177,46 @@ def test_non_positive_radius_and_epsilon_and_infinite_window_are_coded_errors(sq
     assert json.loads(capsys.readouterr().out)["escape"]["family"] == "rotation"
 
 
+def _write_body(path, mode, elements):
+    path.write_text(json.dumps({"mode": mode, "elements": elements}))
+    return path
+
+
+def _corner(x, y):
+    return {"x": str(x), "y": str(y)}
+
+
+def test_coordinates_past_float_range_are_coded_errors(tmp_path, capsys):
+    # Coordinates of 10^200 and 10^400 overflow the float steps (arc area and
+    # sweep, segment length, drawing): OUT_OF_RANGE, never a traceback.
+    verts = tmp_path / "verts.json"
+    verts.write_text(json.dumps([{"element": i, "param": "0"} for i in range(3)]))
+    svg = tmp_path / "x.svg"
+    argvs = []
+    for e in (200, 400):
+        r = 10**e
+        quarter = _write_body(tmp_path / f"quarter{e}.json", "mixed_inexact", [
+            {"type": "segment", "a": _corner(0, 0), "b": _corner(r, 0)},
+            {"type": "arc", "center": _corner(0, 0), "radius": str(r), "from": _corner(r, 0), "to": _corner(0, r)},
+            {"type": "segment", "a": _corner(0, r), "b": _corner(0, 0)},
+        ])
+        triangle = _write_body(tmp_path / f"triangle{e}.json", "exact_polygon", [
+            {"type": "segment", "a": _corner(0, 0), "b": _corner(r, 0)},
+            {"type": "segment", "a": _corner(r, 0), "b": _corner(0, r)},
+            {"type": "segment", "a": _corner(0, r), "b": _corner(0, 0)},
+        ])
+        argvs.append(["classify", "--mode", "fix", "--body", str(quarter), "--points", str(verts)])
+        if e == 200:
+            argvs.append(["refine", "--epsilon", "1/5", "--body", str(triangle), "--points", str(verts)])
+        else:
+            argvs.append(["render", "--body", str(triangle), "--points", str(verts), "--svg", str(svg)])
+    for argv in argvs:
+        assert cli.main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert "error[OUT_OF_RANGE]" in out.err and out.out == "", (argv, out)
+    assert not svg.exists()
+
+
 def test_fuzz_small_run_is_clean_and_deterministic(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -282,6 +322,8 @@ BAD_BODIES = (
     '{"mode": "exact_polygon", "elements": [5]}',
     '{"mode": "exact_polygon", "elements": 5}',
     '{"mode": "exact_polygon", "elements": [{"type": "segment", "a": {"x": "0", "y": "0"}}]}',
+    '{"mode": "exact_polygon", "elements": [{"type": "spline"}]}',
+    '{"mode": "exact_polygon", "elements": [{"type": "segment", "a": 5, "b": {"x": "1", "y": "0"}}]}',
 )
 
 
@@ -294,6 +336,7 @@ BAD_VERDICTS = (
     '{"witness": {"kind": "rotation_center", "point": {"x": "1/0", "y": "0"}, "sense": "CW"}}',
     '{"witness": {"kind": "rotation_center", "sense": "CW"}}',
     '{"witness": {"kind": "spiral"}}',
+    '{"witness": {"kind": "rotation_center", "point": 5, "sense": "CW"}}',
     "[]",
 )
 BROKEN_JSON = '{"mode": "exact_polygon", '

@@ -1,28 +1,35 @@
-"""Property test: a row is coprime ints in one form, and no positive factor
-on a row changes a pick, a witness or a coordinate's type.
+"""Property test: a row is four coprime ints, the tolerance twin's row is the
+rational row moved by a unit taken from the sector's apex, and no positive
+factor on a row changes a pick, a witness, a twin or a coordinate's type.
 
-``halfplane_constraint`` and ``shifted`` are checked against the rational
-row they stand for: ``nx, ny, c`` are coprime Python ints with the same
-direction, ``c / norm1(n)`` and ``scale / norm1(n)``.  ``Segment.row``, built
-from the endpoints on its own, must be that same coprime form.  Then every
-row of a random sector system is multiplied by its own positive rational,
-which leaves Fraction rows: ``first_branch`` must pick the same
-alternatives, and ``linear_feasible`` and ``_improve_witness`` must return
-the same witness, whose coordinates are ``Fraction``s, never floats.
+``halfplane_constraint`` is checked against the rational row it stands for:
+``nx, ny, c`` are coprime Python ints with the same direction and ``c /
+norm1(n)``.  ``Segment.row`` must be that same coprime form.  The rows
+``_twin_any`` hands to ``first_branch`` must be each sector row's rational
+form ``n . p >= n . apex``, for any positive multiple ``n`` of the row's
+normal, moved by ``slack norm1(n) (1 + norm1(apex))``.  Then every row of a
+random sector system is multiplied by its own positive rational, which
+leaves Fraction rows: ``first_branch`` must pick the same alternatives,
+``linear_feasible`` and ``_improve_witness`` must return the same witness,
+whose coordinates are ``Fraction``s, never floats, and both twins must give
+the same answer.
 """
 
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from immobilize2d import feasibility  # noqa: E402
 from immobilize2d.body import Segment, TangentData  # noqa: E402
-from immobilize2d.feasibility import _improve_witness, first_branch, linear_feasible  # noqa: E402
+from immobilize2d.feasibility import _improve_witness, _twin_any, first_branch, linear_feasible  # noqa: E402
 from immobilize2d.geom import LinearConstraint, Vec, dot, halfplane_constraint, norm1, rot90_ccw  # noqa: E402
-from immobilize2d.sectors import SECTOR_KINDS, make_sector  # noqa: E402
+from immobilize2d.sectors import SECTOR_KINDS, Sector, make_sector  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -30,25 +37,27 @@ rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 positives = st.builds(Fraction, st.integers(1, 60), st.integers(1, 60))
 points = st.builds(Vec, rationals, rationals)
 nonzero = points.filter(lambda v: not v.is_zero())
+sectors = st.builds(make_sector, st.sampled_from(SECTOR_KINDS), st.booleans(), points, st.builds(TangentData, nonzero, nonzero))
 
 
-def assert_coprime_form(lc, nx, ny, c, strict, scale):
-    """``lc`` is the row ``nx x + ny y >= c`` with tolerance unit ``scale``, as coprime ints."""
+def assert_coprime_form(lc, nx, ny, c, strict):
+    """``lc`` is the row ``nx x + ny y >= c`` as coprime ints."""
     assert all(type(v) is int for v in (lc.nx, lc.ny, lc.c)), lc
     assert gcd(lc.nx, lc.ny, lc.c) == 1 and lc.strict == strict
     n1, m1 = abs(lc.nx) + abs(lc.ny), abs(nx) + abs(ny)
     assert (Fraction(lc.nx, n1), Fraction(lc.ny, n1)) == (nx / m1, ny / m1)
-    assert Fraction(lc.c, n1) == c / m1 and lc.scale / n1 == scale / m1
+    assert Fraction(lc.c, n1) == c / m1
+
+
+def test_a_row_is_its_four_terms():
+    assert [f.name for f in fields(LinearConstraint)] == ["nx", "ny", "c", "strict"]
 
 
 @SETTINGS
-@hypothesis.given(points, nonzero, st.booleans(), rationals)
-def test_rows_are_coprime_ints_with_the_rational_rows_terms(base, normal, closed, slack):
-    scale = norm1(normal) * (1 + norm1(base))
+@hypothesis.given(points, nonzero, st.booleans())
+def test_rows_are_coprime_ints_with_the_rational_rows_terms(base, normal, closed):
     row = halfplane_constraint(base, normal, closed)
-    assert_coprime_form(row, normal.x, normal.y, dot(normal, base), not closed, scale)
-    twin = row.shifted(slack)
-    assert_coprime_form(twin, normal.x, normal.y, dot(normal, base) - slack * scale, not closed, scale)
+    assert_coprime_form(row, normal.x, normal.y, dot(normal, base), not closed)
 
 
 @SETTINGS
@@ -59,23 +68,33 @@ def test_segment_rows_are_the_builders_coprime_form(a, b):
     assert Segment(a, b).row == (lc.nx, lc.ny, -lc.c, abs(lc.nx) + abs(lc.ny))
 
 
+@SETTINGS
+@hypothesis.given(st.lists(sectors, min_size=1, max_size=4), rationals, positives)
+def test_twin_rows_are_the_rational_rows_moved_by_the_apex_unit(system, slack, k):
+    with mock.patch.object(feasibility, "first_branch", wraps=first_branch) as spy:
+        _twin_any(system, slack)
+    (twin,), _ = spy.call_args
+    assert len(twin) == len(system)
+    for s, alts in zip(system, twin):
+        assert [len(group) for group in alts] == [len(group) for group in s.alternatives]
+        for group, moved in zip(s.alternatives, alts):
+            for lc, row in zip(group, moved):
+                n = Vec(lc.nx * k, lc.ny * k)
+                assert lc.margin(s.apex) == 0
+                assert_coprime_form(row, n.x, n.y, dot(n, s.apex) - slack * norm1(n) * (1 + norm1(s.apex)), lc.strict)
+
+
 @st.composite
 def sector_systems(draw):
-    """Random sectors, and the same rows each times its own positive rational."""
-    sectors = [
-        make_sector(
-            draw(st.sampled_from(SECTOR_KINDS)), draw(st.booleans()), draw(points), TangentData(draw(nonzero), draw(nonzero))
-        )
-        for _ in range(draw(st.integers(1, 4)))
-    ]
-    alternatives = [s.alternatives for s in sectors]
+    """Random sectors, and the same sectors with each row times its own positive rational."""
+    system = draw(st.lists(sectors, min_size=1, max_size=4))
 
     def scaled(lc):
         k = draw(positives)
-        return LinearConstraint(lc.nx * k, lc.ny * k, lc.c * k, lc.strict, lc.scale * k)
+        return LinearConstraint(lc.nx * k, lc.ny * k, lc.c * k, lc.strict)
 
-    rescaled = [tuple(tuple(scaled(lc) for lc in group) for group in alts) for alts in alternatives]
-    return alternatives, rescaled, draw(points), draw(positives)
+    rescaled = [Sector(s.apex, s.closed, tuple(tuple(scaled(lc) for lc in group) for group in s.alternatives)) for s in system]
+    return system, rescaled, draw(points), draw(positives), draw(rationals)
 
 
 def picks(alternatives, branch):
@@ -95,12 +114,15 @@ def assert_fractions(p):
 @SETTINGS
 @hypothesis.given(sector_systems())
 def test_row_factors_change_no_pick_and_no_witness(system):
-    alternatives, rescaled, anchor, spread = system
-    branch, other = first_branch(alternatives), first_branch(rescaled)
+    original, rescaled, anchor, spread, slack = system
+    assert _twin_any(original, slack) == _twin_any(rescaled, slack)
+    alternatives = [s.alternatives for s in original]
+    scaled_alternatives = [s.alternatives for s in rescaled]
+    branch, other = first_branch(alternatives), first_branch(scaled_alternatives)
     assert (branch is None) == (other is None)
     if branch is None:
         return
-    assert picks(alternatives, branch) == picks(rescaled, other)
+    assert picks(alternatives, branch) == picks(scaled_alternatives, other)
     res, res_other = linear_feasible(branch), linear_feasible(other)
     assert res.feasible == res_other.feasible and res.witness == res_other.witness
     if not res.feasible:
