@@ -36,6 +36,7 @@ from .errors import (
     BodyValidationError,
     NearDegenerateError,
     NotOnBoundaryError,
+    in_float_range,
 )
 from .geom import Vec, cross, dot, halfplane_constraint, norm1, rot90_ccw, to_scalar
 
@@ -194,6 +195,7 @@ def _winding(dirs: list[Vec]) -> int:
     return sum(passes(u, v) if cross(u, v) >= 0 else -passes(v, u) for u, v in zip(dirs, dirs[1:] + dirs[:1]))
 
 
+@in_float_range
 def validate(body: ConvexBody) -> None:
     """Raise BodyValidationError (NOT_CLOSED, NOT_CONVEX, NOT_CCW, EMPTY_INTERIOR) if invalid."""
     els = body.elements
@@ -452,6 +454,7 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+@in_float_range
 def element_length(el: BoundaryElement) -> tuple[Fraction, bool]:
     """(length, exact) with an exact rational length whenever one exists.
 

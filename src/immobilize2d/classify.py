@@ -20,6 +20,11 @@ Anything in between is FIRST_ORDER_INDETERMINATE: the strict necessary
 condition holds but the non-strict sufficient one fails, and tangent data
 alone cannot decide.  The blocking certificate (first nonempty closed or
 direction test) is reported so callers can probe it dynamically.
+
+Each contact's rows are built once per call (``sectors.contact_rows``) and
+all four sector systems are read off them.  The closed tests run first: an
+open sector lies in its closed one, so at tolerance 0 an empty closed test
+makes its open test empty without solving it.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .body import (
 from .errors import InvalidPointError, NotAlmostPositiveError, OutOfRangeError, RefinementExhaustedError
 from .feasibility import directions_intersection, sectors_intersection
 from .geom import Vec, rot90_ccw, to_scalar
-from .sectors import direction_set, make_sector
+from .sectors import contact_rows, direction_set, sector_of
 
 QUESTION_FIX = "FIX"
 QUESTION_ALMOST = "ALMOST_FIX"
@@ -140,25 +145,20 @@ def _classify(body: ConvexBody, pts: list[BoundaryPoint], question: str, tol: Fr
     pts = _dedupe_points(list(pts))
     kind_left, kind_right = _QUESTION_KINDS[question]
     tds = [(bp.coords, tangents_at(body, bp)) for bp in pts]
+    contacts = [contact_rows(apex, td) for apex, td in tds]
 
-    results: list[TestResult] = []
-    for name, kind, closed in (
-        ("openL", kind_left, False),
-        ("openR", kind_right, False),
-        ("closedL", kind_left, True),
-        ("closedR", kind_right, True),
-    ):
-        sectors = [make_sector(kind, closed, apex, td) for apex, td in tds]
-        res = sectors_intersection(sectors, tol)
-        results.append(
-            TestResult(name, "NONEMPTY" if res.feasible else "EMPTY", res.witness, res.near_degenerate)
-        )
+    def run(name: str, kind: str, closed: bool) -> TestResult:
+        res = sectors_intersection([sector_of(c, kind, closed) for c in contacts], tol)
+        return TestResult(name, "NONEMPTY" if res.feasible else "EMPTY", res.witness, res.near_degenerate)
+
+    # With tol > 0 the open test still runs: its tolerance twin may flag.
+    closed_l, closed_r = run("closedL", kind_left, True), run("closedR", kind_right, True)
+    open_l = run("openL", kind_left, False) if closed_l.nonempty or tol > 0 else TestResult("openL", "EMPTY", None)
+    open_r = run("openR", kind_right, False) if closed_r.nonempty or tol > 0 else TestResult("openR", "EMPTY", None)
     dres = directions_intersection([direction_set(kind_left, apex, td) for apex, td in tds], tol)
-    results.append(
-        TestResult("directions", "NONEMPTY" if dres.feasible else "EMPTY", dres.witness, dres.near_degenerate)
-    )
+    directions = TestResult("directions", "NONEMPTY" if dres.feasible else "EMPTY", dres.witness, dres.near_degenerate)
+    results = [open_l, open_r, closed_l, closed_r, directions]
 
-    open_l, open_r, closed_l, closed_r, directions = results
     witness: Witness | None = None
     if open_l.nonempty:
         status = _NEGATIVE_STATUS[question]

@@ -2,9 +2,13 @@
 
 Every error that a caller may want to map to a CLI exit code carries a
 stable ``code`` string; anything else is a plain ValueError.
+``in_float_range`` marks the functions whose float steps can overflow, so
+a coordinate past float range reaches the caller as ``OutOfRangeError``.
 """
 
 from __future__ import annotations
+
+import functools
 
 
 class ImmobilizeError(Exception):
@@ -71,3 +75,17 @@ class SolverStepLimitError(ImmobilizeError):
     """An iterative solver ran past its proven step bound: an internal invariant broke."""
 
     code = "SOLVER_STEP_LIMIT"
+
+
+def in_float_range(fn):
+    """``fn`` with an ``OverflowError`` from its float steps (trig, lengths,
+    drawing) raised as ``OutOfRangeError``: a coordinate past float range."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise OutOfRangeError(f"coordinates too large for floating point ({exc})") from None
+
+    return wrapper

@@ -12,9 +12,10 @@ Newton search on ints (lines compared by cross-multiplication), building a
 
 Sector systems add one twist: a large sector at a corner is a union of two
 half-planes, so the system is a union of branches, one of each sector's
-``alternatives`` (its rows, built once by ``make_sector``); ``first_branch``
-finds the first nonempty one from the integer vertices of the boundary
-lines' arrangement, read off the rows as they are, never enumerating.
+``alternatives`` (its rows, read off its contact's ``ContactRows``);
+``first_branch`` finds the first nonempty one from the integer vertices of
+the boundary lines' arrangement, read off the rows as they are, never
+enumerating.
 
 With a positive tolerance, sector and direction systems run one "twin" pass,
 relaxed by a tolerance-scaled slack if the system is empty and tightened if
@@ -441,7 +442,7 @@ def _perturb_set(ds: DirectionSet, t: Fraction, relax: bool) -> DirectionSet:
 
 
 def _unit_l1(d: Vec) -> Vec:
-    return d.scaled(1 / norm1(d))
+    return d.scaled(Fraction(1, norm1(d)))
 
 
 def directions_intersection(sets: list[DirectionSet], tol: Fraction = Fraction(0)) -> FeasibilityResult:

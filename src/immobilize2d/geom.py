@@ -7,8 +7,10 @@ predicate downstream is decided by integer arithmetic.
 A half-plane is one ``LinearConstraint`` row, ``n . p >= c`` (strict when
 open); contact sectors are built from these rows and the exact solver
 eliminates them, so both read the same side convention.  A row is its four
-terms, made coprime ints by ``_coprime_row``, the one normaliser; it carries
-no tolerance unit: the tolerance twin takes that from the sector's apex.
+terms as coprime ints, the one primitive positive multiple of the row:
+``halfplane_constraint`` builds it from a base and a normal in ints, and
+``_coprime_row`` normalises ``Fraction`` terms (the tolerance twin's shifted
+rows, which take their unit from the sector's apex).
 """
 
 from __future__ import annotations
@@ -109,10 +111,18 @@ def _coprime_row(nx, ny, c, strict: bool) -> LinearConstraint:
 
 def halfplane_constraint(base: Vec, normal: Vec, closed: bool) -> LinearConstraint:
     """``normal . p >= normal . base`` as coprime ints, strict unless closed: the
-    half-plane whose rim passes through ``base`` and which ``normal`` points into."""
+    half-plane whose rim passes through ``base`` and which ``normal`` points into:
+    with the normal ``(a, b) / dn`` and the base ``(X, Y) / db``, the row
+    ``a db x + b db y >= a X + b Y`` over its gcd, in ints."""
     if normal.is_zero():
         raise ValueError("half-plane needs a nonzero normal")
-    return _coprime_row(normal.x, normal.y, dot(normal, base), not closed)
+    nx, ny, bx, by = normal.x, normal.y, base.x, base.y
+    dn, db = lcm(nx.denominator, ny.denominator), lcm(bx.denominator, by.denominator)
+    a, b = nx.numerator * (dn // nx.denominator), ny.numerator * (dn // ny.denominator)
+    x, y = bx.numerator * (db // bx.denominator), by.numerator * (db // by.denominator)
+    a, b, c = a * db, b * db, a * x + b * y
+    g = gcd(a, b, c)
+    return LinearConstraint(a // g, b // g, c // g, not closed)
 
 
 # -- rigid motions ----------------------------------------------------------

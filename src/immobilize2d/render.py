@@ -10,6 +10,7 @@ from __future__ import annotations
 from . import io
 from .body import BoundaryPoint, ConvexBody, Segment, tangents_at
 from .classify import Witness
+from .errors import in_float_range
 from .geom import rot90_ccw, same_ray
 
 _VIEW_W = 640.0
@@ -152,6 +153,7 @@ def _witness_region(body, pts, witness: Witness | None, statuses: dict, fr: _Fra
     return poly
 
 
+@in_float_range
 def render_svg(
     body: ConvexBody,
     pts: tuple[BoundaryPoint, ...] = (),

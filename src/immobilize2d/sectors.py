@@ -17,11 +17,15 @@ A sector is stored as those half-plane rows, grouped into conjunctive
 alternatives whose union it is: two one-row alternatives for a large sector
 at a corner, one row at a smooth contact (both tangents bound the same
 half-plane), one two-row alternative for a small sector.  Membership and
-the exact sector-system solver both read these rows.
+the exact sector-system solver both read these rows.  A contact's two
+closed right-side rows are built once, as ``ContactRows``; every sector of
+that contact is read off them by flipping signs (left kinds) and ``strict``
+(open sectors), and both flips keep a row coprime.
 
 Direction sets are the circle traces of the closed sectors: a single closed
 arc of directions d such that apex + d stays in the closed sector.  They
-stand in for rotation centers at infinity, i.e. translations.
+stand in for rotation centers at infinity, i.e. translations.  Their arcs
+hold the primitive integer rays of ``rot90_ccw(u)``.
 
 Whether closed direction sets share a direction is decided without building
 their intersection: each arc of an intersection of closed arcs starts where
@@ -40,6 +44,7 @@ from .errors import NearDegenerateError
 from .geom import (
     LinearConstraint,
     Vec,
+    _coprime_row,
     cross,
     dot,
     halfplane_constraint,
@@ -61,19 +66,41 @@ class Sector:
     alternatives: tuple[tuple[LinearConstraint, ...], ...]
 
 
-def make_sector(kind: str, closed: bool, apex: Vec, t: TangentData) -> Sector:
+@dataclass(frozen=True)
+class ContactRows:
+    """A contact's first-order data: the closed right-side rows of its two
+    tangents, ``u . p >= u . apex`` for ``u_left`` and ``u_right``, and whether
+    they are one row (a smooth contact).  Every sector is read off these."""
+
+    apex: Vec
+    left: LinearConstraint
+    right: LinearConstraint
+    smooth: bool
+
+
+def contact_rows(apex: Vec, t: TangentData) -> ContactRows:
+    left, right = halfplane_constraint(apex, t.u_left, True), halfplane_constraint(apex, t.u_right, True)
+    return ContactRows(apex, left, right, same_ray(t.u_left, t.u_right))
+
+
+def sector_of(rows: ContactRows, kind: str, closed: bool) -> Sector:
+    """The sector of ``kind``: left kinds negate the rows, open ones make them
+    strict; both flips keep a row coprime."""
     if kind not in SECTOR_KINDS:
         raise ValueError(f"unknown sector kind {kind!r}")
-    n_left, n_right = (-t.u_left, -t.u_right) if kind in ("L", "small_l") else (t.u_left, t.u_right)
-    left = halfplane_constraint(apex, n_left, closed)
-    right = halfplane_constraint(apex, n_right, closed)
+    k = -1 if kind in ("L", "small_l") else 1
+    left, right = (LinearConstraint(k * lc.nx, k * lc.ny, k * lc.c, not closed) for lc in (rows.left, rows.right))
     if kind.startswith("small"):
         alternatives = ((left, right),)
-    elif same_ray(n_left, n_right):
+    elif rows.smooth:
         alternatives = ((left,),)  # smooth contact: both tangents bound the same half-plane
     else:
         alternatives = ((left,), (right,))
-    return Sector(apex, closed, alternatives)
+    return Sector(rows.apex, closed, alternatives)
+
+
+def make_sector(kind: str, closed: bool, apex: Vec, t: TangentData) -> Sector:
+    return sector_of(contact_rows(apex, t), kind, closed)
 
 
 def sector_contains(s: Sector, p: Vec, tol: Fraction = Fraction(0)) -> str:
@@ -106,7 +133,8 @@ def sector_contains(s: Sector, p: Vec, tol: Fraction = Fraction(0)) -> str:
 
 @dataclass(frozen=True)
 class CircArc:
-    """Closed CCW arc of directions from ``start`` to ``end`` (non-normalized rays).
+    """Closed CCW arc of directions from ``start`` to ``end`` (non-normalized rays;
+    ``direction_set`` gives primitive integer ones, twins rotated ``Fraction`` ones).
 
     The pair of rays determines the arc: the sweep is the CCW angle from
     start to end in (0, 2*pi); equal rays denote a single direction.
@@ -147,6 +175,12 @@ def direction_set_contains(ds: DirectionSet, d: Vec) -> bool:
     return any(arc_contains(a, d) for a in ds.arcs)
 
 
+def _ray(v: Vec) -> Vec:
+    """The primitive integer ray along v: the normal of its coprime row."""
+    lc = _coprime_row(v.x, v.y, 0, False)
+    return Vec(lc.nx, lc.ny)
+
+
 def direction_set(kind: str, apex: Vec, t: TangentData) -> DirectionSet:
     """Directions d with apex + d inside the closed sector of the same kind.
 
@@ -154,8 +188,8 @@ def direction_set(kind: str, apex: Vec, t: TangentData) -> DirectionSet:
     closed arc of sweep pi + turn angle, ``small_l`` one of sweep
     pi - turn angle; the right-side traces are their antipodes.
     """
-    nl = rot90_ccw(t.u_left)
-    nr = rot90_ccw(t.u_right)
+    nl = _ray(rot90_ccw(t.u_left))
+    nr = _ray(rot90_ccw(t.u_right))
     if kind == "L":
         if same_ray(nl, nr):
             return DirectionSet((CircArc(nl, -nl),))

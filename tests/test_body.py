@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from immobilize2d.body import (
+    Arc,
     Containment,
     ConvexBody,
     EXACT_POLYGON,
@@ -25,8 +26,10 @@ from immobilize2d.body import (
 )
 from immobilize2d.errors import (
     BodyValidationError,
+    ImmobilizeError,
     NearDegenerateError,
     NotOnBoundaryError,
+    OutOfRangeError,
 )
 from immobilize2d.fixtures import random_convex_polygon, unit_disc, unit_square
 from immobilize2d.geom import vec
@@ -194,6 +197,23 @@ def test_element_length_exact_and_inexact():
     n, exact = element_length(Segment(a=vec(0, 0), b=vec(1, 1)))
     assert not exact
     assert abs(float(n) - 2 ** 0.5) < 1e-9
+
+
+def test_float_steps_past_float_range_raise_out_of_range():
+    # The arc area term squares a radius of 10^200 past float range, and at
+    # 10^400 the sweep's trig cannot even read the offsets; a segment about
+    # 10^200 long has a squared length past float range.
+    for e in (200, 400):
+        r = 10**e
+        quarter = ConvexBody(
+            (Segment(vec(0, 0), vec(r, 0)), Arc(vec(0, 0), Fraction(r), vec(r, 0), vec(0, r)), Segment(vec(0, r), vec(0, 0))),
+            MIXED_INEXACT,
+        )
+        with pytest.raises(OutOfRangeError):
+            validate(quarter)
+    with pytest.raises(OutOfRangeError) as exc:
+        element_length(Segment(vec(0, 0), vec(10**200, 10**200 // 3)))
+    assert isinstance(exc.value, ImmobilizeError) and exc.value.code == "OUT_OF_RANGE"
 
 
 def test_perimeter_of_square():

@@ -339,3 +339,41 @@ def test_search_examines_the_sampled_ranks_in_combination_order(monkeypatch):
 def test_search_rejects_unsupported_tuple_size():
     with pytest.raises(InvalidPointError):
         search_almost_fixing(unit_square(), 4)
+
+
+def test_closed_tests_run_first_and_decide_empty_open_tests_at_tol_zero(monkeypatch):
+    # Each call is recorded by its rows, strictness dropped: an open test
+    # reads its closed test's rows, only strict.
+    calls = []
+    solve = classify.sectors_intersection
+
+    def counting(sectors, tol):
+        calls.append((sectors[0].closed, tuple((lc.nx, lc.ny, lc.c) for s in sectors for g in s.alternatives for lc in g)))
+        return solve(sectors, tol)
+
+    monkeypatch.setattr(classify, "sectors_intersection", counting)
+    rng = random.Random(13)
+    cases = [square_opposite_corners(), square_edge_midpoints()]
+    for seed in range(6):
+        body = random_convex_polygon(seed, 5 + seed % 3)
+        cases.append((body, random_contact_points(body, rng, 2 + seed % 3)))
+        cases.append((body, [boundary_point(body, i, Fraction(0)) for i in range(len(body.elements))]))
+    opened = {0: 0, 1: 0}
+    for body, pts in cases:
+        for classify_question in (classify_fix, classify_almost_fix):
+            for tol in (Fraction(0), Fraction(1, 100)):
+                calls.clear()
+                v = classify_question(body, pts, tol)
+                assert tuple(t.name for t in v.tests) == TEST_NAMES
+                (closed_l, rows_l), (closed_r, rows_r) = calls[:2]
+                assert closed_l and closed_r
+                if tol > 0:
+                    assert calls[2:] == [(False, rows_l), (False, rows_r)]
+                    continue
+                ran = [rows for name, rows in (("closedL", rows_l), ("closedR", rows_r)) if v.test(name).nonempty]
+                assert calls[2:] == [(False, rows) for rows in ran]
+                opened[len(ran) > 0] += 1
+                for name in ("openL", "openR"):
+                    if not v.test("closed" + name[4:]).nonempty:
+                        assert v.test(name) == classify.TestResult(name, "EMPTY", None)
+    assert opened[0] and opened[1]  # both an all-skipped and a run open test were seen

@@ -13,11 +13,19 @@ leaves Fraction rows: ``first_branch`` must pick the same alternatives,
 ``linear_feasible`` and ``_improve_witness`` must return the same witness,
 whose coordinates are ``Fraction``s, never floats, and both twins must give
 the same answer.
+
+The integer builders are raced against ``Fraction`` references too: a row
+must equal ``_coprime_row`` on the rational terms, every ``(kind, closed)``
+sector read off a contact's ``ContactRows``, smooth contacts included, must
+equal the sector this file builds row by row from ``+-u`` in ``Fraction``s,
+and the primitive integer rays of ``direction_set`` must point along the
+``Fraction`` rays ``rot90_ccw(u)``, contain the same probes, and give
+``directions_intersection`` the same ``Fraction`` witness and flag.
 """
 
 from dataclasses import fields
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -27,9 +35,25 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from immobilize2d import feasibility  # noqa: E402
 from immobilize2d.body import Segment, TangentData  # noqa: E402
-from immobilize2d.feasibility import _improve_witness, _twin_any, first_branch, linear_feasible  # noqa: E402
-from immobilize2d.geom import LinearConstraint, Vec, dot, halfplane_constraint, norm1, rot90_ccw  # noqa: E402
-from immobilize2d.sectors import SECTOR_KINDS, Sector, make_sector  # noqa: E402
+from immobilize2d.feasibility import (  # noqa: E402
+    _improve_witness,
+    _twin_any,
+    directions_intersection,
+    first_branch,
+    linear_feasible,
+)
+from immobilize2d.geom import LinearConstraint, Vec, _coprime_row, cross, dot, halfplane_constraint, norm1, rot90_ccw  # noqa: E402
+from immobilize2d.sectors import (  # noqa: E402
+    SECTOR_KINDS,
+    CircArc,
+    DirectionSet,
+    Sector,
+    contact_rows,
+    direction_set,
+    direction_set_contains,
+    make_sector,
+    sector_of,
+)
 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -58,6 +82,87 @@ def test_a_row_is_its_four_terms():
 def test_rows_are_coprime_ints_with_the_rational_rows_terms(base, normal, closed):
     row = halfplane_constraint(base, normal, closed)
     assert_coprime_form(row, normal.x, normal.y, dot(normal, base), not closed)
+
+
+@SETTINGS
+@hypothesis.given(points, nonzero, st.booleans())
+def test_integer_rows_are_the_fraction_normalisers_rows(base, normal, closed):
+    assert halfplane_constraint(base, normal, closed) == _coprime_row(normal.x, normal.y, dot(normal, base), not closed)
+
+
+@st.composite
+def tangents(draw):
+    """A corner's two tangents, or a smooth contact's (one a positive multiple of the other)."""
+    u = draw(nonzero)
+    v = draw(st.one_of(nonzero, positives.map(u.scaled)))
+    return TangentData(u, v)
+
+
+def reference_row(n: Vec, apex: Vec, strict: bool) -> LinearConstraint:
+    """``n . p >= n . apex`` times the one positive rational making it coprime ints."""
+    terms = (n.x, n.y, n.x * apex.x + n.y * apex.y)
+    den = lcm(*(v.denominator for v in terms))
+    ints = [int(v * den) for v in terms]
+    g = gcd(*ints)
+    return LinearConstraint(ints[0] // g, ints[1] // g, ints[2] // g, strict)
+
+
+def reference_sector(kind: str, closed: bool, apex: Vec, t: TangentData) -> Sector:
+    ul, ur = (-t.u_left, -t.u_right) if kind in ("L", "small_l") else (t.u_left, t.u_right)
+    left, right = reference_row(ul, apex, not closed), reference_row(ur, apex, not closed)
+    smooth = ul.x * ur.y == ul.y * ur.x and ul.x * ur.x + ul.y * ur.y > 0
+    if kind.startswith("small"):
+        return Sector(apex, closed, ((left, right),))
+    return Sector(apex, closed, ((left,),) if smooth else ((left,), (right,)))
+
+
+@SETTINGS
+@hypothesis.given(points, tangents())
+def test_sectors_read_off_contact_rows_are_the_fraction_sectors(apex, t):
+    rows = contact_rows(apex, t)
+    for kind in SECTOR_KINDS:
+        for closed in (False, True):
+            expected = reference_sector(kind, closed, apex, t)
+            assert sector_of(rows, kind, closed) == expected == make_sector(kind, closed, apex, t)
+
+
+def reference_direction_set(kind: str, t: TangentData) -> DirectionSet:
+    """``direction_set`` with the ``Fraction`` rays ``rot90_ccw(u)``."""
+    nl, nr = rot90_ccw(t.u_left), rot90_ccw(t.u_right)
+    smooth = cross(nl, nr) == 0 and dot(nl, nr) > 0
+    arc = CircArc(nl, -nl) if smooth else (CircArc(nl, -nr) if kind in ("L", "R") else CircArc(nr, -nl))
+    if kind in ("R", "small_r"):
+        arc = CircArc(-arc.start, -arc.end)
+    return DirectionSet((arc,))
+
+
+def assert_same_ray(ray: Vec, ref: Vec):
+    assert type(ray.x) is int and type(ray.y) is int and gcd(ray.x, ray.y) == 1, ray
+    assert cross(ray, ref) == 0 and dot(ray, ref) > 0, (ray, ref)
+
+
+@SETTINGS
+@hypothesis.given(points, tangents(), st.lists(nonzero, max_size=6))
+def test_integer_rays_point_along_the_fraction_rays(apex, t, probes):
+    edges = [rot90_ccw(t.u_left), rot90_ccw(t.u_right)]
+    for kind in SECTOR_KINDS:
+        ds, ref = direction_set(kind, apex, t), reference_direction_set(kind, t)
+        assert len(ds.arcs) == len(ref.arcs) == 1
+        assert_same_ray(ds.arcs[0].start, ref.arcs[0].start)
+        assert_same_ray(ds.arcs[0].end, ref.arcs[0].end)
+        for d in probes + edges + [-e for e in edges]:
+            assert direction_set_contains(ds, d) == direction_set_contains(ref, d)
+
+
+@SETTINGS
+@hypothesis.given(st.lists(st.tuples(points, tangents()), min_size=1, max_size=4), st.sampled_from([Fraction(0), Fraction(1, 100), Fraction(1, 10**6)]))
+def test_directions_witness_is_the_fraction_rays_witness(contacts, tol):
+    for kind in ("L", "small_l"):
+        got = directions_intersection([direction_set(kind, apex, t) for apex, t in contacts], tol)
+        expected = directions_intersection([reference_direction_set(kind, t) for _, t in contacts], tol)
+        assert got == expected
+        if got.witness is not None:
+            assert_fractions(got.witness)
 
 
 @SETTINGS
