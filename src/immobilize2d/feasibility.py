@@ -2,13 +2,16 @@
 
 Systems are conjunctions of half-plane rows ``n . p >= c`` (or strict ``>``),
 coprime ints as ``geom.halfplane_constraint`` builds them, solved by eliminating
-y (pairing each lower bound on y with each upper bound in ints, each bound
-then an exact ``Fraction(c, a)``), which yields an interval witness for free.
-One elimination and one y read-out serve the feasibility solve and witness
-re-centring.  Re-centring pairs its margin rows once per witness, adds per
-box only the box's x rows and the pairs of its y rows, and runs a bounded
-Newton search on ints (lines compared by cross-multiplication), building a
-``Fraction`` only for the point it returns.
+y (pairing each lower bound on y with each upper bound in ints), which yields
+an interval witness for free.  Every bound, on x in the solve and on y in the
+read-out, stays an integer pair ``(N, B)``, ``B > 0``, and one picker
+(``_inside``) compares them by cross-multiplication.  One elimination and one
+y read-out serve the feasibility solve and witness re-centring.  Re-centring
+pairs its margin rows once per witness, adds per box only the box's x rows
+and the pairs of its y rows, and runs a bounded Newton search on ints; the
+margins that score and snap witnesses are integer comparisons over one
+denominator.  A ``Fraction`` is built only for a coordinate of a point
+returned (and for the t of re-centring's optimum), never per bound or row.
 
 Sector systems add one twist: a large sector at a corner is a union of two
 half-planes, so the system is a union of branches, one of each sector's
@@ -53,39 +56,39 @@ class FeasibilityResult:
     near_degenerate: bool = False
 
 
-def _merge_bound(best, candidate, is_lower: bool):
-    if best is None:
-        return candidate
-    bv, bs = best
-    cv, cs = candidate
-    if cv == bv:
-        return (bv, bs or cs)
-    if (cv > bv) == is_lower:
-        return candidate
-    return best
-
-
-def _solve_interval(lowers, uppers):
-    """Feasibility and a witness for a 1D system of bounds (value, strict)."""
-    lo = None
-    for b in lowers:
-        lo = _merge_bound(lo, b, is_lower=True)
-    hi = None
-    for b in uppers:
-        hi = _merge_bound(hi, b, is_lower=False)
+def _inside(lowers: list[tuple], uppers: list[tuple]) -> Fraction | None:
+    """A point of the interval left by the bounds ``(N, B, strict)``, ``B > 0``:
+    ``v >= N / B`` for lowers, ``v <= N / B`` for uppers (``>``, ``<`` when
+    strict).  The midpoint when bounded on both sides, one past a lone bound,
+    else 0; None when empty.  The highest lower and the lowest upper bound are
+    picked by cross-multiplication, and bounds tied with them merge ``strict``."""
+    lo = hi = None
+    for n, b, strict in lowers:
+        if lo is None or n * lo[1] > lo[0] * b:
+            lo = n, b, strict
+        elif strict and n * lo[1] == lo[0] * b:
+            lo = lo[0], lo[1], True
+    for n, b, strict in uppers:
+        if hi is None or n * hi[1] < hi[0] * b:
+            hi = n, b, strict
+        elif strict and n * hi[1] == hi[0] * b:
+            hi = hi[0], hi[1], True
     if lo is not None and hi is not None:
-        if lo[0] > hi[0]:
-            return False, None
-        if lo[0] == hi[0]:
-            if lo[1] or hi[1]:
-                return False, None
-            return True, lo[0]
-        return True, (lo[0] + hi[0]) / 2
+        d = hi[0] * lo[1] - lo[0] * hi[1]
+        if d < 0 or (d == 0 and (lo[2] or hi[2])):
+            return None
+        return Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
     if lo is not None:
-        return True, lo[0] + 1
+        return Fraction(lo[0] + lo[1], lo[1])
     if hi is not None:
-        return True, hi[0] - 1
-    return True, Fraction(0)
+        return Fraction(hi[0] - hi[1], hi[1])
+    return Fraction(0)
+
+
+def _over_one_denominator(*values) -> tuple[list, int]:
+    """The numerators of rationals ``values`` over their least common denominator, and it."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _pair(lowers: list[tuple], uppers: list[tuple]):
@@ -109,13 +112,17 @@ def _eliminate_y(rows: list[tuple]):
 
 
 def _point_at(rows: list[tuple], x: Fraction, t) -> Vec:
-    """``(x, y)``, y picked by ``_solve_interval`` from the interval the rows
-    leave at ``(x, t)``: its midpoint when it is bounded on both sides."""
+    """``(x, y)``, y picked by ``_inside`` from the interval the rows leave at
+    ``(x, t)``: its midpoint when it is bounded on both sides.  With x and t
+    as ``X / D`` and ``T / D``, a row bounds y by ``(c D + w T - a X) / (b D)``."""
+    (xn, tn), den = _over_one_denominator(x, t)
     lowers, uppers = [], []
     for a, b, c, w, strict in rows:
-        if b:
-            (lowers if b > 0 else uppers).append(((c + w * t - a * x) / b, strict))
-    return Vec(x, _solve_interval(lowers, uppers)[1])
+        if b > 0:
+            lowers.append((c * den + w * tn - a * xn, b * den, strict))
+        elif b < 0:
+            uppers.append((a * xn - c * den - w * tn, -b * den, strict))
+    return Vec(x, _inside(lowers, uppers))
 
 
 def _feasible_exact(constraints: list[LinearConstraint]) -> tuple[bool, Vec | None]:
@@ -124,14 +131,20 @@ def _feasible_exact(constraints: list[LinearConstraint]) -> tuple[bool, Vec | No
     x_lowers, x_uppers = [], []
     for a, c, _, strict in _eliminate_y(rows):
         if a > 0:
-            x_lowers.append((Fraction(c, a), strict))
+            x_lowers.append((c, a, strict))
         elif a < 0:
-            x_uppers.append((Fraction(c, a), strict))
+            x_uppers.append((-c, -a, strict))
         elif c > 0 or (strict and c == 0):
             return False, None
-    ok, x = _solve_interval(x_lowers, x_uppers)
+    x = _inside(x_lowers, x_uppers)
     # The pairing makes the x interval exact, so the y interval at x is nonempty.
-    return (True, _point_at(rows, x, 0)) if ok else (False, None)
+    return (False, None) if x is None else (True, _point_at(rows, x, 0))
+
+
+def _round_half_even(n: int, d: int) -> int:
+    """``n / d`` rounded to an integer, ties to even, for ``d > 0``: ``round`` of that ``Fraction``."""
+    q, r = divmod(n, d)
+    return q + 1 if 2 * r > d or (2 * r == d and q & 1) else q
 
 
 def _snap_witness(w: Vec, constraints: list[LinearConstraint], floor: Fraction | None) -> Vec:
@@ -143,13 +156,16 @@ def _snap_witness(w: Vec, constraints: list[LinearConstraint], floor: Fraction |
     keep a smallest normalized margin of at least ``floor``.  Falls back to
     the exact witness when the point is pinned to a non-dyadic equality.
     """
+    xn, xd, yn, yd = w.x.numerator, w.x.denominator, w.y.numerator, w.y.denominator
     for k in range(_SNAP_BITS + 1):
-        den = 1 << k
-        snapped = Vec(Fraction(round(w.x * den), den), Fraction(round(w.y * den), den))
-        if all(lc.holds(snapped) for lc in constraints) and (
-            floor is None or _min_margin(constraints, snapped) >= floor
-        ):
-            return snapped
+        x, y, den = _round_half_even(xn << k, xd), _round_half_even(yn << k, yd), 1 << k
+        if not all((m := lc.nx * x + lc.ny * y - lc.c * den) > 0 or (m == 0 and not lc.strict) for lc in constraints):
+            continue
+        if floor is not None:
+            m, n = _least_margin(constraints, x, y, den)
+            if m * floor.denominator < floor.numerator * n * den:
+                continue
+        return Vec(Fraction(x, den), Fraction(y, den))
     return w
 
 
@@ -214,17 +230,23 @@ _QUALITY_GOOD = Fraction(1, 64)
 _IMPROVE_BOXES = (Fraction(8), Fraction(128), Fraction(2048))
 
 
-def _min_margin(constraints: list[LinearConstraint], p: Vec) -> Fraction:
-    """Smallest normalized margin ``(n.p - c) / norm1(n)``: p over one
-    denominator, the least ratio found by cross-multiplication."""
-    den = lcm(p.x.denominator, p.y.denominator)
-    x, y = p.x.numerator * (den // p.x.denominator), p.y.numerator * (den // p.y.denominator)
+def _least_margin(constraints: list[LinearConstraint], x: int, y: int, den: int) -> tuple[int, int]:
+    """Smallest normalized margin ``(n.p - c) / norm1(n)`` at ``p = (x, y) / den``,
+    ``den > 0``, as ``(m, n)``, the margin being ``m / (n den)``: the least
+    ratio found by cross-multiplication."""
     m0 = n0 = None
     for lc in constraints:
         m, n = lc.nx * x + lc.ny * y - lc.c * den, abs(lc.nx) + abs(lc.ny)
         if m0 is None or m * n0 < m0 * n:
             m0, n0 = m, n
-    return Fraction(m0, n0 * den)
+    return m0, n0
+
+
+def _min_margin(constraints: list[LinearConstraint], p: Vec) -> Fraction:
+    """Smallest normalized margin ``(n.p - c) / norm1(n)``, p over one denominator."""
+    (x, y), den = _over_one_denominator(p.x, p.y)
+    m, n = _least_margin(constraints, x, y, den)
+    return Fraction(m, n * den)
 
 
 def _witness_quality(constraints: list[LinearConstraint], p: Vec, anchor: Vec, scale: Fraction) -> Fraction:
@@ -233,10 +255,13 @@ def _witness_quality(constraints: list[LinearConstraint], p: Vec, anchor: Vec, s
     A witness far from the contact region needs a proportionally larger
     margin to describe the same angular clearance, so the discount makes the
     ratio comparable across near and far candidates.  ``scale`` is the size
-    of the contact region itself, which keeps the ratio dimensionless.
+    of the contact region itself, which keeps the ratio dimensionless.  With
+    p, the anchor and scale over one denominator D, it is ``m / (n D)`` over
+    ``(S + |X - AX| + |Y - AY|) / D``.
     """
-    dist = norm1(Vec(p.x - anchor.x, p.y - anchor.y))
-    return _min_margin(constraints, p) / (scale + dist)
+    (x, y, ax, ay, s), den = _over_one_denominator(p.x, p.y, anchor.x, anchor.y, scale)
+    m, n = _least_margin(constraints, x, y, den)
+    return Fraction(m, n * (s + abs(x - ax) + abs(y - ay)))
 
 
 def _x_lines(x_rows, lowers: list, uppers: list, caps: list) -> bool:
@@ -384,27 +409,29 @@ def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, s
     return _snap_witness(best, constraints, _min_margin(constraints, best) / 2)
 
 
+def _anchor(sectors: list[Sector]) -> tuple[Vec, Fraction]:
+    """The mean of the sectors' apexes and 1 plus their largest L1 distance
+    from it: the anchor and scale witness re-centring measures from."""
+    n = len(sectors)
+    if not n:
+        return Vec(Fraction(0), Fraction(0)), Fraction(1)
+    anchor = Vec(
+        sum((s.apex.x for s in sectors), Fraction(0)) / n,
+        sum((s.apex.y for s in sectors), Fraction(0)) / n,
+    )
+    return anchor, Fraction(1) + max(norm1(Vec(s.apex.x - anchor.x, s.apex.y - anchor.y)) for s in sectors)
+
+
 def sectors_intersection(sectors: list[Sector], tol: Fraction = Fraction(0)) -> FeasibilityResult:
     """Is the intersection of the sectors nonempty, and where?"""
     feasible = False
     witness = None
-    n = len(sectors)
-    if n:
-        anchor = Vec(
-            sum((s.apex.x for s in sectors), Fraction(0)) / n,
-            sum((s.apex.y for s in sectors), Fraction(0)) / n,
-        )
-        spread = Fraction(1) + max(
-            norm1(Vec(s.apex.x - anchor.x, s.apex.y - anchor.y)) for s in sectors
-        )
-    else:
-        anchor, spread = Vec(Fraction(0), Fraction(0)), Fraction(1)
     branch = first_branch([s.alternatives for s in sectors])
     if branch is not None:
         res = linear_feasible(branch)
         if res.feasible:
             feasible = True
-            witness = _improve_witness(branch, res.witness, anchor, spread)
+            witness = _improve_witness(branch, res.witness, *_anchor(sectors))
     # Relaxing only adds points and tightening only removes them: one twin can flip the answer.
     flagged = tol > 0 and _twin_any(sectors, -tol if feasible else tol) != feasible
     return FeasibilityResult(feasible, witness, flagged)

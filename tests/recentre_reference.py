@@ -5,7 +5,8 @@ rows built through ``halfplane_constraint``, every row paired again for each
 box, x bounds held as ``Fraction`` slopes and intercepts, and a Newton loop
 stepping on ``Fraction`` t.  It is kept as an oracle to race the integer
 version against, so it imports nothing of the re-centring code: elimination,
-the y read-out, margins and snapping are copied here as they stood.
+the exact solve, the y read-out, margins and snapping are copied here as they
+stood, every bound an exact ``Fraction``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,20 @@ def point_at(rows, x, t):
         if b:
             (lowers if b > 0 else uppers).append(((c + w * t - a * x) / b, strict))
     return Vec(x, solve_interval(lowers, uppers)[1])
+
+
+def feasible_exact(constraints):
+    rows = [(lc.nx, lc.ny, lc.c, 0, lc.strict) for lc in constraints]
+    x_lowers, x_uppers = [], []
+    for a, c, _, strict in eliminate_y(rows):
+        if a > 0:
+            x_lowers.append((Fraction(c, a), strict))
+        elif a < 0:
+            x_uppers.append((Fraction(c, a), strict))
+        elif c > 0 or (strict and c == 0):
+            return False, None
+    ok, x = solve_interval(x_lowers, x_uppers)
+    return (True, point_at(rows, x, 0)) if ok else (False, None)
 
 
 def min_margin(constraints, p):
