@@ -62,7 +62,7 @@ from .oracle import (
     validate_rotation_witness,
     validate_translation_witness,
 )
-from .sectors import CircArc, DirectionSet, Sector, direction_set, make_sector, sector_contains
+from .sectors import CircArc, Sector, direction_set, make_sector, sector_contains
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "Containment",
     "ConvexBody",
     "DegenerateError",
-    "DirectionSet",
     "EscapeReport",
     "ImmobilizeError",
     "INDETERMINATE",

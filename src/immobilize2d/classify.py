@@ -22,9 +22,11 @@ alone cannot decide.  The blocking certificate (first nonempty closed or
 direction test) is reported so callers can probe it dynamically.
 
 Each contact's rows are built once per call (``sectors.contact_rows``) and
-all four sector systems are read off them.  The closed tests run first: an
-open sector lies in its closed one, so at tolerance 0 an empty closed test
-makes its open test empty without solving it.
+all four sector systems are read off them; the direction test reads its arcs
+off the same closed left sectors as test 3 (``sectors.sector_directions``).
+The closed tests run first: an open sector lies in its closed one, so at
+tolerance 0 an empty closed test makes its open test empty without solving
+it.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from .body import (
     tangents_at,
 )
 from .errors import InvalidPointError, NotAlmostPositiveError, OutOfRangeError, RefinementExhaustedError
-from .feasibility import directions_intersection, sectors_intersection
+from .feasibility import FeasibilityResult, directions_intersection, sectors_intersection
 from .geom import Vec, rot90_ccw, to_scalar
-from .sectors import contact_rows, direction_set, sector_of
+from .sectors import contact_rows, sector_directions, sector_of
 
 QUESTION_FIX = "FIX"
 QUESTION_ALMOST = "ALMOST_FIX"
@@ -144,19 +146,21 @@ def _classify(body: ConvexBody, pts: list[BoundaryPoint], question: str, tol: Fr
         raise OutOfRangeError(f"tolerance {tol} is negative")
     pts = _dedupe_points(list(pts))
     kind_left, kind_right = _QUESTION_KINDS[question]
-    tds = [(bp.coords, tangents_at(body, bp)) for bp in pts]
-    contacts = [contact_rows(apex, td) for apex, td in tds]
+    contacts = [contact_rows(bp.coords, tangents_at(body, bp)) for bp in pts]
 
-    def run(name: str, kind: str, closed: bool) -> TestResult:
-        res = sectors_intersection([sector_of(c, kind, closed) for c in contacts], tol)
+    def result(name: str, res: FeasibilityResult) -> TestResult:
         return TestResult(name, "NONEMPTY" if res.feasible else "EMPTY", res.witness, res.near_degenerate)
 
+    def run(name: str, kind: str, closed: bool) -> TestResult:
+        return result(name, sectors_intersection([sector_of(c, kind, closed) for c in contacts], tol))
+
+    closed_left = [sector_of(c, kind_left, True) for c in contacts]
+    closed_l = result("closedL", sectors_intersection(closed_left, tol))
+    closed_r = run("closedR", kind_right, True)
     # With tol > 0 the open test still runs: its tolerance twin may flag.
-    closed_l, closed_r = run("closedL", kind_left, True), run("closedR", kind_right, True)
     open_l = run("openL", kind_left, False) if closed_l.nonempty or tol > 0 else TestResult("openL", "EMPTY", None)
     open_r = run("openR", kind_right, False) if closed_r.nonempty or tol > 0 else TestResult("openR", "EMPTY", None)
-    dres = directions_intersection([direction_set(kind_left, apex, td) for apex, td in tds], tol)
-    directions = TestResult("directions", "NONEMPTY" if dres.feasible else "EMPTY", dres.witness, dres.near_degenerate)
+    directions = result("directions", directions_intersection([sector_directions(s) for s in closed_left], tol))
     results = [open_l, open_r, closed_l, closed_r, directions]
 
     witness: Witness | None = None

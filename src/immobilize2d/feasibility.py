@@ -24,7 +24,10 @@ With a positive tolerance, sector and direction systems run one "twin" pass,
 relaxed by a tolerance-scaled slack if the system is empty and tightened if
 not; a verdict the twin flips is reported as near-degenerate rather than
 trusted; ``_twin_any`` takes a row's unit, ``(|nx| + |ny|) (1 + norm1(apex))``,
-from its sector's apex.  Plain ``linear_feasible`` systems have no twin.
+from its sector's apex.  A direction system is one closed arc per contact;
+its twin grows each arc (the system is empty) or shrinks it (nonempty), and
+an arc shrunk away leaves the twin empty.  Plain ``linear_feasible`` systems
+have no twin.
 """
 
 from __future__ import annotations
@@ -36,14 +39,7 @@ from math import lcm
 
 from .errors import ConstraintLimitError, SolverStepLimitError
 from .geom import LinearConstraint, Vec, _coprime_row, norm1
-from .sectors import (
-    CircArc,
-    DirectionSet,
-    Sector,
-    first_common_direction,
-    grow_arc,
-    shrink_arc,
-)
+from .sectors import CircArc, Sector, first_common_direction, grow_arc, shrink_arc
 
 MAX_CONSTRAINTS = 64
 _SNAP_BITS = 60
@@ -454,29 +450,15 @@ def _twin_any(sectors: list[Sector], slack: Fraction) -> bool:
 # -- direction systems -------------------------------------------------------
 
 
-def _perturb_set(ds: DirectionSet, t: Fraction, relax: bool) -> DirectionSet:
-    if ds.full:
-        return ds
-    arcs: list[CircArc] = []
-    for a in ds.arcs:
-        if relax:
-            arcs.append(grow_arc(a, t))
-        else:
-            shrunk = shrink_arc(a, t)
-            if shrunk is not None:
-                arcs.append(shrunk)
-    return DirectionSet(tuple(arcs))
-
-
 def _unit_l1(d: Vec) -> Vec:
     return d.scaled(Fraction(1, norm1(d)))
 
 
-def directions_intersection(sets: list[DirectionSet], tol: Fraction = Fraction(0)) -> FeasibilityResult:
-    """Common direction of all sets; the witness is an L1-normalized direction."""
-    start = first_common_direction(sets)
-    # Grown arcs contain the sets and shrunk ones lie in them: one twin can flip the answer.
+def directions_intersection(arcs: list[CircArc], tol: Fraction = Fraction(0)) -> FeasibilityResult:
+    """Common direction of all arcs; the witness is an L1-normalized direction."""
+    start = first_common_direction(arcs)
+    # Grown arcs contain the arcs and shrunk ones lie in them: one twin can flip the answer.
     flagged = tol > 0 and (
-        first_common_direction([_perturb_set(ds, tol, relax=start is None) for ds in sets]) is None
+        first_common_direction([grow_arc(a, tol) if start is None else shrink_arc(a, tol) for a in arcs]) is None
     ) != (start is None)
     return FeasibilityResult(start is not None, None if start is None else _unit_l1(start), flagged)

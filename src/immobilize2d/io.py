@@ -31,12 +31,21 @@ from .geom import Vec, to_scalar
 from .oracle import EscapeReport
 
 
+# CPython's default int-string digit limit, which the "a/b" form meets through int().
+_MAX_DIGITS = 4300
+
+
 def scalar_to_json(x: Fraction) -> str:
-    return str(x)
+    """Canonical fraction string; a term too long for ``str`` is OUT_OF_RANGE."""
+    try:
+        return str(x)
+    except ValueError:
+        raise OutOfRangeError(f"scalar too long to print: a term has more than {_MAX_DIGITS} digits") from None
 
 
 def scalar_from_json(v) -> Fraction:
-    """Exact scalar; a boolean, zero denominator, non-finite or malformed value is OUT_OF_RANGE."""
+    """Exact scalar; a boolean, zero denominator, non-finite or malformed value,
+    or a decimal exponent past ``_MAX_DIGITS`` in magnitude, is OUT_OF_RANGE."""
     if isinstance(v, bool):
         raise OutOfRangeError(f"scalar {v!r} is a boolean, not a number")
     try:
@@ -45,6 +54,10 @@ def scalar_from_json(v) -> Fraction:
             if "/" in v:
                 num, den = (int(part) for part in v.split("/", 1))
                 return Fraction(num, den)
+            _, e, exponent = v.lower().partition("e")
+            # Checked before Fraction builds 10 ** exponent, whose cost is exponential in the exponent's length.
+            if e and abs(int(exponent)) > _MAX_DIGITS:
+                raise OutOfRangeError(f"scalar {v!r} has a decimal exponent beyond {_MAX_DIGITS} in magnitude")
             return Fraction(v)  # decimal or integer string, parsed exactly
         return to_scalar(v)
     except ZeroDivisionError:
@@ -236,8 +249,9 @@ def dumps(doc) -> str:
 
 
 def loads(text: str):
-    """Parsed JSON; text that is not JSON is OUT_OF_RANGE."""
+    """Parsed JSON; text that is not JSON, or an integer literal past the
+    int-string digit limit, is OUT_OF_RANGE."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError is a ValueError
         raise OutOfRangeError(f"malformed JSON ({exc})") from None

@@ -22,35 +22,35 @@ closed right-side rows are built once, as ``ContactRows``; every sector of
 that contact is read off them by flipping signs (left kinds) and ``strict``
 (open sectors), and both flips keep a row coprime.
 
-Direction sets are the circle traces of the closed sectors: a single closed
-arc of directions d such that apex + d stays in the closed sector.  They
-stand in for rotation centers at infinity, i.e. translations.  Their arcs
-hold the primitive integer rays of ``rot90_ccw(u)``.
+A direction set is the circle trace of a closed sector: the one closed arc
+(``CircArc``) of directions d such that apex + d stays in the sector.  It
+stands in for rotation centers at infinity, i.e. translations.
+``sector_directions`` reads it off the sector's rows, each end a row's
+normal turned a quarter turn and reduced to a primitive integer ray.
 
-Whether closed direction sets share a direction is decided without building
-their intersection: each arc of an intersection of closed arcs starts where
-some input arc starts, so ``first_common_direction`` scans the input starts
-once and keeps the earliest, counterclockwise from the first one, that every
-set contains.
+Whether closed arcs share a direction is decided without building their
+intersection: each arc of an intersection of closed arcs starts where some
+input arc starts, so ``first_common_direction`` scans the input starts once
+and keeps the earliest, counterclockwise from the first one, that every arc
+contains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .body import TangentData, _snap_sign
 from .errors import NearDegenerateError
 from .geom import (
     LinearConstraint,
     Vec,
-    _coprime_row,
     cross,
     dot,
     halfplane_constraint,
     norm1,
     rational_rotation,
-    rot90_ccw,
     same_ray,
 )
 
@@ -134,7 +134,7 @@ def sector_contains(s: Sector, p: Vec, tol: Fraction = Fraction(0)) -> str:
 @dataclass(frozen=True)
 class CircArc:
     """Closed CCW arc of directions from ``start`` to ``end`` (non-normalized rays;
-    ``direction_set`` gives primitive integer ones, twins rotated ``Fraction`` ones).
+    ``sector_directions`` gives primitive integer ones, twins rotated ``Fraction`` ones).
 
     The pair of rays determines the arc: the sweep is the CCW angle from
     start to end in (0, 2*pi); equal rays denote a single direction.
@@ -145,15 +145,6 @@ class CircArc:
 
     def is_point(self) -> bool:
         return same_ray(self.start, self.end)
-
-
-@dataclass(frozen=True)
-class DirectionSet:
-    arcs: tuple[CircArc, ...]
-    full: bool = False
-
-
-FULL_CIRCLE = DirectionSet(arcs=(), full=True)
 
 
 def arc_contains(arc: CircArc, d: Vec) -> bool:
@@ -169,39 +160,28 @@ def arc_contains(arc: CircArc, d: Vec) -> bool:
     return cross(s, d) >= 0 or cross(d, e) >= 0  # sweep > pi
 
 
-def direction_set_contains(ds: DirectionSet, d: Vec) -> bool:
-    if ds.full:
-        return True
-    return any(arc_contains(a, d) for a in ds.arcs)
+direction_set_contains = arc_contains  # the name the benchmark's membership probe calls
 
 
-def _ray(v: Vec) -> Vec:
-    """The primitive integer ray along v: the normal of its coprime row."""
-    lc = _coprime_row(v.x, v.y, 0, False)
-    return Vec(lc.nx, lc.ny)
+def sector_directions(s: Sector) -> CircArc:
+    """Directions d with apex + d in the closed sector ``s``, as primitive integer rays.
 
-
-def direction_set(kind: str, apex: Vec, t: TangentData) -> DirectionSet:
-    """Directions d with apex + d inside the closed sector of the same kind.
-
-    Only the closed variants have circle traces worth testing: ``L`` gives a
-    closed arc of sweep pi + turn angle, ``small_l`` one of sweep
-    pi - turn angle; the right-side traces are their antipodes.
+    A row ``n . p >= c`` keeps the directions from ``rot90_cw(n)`` to
+    ``rot90_ccw(n)``.  A union (a large sector at a corner) runs from its first
+    row's start to its last row's end, an intersection (a small sector) from
+    its last row's start to its first row's end; a smooth large sector's one
+    row is both.  ``L`` gives a sweep of pi + turn angle, ``small_l`` one of
+    pi - turn angle; the right-side kinds give their antipodes.
     """
-    nl = _ray(rot90_ccw(t.u_left))
-    nr = _ray(rot90_ccw(t.u_right))
-    if kind == "L":
-        if same_ray(nl, nr):
-            return DirectionSet((CircArc(nl, -nl),))
-        return DirectionSet((CircArc(nl, -nr),))
-    if kind == "small_l":
-        if same_ray(nl, nr):
-            return DirectionSet((CircArc(nl, -nl),))
-        return DirectionSet((CircArc(nr, -nl),))
-    if kind in ("R", "small_r"):
-        inner = direction_set("L" if kind == "R" else "small_l", apex, t)
-        return DirectionSet(tuple(CircArc(-a.start, -a.end) for a in inner.arcs))
-    raise ValueError(f"unknown sector kind {kind!r}")
+    rows = [lc for alt in s.alternatives for lc in alt]
+    start, end = (rows[0], rows[-1]) if len(s.alternatives) > 1 else (rows[-1], rows[0])
+    g, h = gcd(start.nx, start.ny), gcd(end.nx, end.ny)  # a coprime row's normal need not be primitive
+    return CircArc(Vec(start.ny // g, -start.nx // g), Vec(-end.ny // h, end.nx // h))
+
+
+def direction_set(kind: str, apex: Vec, t: TangentData) -> CircArc:
+    """The directions of the closed sector of ``kind`` at a contact."""
+    return sector_directions(make_sector(kind, True, apex, t))
 
 
 # -- common directions -------------------------------------------------------
@@ -224,21 +204,23 @@ def _pos_lt(u: Vec, a: Vec, b: Vec) -> bool:
     return cross(a, b) > 0
 
 
-def first_common_direction(sets: list[DirectionSet]) -> Vec | None:
-    """The earliest direction in every set, CCW from the first arc's start.
+def first_common_direction(arcs: list[CircArc | None]) -> Vec | None:
+    """The earliest direction in every arc, CCW from the first arc's start.
 
     Each arc of an intersection of closed arcs starts where some input arc
     starts, so the earliest common direction is the earliest input start, in
-    CCW order from the first non-full set's first start, that every set
-    contains; a start is tested only when it comes before the best so far.
-    ``(1, 0)`` when every set is full; None when no direction is common.
+    CCW order from the first arc's start, that every arc contains; a start is
+    tested only when it comes before the best so far.  ``(1, 0)`` when there
+    are no arcs; None when no direction is common or an arc is None (shrunk
+    away by a tolerance twin).
     """
-    starts = [a.start for ds in sets if not ds.full for a in ds.arcs]
-    if not starts:
-        return Vec(Fraction(1), Fraction(0)) if all(ds.full for ds in sets) else None
-    u, best = starts[0], None
-    for d in starts:
-        if (best is None or _pos_lt(u, d, best)) and all(direction_set_contains(ds, d) for ds in sets):
+    if not arcs:
+        return Vec(Fraction(1), Fraction(0))
+    if any(a is None for a in arcs):
+        return None
+    u, best = arcs[0].start, None
+    for d in (a.start for a in arcs):
+        if (best is None or _pos_lt(u, d, best)) and all(arc_contains(b, d) for b in arcs):
             best = d
     return best
 

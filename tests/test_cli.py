@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -215,6 +216,37 @@ def test_coordinates_past_float_range_are_coded_errors(tmp_path, capsys):
         out = capsys.readouterr()
         assert "error[OUT_OF_RANGE]" in out.err and out.out == "", (argv, out)
     assert not svg.exists()
+
+
+def test_exponents_and_digits_past_the_limit_are_coded_errors(square_files, tmp_path, capsys):
+    # Fraction builds 10 ** exponent: "1e-1000000" used to take over 30 s, and
+    # terms past 4 300 digits used to end in an uncoded ValueError.
+    sq, corners, _ = square_files
+    big = "1e-1000000"
+    body = json.loads(sq.read_text())
+    body["elements"][0]["a"]["x"] = body["elements"][3]["b"]["x"] = big
+    coord = tmp_path / "coord.json"
+    coord.write_text(json.dumps(body))
+    body["elements"][0]["a"]["x"] = body["elements"][3]["b"]["x"] = -1
+    literal = tmp_path / "literal.json"
+    literal.write_text(json.dumps(body).replace('"y": "-1"', '"y": ' + "1" * 5001, 1))
+    param = tmp_path / "param.json"
+    param.write_text(json.dumps([{"element": 0, "param": big}]))
+    argvs = [
+        ["classify", "--mode", "fix", "--body", str(coord), "--points", str(corners)],
+        ["classify", "--mode", "fix", "--body", str(sq), "--points", str(param)],
+        ["classify", "--mode", "fix", "--body", str(sq), "--points", str(corners), f"--tol={big}"],
+        ["refine", "--body", str(sq), "--points", str(corners), f"--epsilon={big}"],
+        ["classify", "--mode", "fix", "--body", str(literal), "--points", str(corners)],
+        # Passes the exponent bound, but the verdict's tolerance has 4 301 digits.
+        ["classify", "--mode", "fix", "--body", str(sq), "--points", str(corners), "--tol=1e-4300"],
+    ]
+    for argv in argvs:
+        started = time.perf_counter()
+        assert cli.main(argv) == 1, argv
+        assert time.perf_counter() - started < 10, argv
+        out = capsys.readouterr()
+        assert "error[OUT_OF_RANGE]" in out.err and out.out == "", (argv, out)
 
 
 def test_fuzz_small_run_is_clean_and_deterministic(tmp_path):

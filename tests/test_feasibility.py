@@ -21,7 +21,6 @@ from immobilize2d.feasibility import (
     _improve_witness,
     _margin_system,
     _min_margin,
-    _perturb_set,
     directions_intersection,
     linear_feasible,
     sectors_intersection,
@@ -29,13 +28,13 @@ from immobilize2d.feasibility import (
 from immobilize2d.fixtures import regular_polygon
 from immobilize2d.geom import Vec, rational_rotation, vec
 from immobilize2d.sectors import (
-    FULL_CIRCLE,
     SECTOR_KINDS,
     CircArc,
-    DirectionSet,
     direction_set,
     first_common_direction,
+    grow_arc,
     make_sector,
+    shrink_arc,
 )
 
 
@@ -273,10 +272,6 @@ def rand_dir(rng):
 
 def rand_direction_set(rng, t):
     r = rng.random()
-    if r < 0.05:
-        return FULL_CIRCLE
-    if r < 0.08:
-        return DirectionSet(arcs=())
     if r < 0.4:
         return direction_set(rng.choice(SECTOR_KINDS), vec(0, 0), TangentData(rand_dir(rng), rand_dir(rng)))
     if r < 0.6:
@@ -285,8 +280,8 @@ def rand_direction_set(rng, t):
         c, s = rational_rotation(t * Fraction(rng.randint(95, 105), 100))
         b = Vec(c * a.x - s * a.y, s * a.x + c * a.y)
         b = Vec(c * b.x - s * b.y, s * b.x + c * b.y)
-        return DirectionSet(arcs=(CircArc(a, b) if rng.random() < 0.5 else CircArc(b, a),))
-    return DirectionSet(arcs=(CircArc(rand_dir(rng), rand_dir(rng)),))
+        return CircArc(a, b) if rng.random() < 0.5 else CircArc(b, a)
+    return CircArc(rand_dir(rng), rand_dir(rng))
 
 
 def test_sector_intersection_of_facing_cones():
@@ -345,8 +340,8 @@ def test_sector_witnesses_clear_strict_rims():
 
 
 def test_directions_intersection_quadrant():
-    west = DirectionSet(arcs=(CircArc(start=vec(0, 1), end=vec(0, -1)),))
-    north = DirectionSet(arcs=(CircArc(start=vec(1, 0), end=vec(-1, 0)),))
+    west = CircArc(start=vec(0, 1), end=vec(0, -1))
+    north = CircArc(start=vec(1, 0), end=vec(-1, 0))
     res = directions_intersection([west, north])
     assert res.feasible
     w = res.witness
@@ -355,19 +350,19 @@ def test_directions_intersection_quadrant():
 
 
 def test_directions_intersection_empty_and_full():
-    west = DirectionSet(arcs=(CircArc(start=vec(0, 1), end=vec(0, -1)),))
-    east = DirectionSet(arcs=(CircArc(start=vec(0, -1), end=vec(0, 1)),))
-    strict_west = DirectionSet(arcs=(CircArc(start=Vec(Fraction(-1, 100), Fraction(1)), end=Vec(Fraction(-1, 100), Fraction(-1))),))
+    east = CircArc(start=vec(0, -1), end=vec(0, 1))
+    strict_west = CircArc(start=Vec(Fraction(-1, 100), Fraction(1)), end=Vec(Fraction(-1, 100), Fraction(-1)))
     assert not directions_intersection([strict_west, east]).feasible
 
-    res = directions_intersection([FULL_CIRCLE, FULL_CIRCLE])
+    # An empty system constrains nothing: the whole circle, reported as (1, 0).
+    res = directions_intersection([])
     assert res.feasible and res.witness == vec(1, 0)
 
 
 def test_directions_intersection_flags_pole_touch():
     # Closed west and closed east half-turns meet only at the two poles.
-    west = DirectionSet(arcs=(CircArc(start=vec(0, 1), end=vec(0, -1)),))
-    east = DirectionSet(arcs=(CircArc(start=vec(0, -1), end=vec(0, 1)),))
+    west = CircArc(start=vec(0, 1), end=vec(0, -1))
+    east = CircArc(start=vec(0, -1), end=vec(0, 1))
     res = directions_intersection([west, east], tol=Fraction(1, 1000))
     assert res.feasible
     assert res.near_degenerate
@@ -386,8 +381,8 @@ def test_one_twin_flags_as_both_twins_did():
         both = branch_reference.twin_any(sectors, tol) != branch_reference.twin_any(sectors, -tol)
         assert sectors_intersection(sectors, tol).near_degenerate == both
         sets = [rand_direction_set(rng, tol) for _ in range(rng.randint(1, 4))]
-        grown = first_common_direction([_perturb_set(ds, tol, relax=True) for ds in sets])
-        shrunk = first_common_direction([_perturb_set(ds, tol, relax=False) for ds in sets])
+        grown = first_common_direction([grow_arc(a, tol) for a in sets])
+        shrunk = first_common_direction([shrink_arc(a, tol) for a in sets])
         assert directions_intersection(sets, tol).near_degenerate == ((grown is None) != (shrunk is None))
         flagged += both + ((grown is None) != (shrunk is None))
     assert flagged > 200, flagged

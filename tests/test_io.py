@@ -1,5 +1,6 @@
 """JSON round trips for bodies, contact points, witnesses, and reports."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from immobilize2d import io
 from immobilize2d.body import boundary_point
 from immobilize2d.classify import classify_fix
-from immobilize2d.errors import InvalidPointError
+from immobilize2d.errors import InvalidPointError, OutOfRangeError
 from immobilize2d.fixtures import rectangle_remark, unit_disc, unit_square
 from immobilize2d.geom import vec
 from immobilize2d.oracle import escape_search
@@ -20,6 +21,30 @@ def test_scalar_forms_all_parse_exactly():
     assert io.scalar_from_json(-2) == Fraction(-2)
     assert io.scalar_from_json("-7/2") == Fraction(-7, 2)
     assert io.scalar_to_json(Fraction(22, 7)) == "22/7"
+
+
+def test_decimal_exponents_past_the_digit_limit_are_refused_before_parsing():
+    # Fraction("1e-10000000") alone takes seconds to build: the bound is checked first.
+    started = time.perf_counter()
+    for v in ("1e-10000000", "1e-1_000_000", "1E4301", "-2.5e-4301", "3e+4_301", " 1e99999 "):
+        with pytest.raises(OutOfRangeError, match="exponent"):
+            io.scalar_from_json(v)
+    assert time.perf_counter() - started < 1
+    assert io.scalar_from_json("1e-4300") == Fraction(1, 10**4300)
+    assert io.scalar_from_json("-1_5e4_300") == -15 * 10**4300
+    assert io.scalar_from_json("2.5E-3") == Fraction(1, 400)
+    for v in ("1e", "1e5e5", "e5"):
+        with pytest.raises(OutOfRangeError, match="not a finite number"):
+            io.scalar_from_json(v)
+
+
+def test_terms_past_the_digit_limit_are_out_of_range():
+    with pytest.raises(OutOfRangeError, match="too long to print"):
+        io.scalar_to_json(Fraction(1, 10**4300))
+    assert io.scalar_to_json(Fraction(1, 10**4299)) == "1/1" + "0" * 4299
+    with pytest.raises(OutOfRangeError, match="malformed JSON"):
+        io.loads('{"x": ' + "7" * 5001 + "}")
+    assert io.loads('{"x": ' + "7" * 4300 + "}") == {"x": int("7" * 4300)}
 
 
 def test_vector_round_trip_and_rejection():

@@ -46,11 +46,10 @@ from immobilize2d.geom import LinearConstraint, Vec, _coprime_row, cross, dot, h
 from immobilize2d.sectors import (  # noqa: E402
     SECTOR_KINDS,
     CircArc,
-    DirectionSet,
     Sector,
+    arc_contains,
     contact_rows,
     direction_set,
-    direction_set_contains,
     make_sector,
     sector_of,
 )
@@ -126,14 +125,12 @@ def test_sectors_read_off_contact_rows_are_the_fraction_sectors(apex, t):
             assert sector_of(rows, kind, closed) == expected == make_sector(kind, closed, apex, t)
 
 
-def reference_direction_set(kind: str, t: TangentData) -> DirectionSet:
+def reference_direction_set(kind: str, t: TangentData) -> CircArc:
     """``direction_set`` with the ``Fraction`` rays ``rot90_ccw(u)``."""
     nl, nr = rot90_ccw(t.u_left), rot90_ccw(t.u_right)
     smooth = cross(nl, nr) == 0 and dot(nl, nr) > 0
     arc = CircArc(nl, -nl) if smooth else (CircArc(nl, -nr) if kind in ("L", "R") else CircArc(nr, -nl))
-    if kind in ("R", "small_r"):
-        arc = CircArc(-arc.start, -arc.end)
-    return DirectionSet((arc,))
+    return CircArc(-arc.start, -arc.end) if kind in ("R", "small_r") else arc
 
 
 def assert_same_ray(ray: Vec, ref: Vec):
@@ -146,12 +143,11 @@ def assert_same_ray(ray: Vec, ref: Vec):
 def test_integer_rays_point_along_the_fraction_rays(apex, t, probes):
     edges = [rot90_ccw(t.u_left), rot90_ccw(t.u_right)]
     for kind in SECTOR_KINDS:
-        ds, ref = direction_set(kind, apex, t), reference_direction_set(kind, t)
-        assert len(ds.arcs) == len(ref.arcs) == 1
-        assert_same_ray(ds.arcs[0].start, ref.arcs[0].start)
-        assert_same_ray(ds.arcs[0].end, ref.arcs[0].end)
+        arc, ref = direction_set(kind, apex, t), reference_direction_set(kind, t)
+        assert_same_ray(arc.start, ref.start)
+        assert_same_ray(arc.end, ref.end)
         for d in probes + edges + [-e for e in edges]:
-            assert direction_set_contains(ds, d) == direction_set_contains(ref, d)
+            assert arc_contains(arc, d) == arc_contains(ref, d)
 
 
 @SETTINGS

@@ -13,11 +13,8 @@ from immobilize2d.geom import Vec, rational_rotation, vec
 from immobilize2d.sectors import (
     SECTOR_KINDS,
     CircArc,
-    DirectionSet,
-    FULL_CIRCLE,
     arc_contains,
     direction_set,
-    direction_set_contains,
     first_common_direction,
     grow_arc,
     make_sector,
@@ -227,7 +224,7 @@ def test_direction_sets_match_sector_membership():
                 if d.is_zero():
                     continue
                 inside = sector_contains(closed, apex + d) != "OUT"
-                assert direction_set_contains(ds, d) == inside
+                assert arc_contains(ds, d) == inside
 
 
 def test_direction_set_of_smooth_contact_is_half_turn():
@@ -236,14 +233,12 @@ def test_direction_set_of_smooth_contact_is_half_turn():
     sq = unit_square()
     bp = boundary_point(sq, 0, Fraction(1, 2))
     t = tangents_at(sq, bp)
-    ds = direction_set("L", bp.coords, t)
-    assert len(ds.arcs) == 1
-    arc = ds.arcs[0]
+    arc = direction_set("L", bp.coords, t)
     assert arc_contains(arc, vec(0, 1))
     assert arc_contains(arc, vec(0, -1))
     assert arc_contains(arc, vec(-1, 0))
     assert not arc_contains(arc, vec(1, 0))
-    right = direction_set("R", bp.coords, t).arcs[0]
+    right = direction_set("R", bp.coords, t)
     assert arc_contains(right, vec(1, 0))
     assert not arc_contains(right, vec(-1, 0))
 
@@ -263,21 +258,17 @@ NET = [vec(x, y) for x in range(-12, 13) for y in range(-12, 13) if math.gcd(x, 
 
 def rand_direction_set(rng):
     r = rng.random()
-    if r < 0.05:
-        return FULL_CIRCLE
-    if r < 0.08:
-        return DirectionSet(arcs=())
     if r < 0.5:
         t = TangentData(u_left=rand_dir(rng), u_right=rand_dir(rng))
         return direction_set(rng.choice(SECTOR_KINDS), vec(0, 0), t)
     if r < 0.6:
         a = rand_dir(rng)
-        return DirectionSet(arcs=(CircArc(start=a, end=a.scaled(Fraction(rng.randint(1, 4), 3))),))
+        return CircArc(start=a, end=a.scaled(Fraction(rng.randint(1, 4), 3)))
     if r < 0.8:
         # endpoints from the net, so common directions often start on a net ray
         a, b = rng.choice(NET), rng.choice(NET)
-        return DirectionSet(arcs=(CircArc(start=a, end=b),))
-    return DirectionSet(arcs=(CircArc(start=rand_dir(rng), end=rand_dir(rng)),))
+        return CircArc(start=a, end=b)
+    return CircArc(start=rand_dir(rng), end=rand_dir(rng))
 
 
 def test_first_common_direction_against_a_sampled_net():
@@ -286,41 +277,39 @@ def test_first_common_direction_against_a_sampled_net():
     for _ in range(400):
         sets = [rand_direction_set(rng) for _ in range(rng.randint(1, 4))]
         got = first_common_direction(sets)
-        common = [d for d in NET if all(direction_set_contains(ds, d) for ds in sets)]
+        common = [d for d in NET if all(arc_contains(a, d) for a in sets)]
         outcomes.add((got is None, bool(common)))
         if got is None:
             assert not common, (sets, common[:3])
             continue
-        assert all(direction_set_contains(ds, got) for ds in sets), (sets, got)
-        starts = [a.start for ds in sets if not ds.full for a in ds.arcs]
-        if starts:
-            u = starts[0]
-            assert all(_ccw_from(u, d) >= _ccw_from(u, got) for d in common), (sets, got)
+        assert all(arc_contains(a, got) for a in sets), (sets, got)
+        u = sets[0].start
+        assert all(_ccw_from(u, d) >= _ccw_from(u, got) for d in common), (sets, got)
     assert outcomes >= {(True, False), (False, True), (False, False)}
 
 
 def test_first_common_direction_edge_cases():
-    a = DirectionSet(arcs=(CircArc(start=vec(1, 0), end=vec(0, 1)),))
-    empty = DirectionSet(arcs=())
+    # None stands for an arc a tolerance twin shrank away.
+    a = CircArc(start=vec(1, 0), end=vec(0, 1))
     assert first_common_direction([]) == vec(1, 0)
-    assert first_common_direction([FULL_CIRCLE, FULL_CIRCLE]) == vec(1, 0)
-    assert first_common_direction([FULL_CIRCLE, a]) == a.arcs[0].start
-    assert first_common_direction([empty]) is None
-    assert first_common_direction([a, FULL_CIRCLE, empty]) is None
-    assert first_common_direction([FULL_CIRCLE, empty, a]) is None
+    assert first_common_direction([a]) == a.start
+    assert first_common_direction([a, a]) == a.start
+    assert first_common_direction([None]) is None
+    assert first_common_direction([a, None]) is None
+    assert first_common_direction([None, a]) is None
 
 
 def test_two_wide_arcs_intersect_in_two_pieces():
     # Each arc sweeps 270 degrees; the overlap is a piece from SE to NE around
     # east plus a piece from NW to SW around west.
-    a = DirectionSet(arcs=(CircArc(start=vec(1, -1), end=vec(-1, -1)),))
-    b = DirectionSet(arcs=(CircArc(start=vec(-1, 1), end=vec(1, 1)),))
+    a = CircArc(start=vec(1, -1), end=vec(-1, -1))
+    b = CircArc(start=vec(-1, 1), end=vec(1, 1))
     assert first_common_direction([a, b]) == vec(1, -1)
     assert first_common_direction([b, a]) == vec(-1, 1)
     # A third arc, anchored at north or south, that leaves out its own start:
     # the common piece met first counterclockwise from that start wins.
-    north_to_se = DirectionSet(arcs=(CircArc(start=vec(0, 1), end=vec(1, -1)),))
-    south_to_nw = DirectionSet(arcs=(CircArc(start=vec(0, -1), end=vec(-1, 1)),))
+    north_to_se = CircArc(start=vec(0, 1), end=vec(1, -1))
+    south_to_nw = CircArc(start=vec(0, -1), end=vec(-1, 1))
     assert first_common_direction([north_to_se, a, b]) == vec(-1, 1)
     assert first_common_direction([south_to_nw, a, b]) == vec(1, -1)
 
