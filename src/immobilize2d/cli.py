@@ -45,6 +45,11 @@ _STATUS_EXIT = {
     cls.NOT_ALMOST_FIX: EXIT_NEGATIVE,
     cls.INDETERMINATE: EXIT_INDETERMINATE,
 }
+# Library errors with an exit code of their own; every other one exits EXIT_ERROR.
+_ERROR_EXIT = {
+    NotAlmostPositiveError: EXIT_NOT_ALMOST_POSITIVE,
+    RefinementExhaustedError: EXIT_REFINEMENT_EXHAUSTED,
+}
 
 
 def _load_body(path: str) -> ConvexBody:
@@ -96,14 +101,7 @@ def cmd_refine(args) -> int:
     body = _load_body(args.body)
     pts = _load_points(args.points, body)
     eps = io.scalar_from_json(args.epsilon)
-    try:
-        placement, verdict = cls.refine_almost_to_fix(body, pts, eps)
-    except NotAlmostPositiveError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_NOT_ALMOST_POSITIVE
-    except RefinementExhaustedError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_REFINEMENT_EXHAUSTED
+    placement, verdict = cls.refine_almost_to_fix(body, pts, eps)
     doc = {
         "placement": io.placement_to_json(placement),
         "points": io.points_to_json(placement.points()),
@@ -339,7 +337,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except ImmobilizeError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _ERROR_EXIT.get(type(exc), EXIT_ERROR)
     except OverflowError as exc:  # a float step (trig, lengths, drawing) met a coordinate past float range
         print(f"error[{OutOfRangeError.code}]: coordinates too large for floating point ({exc})", file=sys.stderr)
         return EXIT_ERROR

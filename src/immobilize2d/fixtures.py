@@ -27,9 +27,11 @@ from .body import (
 )
 from .errors import BodyValidationError, DegenerateError, OutOfRangeError
 from .geom import Vec, cross, to_scalar, vec
+from .sectors import _pos_lt
 
 _ORIGIN = Vec(Fraction(0), Fraction(0))
 _E = Vec(Fraction(1), Fraction(0))
+_EAST = Vec(1, 0)  # int twin of _E, anchoring the CCW sort of int edges
 _N = Vec(Fraction(0), Fraction(1))
 _W = Vec(Fraction(-1), Fraction(0))
 _S = Vec(Fraction(0), Fraction(-1))
@@ -220,19 +222,6 @@ def regular_polygon(k: int, circumradius) -> ConvexBody:
     return body
 
 
-def _direction_order(a: Vec, b: Vec) -> int:
-    def half(v: Vec) -> int:
-        return 0 if v.y > 0 or (v.y == 0 and v.x > 0) else 1
-
-    ha, hb = half(a), half(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    c = cross(a, b)
-    if c == 0:
-        return 0
-    return -1 if c > 0 else 1
-
-
 def random_convex_polygon(seed: int, k: int) -> ConvexBody:
     """Deterministic random convex polygon with integer vertex coordinates.
 
@@ -244,12 +233,12 @@ def random_convex_polygon(seed: int, k: int) -> ConvexBody:
         raise OutOfRangeError("vertex count must be between 3 and 64")
     rng = random.Random(seed)
     for _ in range(8):
-        raw = [Vec(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))) for _ in range(k)]
+        raw = [Vec(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(k)]
         total = functools.reduce(lambda u, w: u + w, raw)
-        edges = [w.scaled(k) - total for w in raw]
+        edges = [Vec(k * w.x - total.x, k * w.y - total.y) for w in raw]
         if any(e.is_zero() for e in edges):
             continue
-        edges.sort(key=functools.cmp_to_key(_direction_order))
+        edges.sort(key=functools.cmp_to_key(lambda a, b: _pos_lt(_EAST, b, a) - _pos_lt(_EAST, a, b)))
         if all(cross(edges[i], edges[(i + 1) % k]) == 0 for i in range(k)):
             continue  # all edges parallel: zero area
         verts = []

@@ -25,7 +25,7 @@ from .body import (
     boundary_point,
     locate,
 )
-from .classify import PlacementDescriptor, Verdict, Witness
+from .classify import QUESTION_ALMOST, QUESTION_FIX, PlacementDescriptor, Verdict, Witness
 from .errors import InvalidPointError, OutOfRangeError
 from .geom import Vec, to_scalar
 from .oracle import EscapeReport
@@ -175,19 +175,23 @@ def witness_from_json(d) -> Witness | None:
         raise OutOfRangeError(f"malformed witness ({type(exc).__name__}: {exc})") from None
 
 
-def verdict_marks_from_json(doc) -> tuple[Witness | None, dict]:
-    """The witness and the test name -> status map of a verdict document.
+def verdict_marks_from_json(doc) -> tuple[str | None, Witness | None, dict]:
+    """The question, the witness and the test name -> status map of a verdict
+    document; the question is None when the document has none.
 
-    A document that is not an object, or a malformed witness or ``tests``
-    entry, is OUT_OF_RANGE.
+    A document that is not an object, a question other than FIX or
+    ALMOST_FIX, or a malformed witness or ``tests`` entry is OUT_OF_RANGE.
     """
     if not isinstance(doc, dict):
         raise OutOfRangeError(f"verdict document must be an object, got {type(doc).__name__}")
+    question = doc.get("question")
+    if "question" in doc and question not in (QUESTION_FIX, QUESTION_ALMOST):
+        raise OutOfRangeError(f"verdict question must be {QUESTION_FIX!r} or {QUESTION_ALMOST!r}, got {question!r:.40}")
     try:
         statuses = {name: entry.get("status") for name, entry in doc.get("tests", {}).items()}
     except AttributeError:
         raise OutOfRangeError("verdict 'tests' must map each test name to an object") from None
-    return witness_from_json(doc.get("witness")), statuses
+    return question, witness_from_json(doc.get("witness")), statuses
 
 
 def verdict_to_json(verdict: Verdict, tol: Fraction | None = None, durations: dict | None = None) -> dict:

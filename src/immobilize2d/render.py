@@ -1,4 +1,11 @@
-"""Deterministic SVG diagrams: body, contacts, normal rays, witness markers.
+"""Deterministic SVG diagrams: body, contacts, normal lines, witness markers.
+
+Normal lines and the shaded region are read off the classifier's sector
+rows (``sectors.contact_rows``).  The region is the branch of the verdict
+question's closed sectors that holds the rotation-centre witness: at each
+contact the first alternative of the tested kind whose rows all hold there,
+clipped to the window.  A verdict document without a ``question`` gets no
+region.
 
 Rendering is presentation only, so geometry is converted to floats; every
 coordinate is formatted with a fixed precision and elements are emitted in
@@ -9,9 +16,9 @@ from __future__ import annotations
 
 from . import io
 from .body import BoundaryPoint, ConvexBody, Segment, tangents_at
-from .classify import Witness
+from .classify import _QUESTION_KINDS, TEST_NAMES, Witness
 from .errors import in_float_range
-from .geom import rot90_ccw, same_ray
+from .sectors import ContactRows, contact_rows, sector_of
 
 _VIEW_W = 640.0
 _MARGIN = 24.0
@@ -98,58 +105,36 @@ def _clip_line(base, direction, window) -> tuple | None:
     return (bx + tmin * dx, by + tmin * dy), (bx + tmax * dx, by + tmax * dy)
 
 
-def _clip_polygon(poly, base, direction, keep_left: bool):
-    """Sutherland-Hodgman clip against one side of an oriented line."""
-
-    def inside(p):
-        c = direction[0] * (p[1] - base[1]) - direction[1] * (p[0] - base[0])
-        return c >= 0 if keep_left else c <= 0
-
-    def meet(p, q):
-        cp = direction[0] * (p[1] - base[1]) - direction[1] * (p[0] - base[0])
-        cq = direction[0] * (q[1] - base[1]) - direction[1] * (q[0] - base[0])
-        t = cp / (cp - cq)
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
+def _clip_polygon(poly, row):
+    """Sutherland-Hodgman clip to the half-plane ``nx x + ny y >= c``, in floats."""
+    nx, ny, c = float(row.nx), float(row.ny), float(row.c)
     out = []
     for i, p in enumerate(poly):
         q = poly[(i + 1) % len(poly)]
-        pin, qin = inside(p), inside(q)
-        if pin:
+        mp, mq = nx * p[0] + ny * p[1] - c, nx * q[0] + ny * q[1] - c
+        if mp >= 0:
             out.append(p)
-            if not qin:
-                out.append(meet(p, q))
-        elif qin:
-            out.append(meet(p, q))
+        if (mp >= 0) != (mq >= 0):
+            t = mp / (mp - mq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
 
 
-def _witness_region(body, pts, witness: Witness | None, statuses: dict, fr: _Frame):
-    """Polygon of the sector-system branch containing the verdict witness."""
-    if witness is None or witness.kind != "rotation_center":
+def _witness_region(contacts: list[ContactRows], question, witness: Witness | None, statuses: dict, fr: _Frame):
+    """Polygon of the branch of the question's closed sector system holding the witness."""
+    if question is None or witness is None or witness.kind != "rotation_center":
         return None
-    name = next((n for n in ("openL", "openR", "closedL", "closedR") if statuses.get(n) == "NONEMPTY"), None)
+    name = next((n for n in TEST_NAMES if n.endswith(("L", "R")) and statuses.get(n) == "NONEMPTY"), None)
     if name is None:
         return None
-    keep_left = name.endswith("L")
-    wx, wy = float(witness.point.x), float(witness.point.y)
+    kind = _QUESTION_KINDS[question][name.endswith("R")]
     poly = [(fr.x0, fr.y0), (fr.x1, fr.y0), (fr.x1, fr.y1), (fr.x0, fr.y1)]
-    for bp in pts:
-        td = tangents_at(body, bp)
-        apex = (float(bp.coords.x), float(bp.coords.y))
-        chosen = None
-        for u in (td.u_left, td.u_right):
-            n = rot90_ccw(u)
-            d = (float(n.x), float(n.y))
-            c = d[0] * (wy - apex[1]) - d[1] * (wx - apex[0])
-            if (c >= 0) == keep_left:
-                chosen = d
-                break
-        if chosen is None:
-            chosen = (float(rot90_ccw(td.u_left).x), float(rot90_ccw(td.u_left).y))
-        poly = _clip_polygon(poly, apex, chosen, keep_left)
-        if not poly:
-            return None
+    for rows in contacts:
+        alternatives = sector_of(rows, kind, True).alternatives
+        # in first_branch's order: the first alternative whose rows hold at the witness
+        branch = next((alt for alt in alternatives if all(lc.holds(witness.point) for lc in alt)), alternatives[0])
+        for lc in branch:
+            poly = _clip_polygon(poly, lc)
     return poly
 
 
@@ -160,7 +145,8 @@ def render_svg(
     verdict_doc: dict | None = None,
     window: tuple[float, float, float, float] | None = None,
 ) -> str:
-    witness, statuses = io.verdict_marks_from_json(verdict_doc) if verdict_doc is not None else (None, {})
+    question, witness, statuses = (None, None, {}) if verdict_doc is None else io.verdict_marks_from_json(verdict_doc)
+    contacts = [contact_rows(bp.coords, tangents_at(body, bp)) for bp in pts]
     window = window or _default_window(body)
     fr = _Frame(window)
     lines = [
@@ -170,7 +156,7 @@ def render_svg(
         f'  <rect x="0" y="0" width="{_f(_VIEW_W)}" height="{_f(fr.height)}" fill="#ffffff"/>',
     ]
 
-    region = _witness_region(body, pts, witness, statuses, fr)
+    region = _witness_region(contacts, question, witness, statuses, fr)
     if region:
         d = " ".join(
             ("M" if i == 0 else "L") + f" {_f(fr.sx(x))} {_f(fr.sy(y))}" for i, (x, y) in enumerate(region)
@@ -179,13 +165,10 @@ def render_svg(
 
     lines.append(f'  <path class="body" d="{_body_path(body, fr)}"/>')
 
-    for bp in pts:
-        td = tangents_at(body, bp)
-        apex = (float(bp.coords.x), float(bp.coords.y))
-        sides = (td.u_left,) if same_ray(td.u_left, td.u_right) else (td.u_left, td.u_right)
-        for u in sides:
-            n = rot90_ccw(u)
-            seg = _clip_line(apex, (float(n.x), float(n.y)), window)
+    for rows in contacts:
+        apex = (float(rows.apex.x), float(rows.apex.y))
+        for lc in (rows.left,) if rows.smooth else (rows.left, rows.right):
+            seg = _clip_line(apex, (-float(lc.ny), float(lc.nx)), window)
             if seg:
                 (ax, ay), (bx, by) = seg
                 lines.append(

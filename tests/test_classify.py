@@ -255,6 +255,19 @@ def test_refine_scans_all_straddling_first_then_lexicographic(monkeypatch):
     assert tags == tuple(e.tag for e in placement.entries)
 
 
+def test_refine_needs_a_one_sided_placement_on_this_triangle():
+    """A real input on which all-straddling fails at the radius where a
+    one-sided placement fixes, so the placement scan is not dead code."""
+    tri = polygon([(0, 0), (-10, 11), (-17, 1)])
+    pts = [boundary_point(tri, 0, Fraction(5, 16)), boundary_point(tri, 2, 0), boundary_point(tri, 1, 0)]
+    placement, verdict = refine_almost_to_fix(tri, pts, 8)
+    assert verdict.status == POSITIVE
+    assert placement.delta == 4
+    assert [e.tag for e in placement.entries] == ["both_sides", "same_side_right", "both_sides"]
+    straddling = classify._placement(tri, pts, ["both_sides"] * 3, Fraction(4))
+    assert classify_fix(tri, straddling.points()).status == NOT_WEAKLY_FIX
+
+
 def test_refine_rejects_non_almost_positive_input():
     fx = rectangle_remark()
     with pytest.raises(NotAlmostPositiveError):

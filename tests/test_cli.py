@@ -8,6 +8,7 @@ import time
 import pytest
 
 from immobilize2d import cli
+from immobilize2d.errors import RefinementExhaustedError
 
 
 def run_cli(*args):
@@ -100,6 +101,19 @@ def test_refine_exit_codes(square_files, remark_files):
 
     r = run_cli("refine", "--body", str(remark_body), "--points", str(remark_points), "--epsilon", "1/5")
     assert r.returncode == 11
+
+
+def test_refine_exhausted_exits_12_through_main(square_files, monkeypatch, capsys):
+    sq, corners, _ = square_files
+
+    def exhausted(body, pts, eps):
+        raise RefinementExhaustedError("no fixing placement found down to radius 1/5/2**20")
+
+    monkeypatch.setattr(cli.cls, "refine_almost_to_fix", exhausted)
+    assert cli.main(["refine", "--body", str(sq), "--points", str(corners), "--epsilon", "1/5"]) == 12
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[REFINEMENT_EXHAUSTED]: no fixing placement found down to radius 1/5/2**20\n"
 
 
 def test_escape_reports_the_sliding_family(remark_files):
@@ -370,6 +384,8 @@ BAD_VERDICTS = (
     '{"witness": {"kind": "spiral"}}',
     '{"witness": {"kind": "rotation_center", "point": 5, "sense": "CW"}}',
     "[]",
+    '{"question": [], "tests": {"openL": {"status": "NONEMPTY"}}, "witness": ' + _CENTER + "}",
+    '{"question": "BOTH", "tests": {"openL": {"status": "NONEMPTY"}}, "witness": ' + _CENTER + "}",
 )
 BROKEN_JSON = '{"mode": "exact_polygon", '
 
