@@ -18,9 +18,10 @@ Conventions
 * Containment reads each segment off its integer row ``Segment.row``: the
   segment's left half-plane as the coprime ints ``geom.halfplane_constraint``
   gives, read as ``(A, B, C, S)`` with ``A x + B y + C = k cross(b - a, p -
-  a)`` for some ``k > 0`` and ``S = |A| + |B|``, built on first use.  A
-  query point goes over one denominator, so each segment sign is a few
-  integer products; arcs keep their ``Fraction`` margin.
+  a)`` for some ``k > 0`` and ``S = |A| + |B|``, built on first use.
+  ``contains_over`` takes a query point over one denominator, ``(x, y, w)``
+  in ints, so each segment sign is a few integer products; arcs keep their
+  ``Fraction`` margin.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ from .errors import (
     NotOnBoundaryError,
     in_float_range,
 )
-from .geom import Vec, cross, dot, halfplane_constraint, norm1, rot90_ccw, to_scalar
+from .geom import Vec, cross, dot, halfplane_constraint, norm1, over_one_denominator, rot90_ccw, to_scalar
 
 EXACT_POLYGON = "exact_polygon"
 MIXED_INEXACT = "mixed_inexact"
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
+EXACT_TOLERANCE = Fraction(0)
 
 PARAM_SNAP_DEN = 2**40  # denominator cap when a param is recovered from floats
 
@@ -109,7 +111,7 @@ class ConvexBody:
     mode: str = EXACT_POLYGON
 
     def tolerance(self) -> Fraction:
-        return Fraction(0) if self.mode == EXACT_POLYGON else DEFAULT_TOLERANCE
+        return EXACT_TOLERANCE if self.mode == EXACT_POLYGON else DEFAULT_TOLERANCE
 
     def vertex(self, i: int) -> Vec:
         return self.elements[i % len(self.elements)].start()
@@ -343,44 +345,53 @@ def _arc_margin(el: Arc, p: Vec) -> tuple[Fraction, Fraction]:
     return chord_m, chord_scale
 
 
-def contains_interior(body: ConvexBody, p: Vec) -> Containment:
-    """INTERIOR / BOUNDARY / EXTERIOR classification of an arbitrary point.
+def contains_over(body: ConvexBody, x: int, y: int, w: int) -> Containment:
+    """INTERIOR / BOUNDARY / EXTERIOR classification of the point (x / w, y / w), w > 0.
 
     Margins are compared against the body's own tolerance.  In mixed mode
     (tolerance > 0) a nonzero margin within it of zero raises
     NearDegenerateError carrying the snapped best guess; exact bodies
     decide every sign exactly.
 
-    Segments are decided in integers.  With p = (X / W, Y / W) over the one
-    denominator ``W``, a segment's margin ``cross(b - a, p - a)`` is
-    ``(A X + B Y + C W) / (k W)`` for its row ``(A, B, C, S)``, and
-    ``|margin| <= tol * norm1(b - a)`` reads ``|M| * tol.den <= tol.num * S * W``
-    with ``M = A X + B Y + C W``, so one comparison serves both modes.
+    Segments are decided in integers.  A segment's margin ``cross(b - a, p -
+    a)`` is ``(A x + B y + C w) / (k w)`` for its row ``(A, B, C, S)``, and
+    ``|margin| <= tol * norm1(b - a)`` reads ``|M| * tol.den <= tol.num * S * w``
+    with ``M = A x + B y + C w``, so one comparison serves both modes.  An
+    arc reads its ``Fraction`` margin at p, built on the first arc met.
     """
     tol = body.tolerance()
     tol_num, tol_den = tol.numerator, tol.denominator
-    xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
-    px, py, w = xn * yd, yn * xd, xd * yd
-    worst = 1
-    degenerate = False
+    p = None
+    on_boundary = degenerate = False
     for el in body.elements:
         if isinstance(el, Segment):
             a, b, c, s = el.row
-            sign, flagged = _snap_sign((a * px + b * py + c * w) * tol_den, tol_num * s * w)
+            m, bound = (a * x + b * y + c * w) * tol_den, tol_num * s * w
         else:
+            if p is None:
+                p = Vec(Fraction(x, w), Fraction(y, w))
             m, scale = _arc_margin(el, p)
-            sign, flagged = _snap_sign(m, tol * scale)
-        if flagged:
-            degenerate = True
+            bound = tol * scale
+        # |m| <= bound snaps to zero, and a nonzero margin that snaps is flagged
+        if m > bound:
             continue
-        if sign < 0:
+        if m < -bound:
             # certainly outside this element's region, hence outside the body
             return Containment.EXTERIOR
-        worst = min(worst, sign)
-    status = Containment.INTERIOR if worst > 0 else Containment.BOUNDARY
+        if m:
+            degenerate = True
+        else:
+            on_boundary = True
+    status = Containment.BOUNDARY if on_boundary else Containment.INTERIOR
     if degenerate:
         raise NearDegenerateError("containment margin below tolerance", guess=status)
     return status
+
+
+def contains_interior(body: ConvexBody, p: Vec) -> Containment:
+    """``contains_over`` at p, put over one denominator."""
+    (x, y), w = over_one_denominator(p.x, p.y)
+    return contains_over(body, x, y, w)
 
 
 # -- locate ------------------------------------------------------------------

@@ -35,10 +35,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import ConstraintLimitError, SolverStepLimitError
-from .geom import LinearConstraint, Vec, _coprime_row, norm1
+from .geom import LinearConstraint, Vec, _coprime_row, norm1, over_one_denominator
 from .sectors import CircArc, Sector, first_common_direction, grow_arc, shrink_arc
 
 MAX_CONSTRAINTS = 64
@@ -81,12 +80,6 @@ def _inside(lowers: list[tuple], uppers: list[tuple]) -> Fraction | None:
     return Fraction(0)
 
 
-def _over_one_denominator(*values) -> tuple[list, int]:
-    """The numerators of rationals ``values`` over their least common denominator, and it."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _pair(lowers: list[tuple], uppers: list[tuple]):
     """The x rows ``(a, c, w, strict)`` of each y-lower row paired with each
     y-upper row, lowers outermost, lazily."""
@@ -111,7 +104,7 @@ def _point_at(rows: list[tuple], x: Fraction, t) -> Vec:
     """``(x, y)``, y picked by ``_inside`` from the interval the rows leave at
     ``(x, t)``: its midpoint when it is bounded on both sides.  With x and t
     as ``X / D`` and ``T / D``, a row bounds y by ``(c D + w T - a X) / (b D)``."""
-    (xn, tn), den = _over_one_denominator(x, t)
+    (xn, tn), den = over_one_denominator(x, t)
     lowers, uppers = [], []
     for a, b, c, w, strict in rows:
         if b > 0:
@@ -240,7 +233,7 @@ def _least_margin(constraints: list[LinearConstraint], x: int, y: int, den: int)
 
 def _min_margin(constraints: list[LinearConstraint], p: Vec) -> Fraction:
     """Smallest normalized margin ``(n.p - c) / norm1(n)``, p over one denominator."""
-    (x, y), den = _over_one_denominator(p.x, p.y)
+    (x, y), den = over_one_denominator(p.x, p.y)
     m, n = _least_margin(constraints, x, y, den)
     return Fraction(m, n * den)
 
@@ -255,7 +248,7 @@ def _witness_quality(constraints: list[LinearConstraint], p: Vec, anchor: Vec, s
     p, the anchor and scale over one denominator D, it is ``m / (n D)`` over
     ``(S + |X - AX| + |Y - AY|) / D``.
     """
-    (x, y, ax, ay, s), den = _over_one_denominator(p.x, p.y, anchor.x, anchor.y, scale)
+    (x, y, ax, ay, s), den = over_one_denominator(p.x, p.y, anchor.x, anchor.y, scale)
     m, n = _least_margin(constraints, x, y, den)
     return Fraction(m, n * (s + abs(x - ax) + abs(y - ay)))
 

@@ -61,6 +61,20 @@ def vec(x: ScalarLike, y: ScalarLike) -> Vec:
     return Vec(to_scalar(x), to_scalar(y))
 
 
+def over_one_denominator(*values) -> tuple[list[int], int]:
+    """The numerators of rationals ``values`` over their least common denominator, and it."""
+    # plain loops and one as_integer_ratio per value: escape probes call this per moved point
+    ratios, den = [], 1
+    for v in values:
+        ratio = v.as_integer_ratio()
+        ratios.append(ratio)
+        den = lcm(den, ratio[1])
+    nums = []
+    for n, d in ratios:
+        nums.append(n * (den // d))
+    return nums, den
+
+
 def cross(u: Vec, v: Vec) -> Fraction:
     return u.x * v.y - u.y * v.x
 
@@ -188,8 +202,7 @@ def apply_motion(m: RigidMotion, p: Vec) -> Vec:
         return p + m.v
     # p and the center over one denominator w, the unit over its shared one
     o = m.center
-    w = lcm(p.x.denominator, p.y.denominator, o.x.denominator, o.y.denominator)
-    px, py, ox, oy = (v.numerator * (w // v.denominator) for v in (p.x, p.y, o.x, o.y))
+    (px, py, ox, oy), w = over_one_denominator(p.x, p.y, o.x, o.y)
     c, s, d = m.c.numerator, m.s.numerator, m.c.denominator
     dx, dy = px - ox, py - oy
     return Vec(Fraction(ox * d + c * dx - s * dy, w * d), Fraction(oy * d + s * dx + c * dy, w * d))

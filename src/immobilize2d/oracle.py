@@ -9,9 +9,19 @@ the opposite sense), and a translation witness moves the points along the
 reported direction.  Motion paths, by contrast, are explicit motions of
 the body, so path simulation applies the inverse motion to each point.
 
+Every probe runs in integers: the center, the points and the translation
+vector go over one denominator (``geom.over_one_denominator``), the
+rotation unit is read off the half-angle t = p / q as ``(q^2 - p^2, +-2pq,
+q^2 + p^2)``, and the moved point goes to ``body.contains_over`` as ``(x,
+y, w)``, so a probe builds no ``Rotation`` and no moved-point ``Fraction``.
+Candidate centers are built one at a time, so an early escape builds no
+further centers.
+
 A validator accepts a witness when the smallest scheduled magnitudes (the
 last three of the schedule, or all of it if shorter) are penetration-free;
-the larger magnitudes are not evaluated.
+the larger magnitudes are not evaluated.  It refuses a non-move: a zero
+translation direction, or any scheduled magnitude that is not positive
+(zero is the identity, a negative one the opposite family).
 A first-order certificate only promises some unquantified neighbourhood of
 the identity, so it is checked from below; at larger magnitudes a perfectly
 valid rotation may carry a point back through the body (the circular
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .body import Containment, ConvexBody, contains_interior, is_full_disc
+from .body import Containment, ConvexBody, contains_interior, contains_over, is_full_disc
 from .errors import InexactModeUnsupportedError, NearDegenerateError, OutOfRangeError
 from .geom import (
     Identity,
@@ -36,6 +46,7 @@ from .geom import (
     Vec,
     apply_motion,
     invert_motion,
+    over_one_denominator,
     rational_rotation,
     rotation_about,
     to_scalar,
@@ -52,21 +63,47 @@ DEFAULT_TRANSLATION_SCHEDULE = tuple(Fraction(1, 2 ** (1 + i)) for i in range(10
 _RAND_DENOMINATOR = 1024
 
 
-def _clear(body: ConvexBody, p: Vec) -> bool:
-    """True when p is certainly not interior; near-degenerate counts as unclear."""
+def _clear(body: ConvexBody, x: int, y: int, w: int) -> bool:
+    """True when (x / w, y / w) is certainly not interior; near-degenerate counts as unclear."""
     try:
-        return contains_interior(body, p) is not Containment.INTERIOR
+        return contains_over(body, x, y, w) is not Containment.INTERIOR
     except NearDegenerateError:
         return False
 
 
 def _rotation_clear(body: ConvexBody, pts, center: Vec, sense: str, t: Fraction) -> bool:
-    motion = rotation_about(center, t, sense)
-    return all(_clear(body, apply_motion(motion, bp.coords)) for bp in pts)
+    """No point interior after rotating the points about the center by the half-angle t.
+
+    With t = p / q the unit is ``(q^2 - p^2, +-2pq) / d``, ``d = q^2 + p^2``
+    (``rational_rotation``'s formula); with the center ``(ox, oy) / ow`` and a
+    point ``(px, py) / pw`` the moved point is ``(ox pw d + c dx - s dy, oy pw
+    d + s dx + c dy) / (ow pw d)``, ``(dx, dy) = (px ow - ox pw, py ow - oy pw)``.
+    """
+    t = to_scalar(t)
+    p, q = t.numerator, t.denominator
+    c, s, d = q * q - p * p, 2 * p * q, q * q + p * p
+    if sense == CW:
+        s = -s
+    elif sense != CCW:
+        raise ValueError(f"unknown sense {sense!r}")
+    (ox, oy), ow = over_one_denominator(center.x, center.y)
+    oxd, oyd, owd = ox * d, oy * d, ow * d
+    for bp in pts:
+        (px, py), pw = over_one_denominator(bp.coords.x, bp.coords.y)
+        dx, dy = px * ow - ox * pw, py * ow - oy * pw
+        if not _clear(body, oxd * pw + c * dx - s * dy, oyd * pw + s * dx + c * dy, owd * pw):
+            return False
+    return True
 
 
 def _translation_clear(body: ConvexBody, pts, vector: Vec) -> bool:
-    return all(_clear(body, bp.coords + vector) for bp in pts)
+    """No point interior after adding the vector ``(vx, vy) / vw`` to each point."""
+    (vx, vy), vw = over_one_denominator(vector.x, vector.y)
+    for bp in pts:
+        (px, py), pw = over_one_denominator(bp.coords.x, bp.coords.y)
+        if not _clear(body, px * vw + vx * pw, py * vw + vy * pw, pw * vw):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -95,6 +132,7 @@ def validate_rotation_witness(
 ) -> bool:
     """Exactly check that rotating the points about the center stays penetration-free."""
     _require_exact(body)
+    _require_positive(schedule)
     tail = schedule[-3:]
     return bool(tail) and all(_rotation_clear(body, pts, center, sense, t) for t in tail)
 
@@ -107,6 +145,9 @@ def validate_translation_witness(
 ) -> bool:
     """Exactly check moving the points by each scheduled multiple of the direction."""
     _require_exact(body)
+    if direction.is_zero():
+        raise OutOfRangeError("a translation witness needs a nonzero direction")
+    _require_positive(schedule)
     tail = schedule[-3:]
     return bool(tail) and all(_translation_clear(body, pts, direction.scaled(m)) for m in tail)
 
@@ -116,6 +157,12 @@ def _require_exact(body: ConvexBody) -> None:
         raise InexactModeUnsupportedError("witness validation requires an exact body")
 
 
+def _require_positive(schedule) -> None:
+    # a zero magnitude is the identity, which moves nothing; a negative one flips the family
+    if any(to_scalar(m) <= 0 for m in schedule):
+        raise OutOfRangeError("every scheduled magnitude must be positive")
+
+
 # -- escape search -----------------------------------------------------------
 
 
@@ -123,6 +170,21 @@ def _grid_offsets(g: int):
     ks = [(abs(kx) + abs(ky), kx, ky) for kx in range(-g, g + 1) for ky in range(-g, g + 1)]
     ks.sort()
     return [(kx, ky) for _, kx, ky in ks]
+
+
+def _centers(center0: Vec, radius: Fraction, g: int, n_random: int, seed: int):
+    """The rotation centers in search order, built one at a time: with center0
+    and the radius over one denominator, a lattice center is ``(cx g + kx r) /
+    (g den)`` and a random one ``(cx R + kx r) / (R den)``, R = _RAND_DENOMINATOR."""
+    (cx, cy, r), den = over_one_denominator(center0.x, center0.y, radius)
+    for kx, ky in _grid_offsets(g):
+        yield Vec(Fraction(cx * g + kx * r, g * den), Fraction(cy * g + ky * r, g * den))
+    for idx in range(n_random):
+        rng = random.Random(f"{seed}:{idx}")
+        kx = rng.randint(-_RAND_DENOMINATOR, _RAND_DENOMINATOR)
+        ky = rng.randint(-_RAND_DENOMINATOR, _RAND_DENOMINATOR)
+        den_r = _RAND_DENOMINATOR * den
+        yield Vec(Fraction(cx * _RAND_DENOMINATOR + kx * r, den_r), Fraction(cy * _RAND_DENOMINATOR + ky * r, den_r))
 
 
 def escape_search(
@@ -156,21 +218,11 @@ def escape_search(
 
     rot_budget = (samples * 3) // 5
     g = max(1, (isqrt(max(rot_budget, 4) // 2) - 1) // 2)
-    centers: list[Vec] = []
-    for kx, ky in _grid_offsets(g):
-        centers.append(Vec(center0.x + Fraction(kx, g) * radius, center0.y + Fraction(ky, g) * radius))
-    n_random = max(0, (rot_budget - 2 * len(centers)) // 2)
-    for idx in range(n_random):
-        rng = random.Random(f"{seed}:{idx}")
-        centers.append(
-            Vec(
-                center0.x + Fraction(rng.randint(-_RAND_DENOMINATOR, _RAND_DENOMINATOR), _RAND_DENOMINATOR) * radius,
-                center0.y + Fraction(rng.randint(-_RAND_DENOMINATOR, _RAND_DENOMINATOR), _RAND_DENOMINATOR) * radius,
-            )
-        )
+    n_grid = (2 * g + 1) ** 2
+    n_random = max(0, (rot_budget - 2 * n_grid) // 2)
 
     rot_schedule = DEFAULT_ROTATION_SCHEDULE
-    for center in centers:
+    for center in _centers(center0, radius, g, n_random, seed):
         if disc and center == disc_center:
             continue  # rotating a disc about its center does not move it
         for sense in (CW, CCW):
@@ -184,7 +236,7 @@ def escape_search(
                     penetration_free=(True,) * len(rot_schedule),
                 )
 
-    trans_budget = max(2, samples - 2 * len(centers))
+    trans_budget = max(2, samples - 2 * (n_grid + n_random))
     net = max(1, trans_budget // 4)
     directions: list[Vec] = []
     for k in range(net + 1):

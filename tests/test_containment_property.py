@@ -1,12 +1,15 @@
 """Property tests: integer containment and rotations against Fraction references.
 
-``contains_interior`` decides segments from integer rows and ``apply_motion``
-rotates over one denominator; ``tests/containment_reference.py`` writes both
-out in ``Fraction``s.  Bodies are ``random_convex_polygon`` under a rational
-scale and shift, so rows carry denominators.  Points are drawn at random, on
-vertices, on edges and ``2^-k`` off an edge on either side; in mixed mode
-some are placed inside the tolerance band of an edge, where the verdict must
-be the same ``NearDegenerateError`` guess.
+``contains_interior`` decides segments from integer rows, ``contains_over``
+takes the point over one denominator, and ``apply_motion`` and the oracle's
+escape probes rotate and translate over one denominator;
+``tests/containment_reference.py`` writes all of them out in ``Fraction``s.
+Bodies are ``random_convex_polygon`` under a rational scale and shift, so
+rows carry denominators.  Points are drawn at random, on vertices, on edges
+and ``2^-k`` off an edge on either side; in mixed mode some are placed
+inside the tolerance band of an edge, where the verdict must be the same
+``NearDegenerateError`` guess.  An escape probe counts a near-degenerate
+point as unclear, as the oracle does.
 """
 
 from fractions import Fraction
@@ -17,10 +20,27 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from containment_reference import reference_containment, reference_rotate, reference_rotation  # noqa: E402
-from immobilize2d.body import EXACT_POLYGON, MIXED_INEXACT, contains_interior, polygon, validate  # noqa: E402
+from immobilize2d import oracle  # noqa: E402
+from immobilize2d.body import (  # noqa: E402
+    EXACT_POLYGON,
+    MIXED_INEXACT,
+    BoundaryPoint,
+    contains_interior,
+    contains_over,
+    polygon,
+    validate,
+)
 from immobilize2d.errors import NearDegenerateError  # noqa: E402
 from immobilize2d.fixtures import random_convex_polygon  # noqa: E402
-from immobilize2d.geom import Rotation, Vec, apply_motion, invert_motion, rational_rotation, rotation_about  # noqa: E402
+from immobilize2d.geom import (  # noqa: E402
+    Rotation,
+    Vec,
+    apply_motion,
+    invert_motion,
+    over_one_denominator,
+    rational_rotation,
+    rotation_about,
+)
 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -62,16 +82,30 @@ def probes(draw, body):
     return p + n.scaled(Fraction(draw(st.sampled_from((1, -1))), 2 ** draw(st.integers(0, 80))))
 
 
-def library_containment(body, p):
+def verdict(contains, body, *point):
+    """("ok", status) or ("near", guess) of ``contains(body, *point)``."""
     try:
-        return "ok", contains_interior(body, p).value
+        return "ok", contains(body, *point).value
     except NearDegenerateError as exc:
         return "near", exc.guess.value
+
+
+def library_containment(body, p):
+    return verdict(contains_interior, body, p)
 
 
 def reference(body, p):
     edges = [((el.a.x, el.a.y), (el.b.x, el.b.y)) for el in body.elements]
     return reference_containment(edges, (p.x, p.y), body.tolerance())
+
+
+def band_point(data, body):
+    """A point inside the tolerance band of an edge, off its ends."""
+    el = body.elements[data.draw(st.integers(0, len(body.elements) - 1))]
+    d = el.b - el.a
+    band = body.tolerance() * (abs(d.x) + abs(d.y)) / (d.x * d.x + d.y * d.y)
+    offset = data.draw(st.sampled_from((1, -1))) * band / 2 ** data.draw(st.integers(1, 40))
+    return el.a + d.scaled(Fraction(data.draw(st.integers(1, 63)), 64)) + Vec(-d.y, d.x).scaled(offset)
 
 
 @SETTINGS
@@ -92,14 +126,53 @@ def test_mixed_containment_matches_the_fraction_reference(data):
         assert library_containment(body, p) == reference(body, p), p
     # inside the tolerance band of an edge, off its ends: the edge snaps
     # without being zero, so the verdict is a near-degenerate guess
-    el = body.elements[data.draw(st.integers(0, len(body.elements) - 1))]
-    d = el.b - el.a
-    band = body.tolerance() * (abs(d.x) + abs(d.y)) / (d.x * d.x + d.y * d.y)
-    offset = data.draw(st.sampled_from((1, -1))) * band / 2 ** data.draw(st.integers(1, 40))
-    p = el.a + d.scaled(Fraction(data.draw(st.integers(1, 63)), 64)) + Vec(-d.y, d.x).scaled(offset)
+    p = band_point(data, body)
     expected = reference(body, p)
     assert expected[0] == "near"
     assert library_containment(body, p) == expected, p
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_containment_over_any_common_denominator_matches(data):
+    body = data.draw(bodies(data.draw(st.sampled_from((EXACT_POLYGON, MIXED_INEXACT)))))
+    points = [data.draw(probes(body)) for _ in range(4)]
+    if body.tolerance():
+        points.append(band_point(data, body))
+    for p in points:
+        (x, y), w = over_one_denominator(p.x, p.y)
+        k = data.draw(st.integers(1, 10**6))
+        assert verdict(contains_over, body, k * x, k * y, k * w) == library_containment(body, p), (p, k)
+
+
+def reference_clear(body, p) -> bool:
+    """Certainly not interior by the reference; near-degenerate counts as unclear."""
+    kind, status = reference(body, p)
+    return kind == "ok" and status != "INTERIOR"
+
+
+# the escape schedules' small magnitudes, which keep moved points near the boundary, and any others
+positive_ts = st.one_of(
+    st.builds(lambda k: Fraction(1, 10**k), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**6)),
+)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_escape_probes_match_the_fraction_reference(data):
+    body = data.draw(bodies(data.draw(st.sampled_from((EXACT_POLYGON, MIXED_INEXACT)))))
+    pts = [BoundaryPoint(0, Fraction(0), data.draw(probes(body))) for _ in range(data.draw(st.integers(1, 4)))]
+    center = data.draw(st.one_of(probes(body), st.builds(Vec, rationals, rationals)))
+    t = data.draw(positive_ts)
+    c, s = reference_rotation(t)
+    for sense, unit in ((oracle.CCW, (c, s)), (oracle.CW, (c, -s))):
+        moved = [Vec(*reference_rotate((center.x, center.y), *unit, (bp.coords.x, bp.coords.y))) for bp in pts]
+        expected = all(reference_clear(body, p) for p in moved)
+        assert oracle._rotation_clear(body, pts, center, sense, t) == expected, (center, sense, t)
+    v = Vec(data.draw(rationals), data.draw(rationals)).scaled(data.draw(positive_ts))
+    expected = all(reference_clear(body, bp.coords + v) for bp in pts)
+    assert oracle._translation_clear(body, pts, v) == expected, v
 
 
 def test_rows_are_computed_on_first_containment_only():

@@ -83,6 +83,32 @@ def test_validators_evaluate_only_the_last_three_magnitudes(monkeypatch):
                 assert set(seen) <= set(tail), (schedule, failing, seen)
 
 
+def test_validators_refuse_a_non_move(monkeypatch):
+    # the identity leaves pinned points where they are, so it would "validate"
+    sq, mids = square_edge_midpoints()
+    with pytest.raises(OutOfRangeError):
+        oracle.validate_translation_witness(sq, mids, vec(0, 0))
+    bad = ((Fraction(0),), (Fraction(-1, 100),), (Fraction(-1, 10), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)))
+    probes = []
+    monkeypatch.setattr(oracle, "_rotation_clear", lambda *args: probes.append(args) or True)
+    monkeypatch.setattr(oracle, "_translation_clear", lambda *args: probes.append(args) or True)
+    for schedule in bad:
+        with pytest.raises(OutOfRangeError):
+            oracle.validate_rotation_witness(sq, mids, vec(0, 0), oracle.CW, schedule)
+        with pytest.raises(OutOfRangeError):
+            oracle.validate_translation_witness(sq, mids, vec(1, 0), schedule)
+    assert probes == []  # the whole schedule is checked before the first probe
+
+
+def test_rotation_probes_read_t_as_a_scalar_and_refuse_an_unknown_sense():
+    sq, oc = square_opposite_corners()
+    for sense in (oracle.CW, oracle.CCW):
+        assert oracle._rotation_clear(sq, oc, vec(0, 0), sense, "1/10") == oracle._rotation_clear(sq, oc, vec(0, 0), sense, Fraction(1, 10))
+        assert oracle._rotation_clear(sq, oc, vec(3, 1), sense, 1) == oracle._rotation_clear(sq, oc, vec(3, 1), sense, Fraction(1))
+    with pytest.raises(ValueError, match="unknown sense"):
+        oracle._rotation_clear(sq, oc, vec(0, 0), "cw", Fraction(1, 10))
+
+
 def test_escape_search_finds_the_sliding_rectangle():
     fx = rectangle_remark()
     rep = oracle.escape_search(fx.body, fx.points, samples=300, seed=0)
