@@ -142,6 +142,10 @@ def _dedupe_points(pts: list[BoundaryPoint]) -> list[BoundaryPoint]:
 def _classify(body: ConvexBody, pts: list[BoundaryPoint], question: str, tol: Fraction | None) -> Verdict:
     if tol is None:
         tol = body.tolerance()
+    try:
+        tol = to_scalar(tol)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+        raise OutOfRangeError(f"tolerance {tol!r} is not a finite number") from None
     if tol < 0:
         raise OutOfRangeError(f"tolerance {tol} is negative")
     pts = _dedupe_points(list(pts))
@@ -324,10 +328,13 @@ def search_almost_fixing(
     Deterministic: candidates in boundary order, tuples in combination order.
     When the combination count exceeds ``max_tuples`` a seeded sample of that
     size is examined instead (ranks drawn without replacement, sorted and
-    unranked directly), so large grids stay bounded but reproducible.
+    unranked directly), so large grids stay bounded but reproducible.  A
+    negative ``max_tuples`` raises OutOfRangeError.
     """
     if n not in (2, 3):
         raise InvalidPointError("tuple size must be 2 or 3")
+    if max_tuples < 0:
+        raise OutOfRangeError("max_tuples must not be negative")
     cands = candidates if candidates is not None else boundary_grid(body, resolution)
     m = len(cands)
     total = math.comb(m, n)

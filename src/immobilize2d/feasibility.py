@@ -24,10 +24,10 @@ With a positive tolerance, sector and direction systems run one "twin" pass,
 relaxed by a tolerance-scaled slack if the system is empty and tightened if
 not; a verdict the twin flips is reported as near-degenerate rather than
 trusted; ``_twin_any`` takes a row's unit, ``(|nx| + |ny|) (1 + norm1(apex))``,
-from its sector's apex.  A direction system is one closed arc per contact;
-its twin grows each arc (the system is empty) or shrinks it (nonempty), and
-an arc shrunk away leaves the twin empty.  Plain ``linear_feasible`` systems
-have no twin.
+from its sector's apex over one denominator, so an int row moves in ints.  A
+direction system is one closed arc per contact; its twin turns the end rays in
+ints, growing each arc (the system is empty) or shrinking it (nonempty), and
+an arc shrunk away leaves the twin empty.  Plain systems have no twin.
 """
 
 from __future__ import annotations
@@ -399,16 +399,16 @@ def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, s
 
 
 def _anchor(sectors: list[Sector]) -> tuple[Vec, Fraction]:
-    """The mean of the sectors' apexes and 1 plus their largest L1 distance
-    from it: the anchor and scale witness re-centring measures from."""
+    """The mean of the sectors' apexes and 1 plus their largest L1 distance from
+    it, over the apexes' one denominator: the anchor and scale re-centring measures from."""
     n = len(sectors)
     if not n:
         return Vec(Fraction(0), Fraction(0)), Fraction(1)
-    anchor = Vec(
-        sum((s.apex.x for s in sectors), Fraction(0)) / n,
-        sum((s.apex.y for s in sectors), Fraction(0)) / n,
-    )
-    return anchor, Fraction(1) + max(norm1(Vec(s.apex.x - anchor.x, s.apex.y - anchor.y)) for s in sectors)
+    coords, den = over_one_denominator(*(v for s in sectors for v in (s.apex.x, s.apex.y)))
+    xs, ys = coords[0::2], coords[1::2]
+    sx, sy, nd = sum(xs), sum(ys), n * den
+    spread = max(abs(n * x - sx) + abs(n * y - sy) for x, y in zip(xs, ys))
+    return Vec(Fraction(sx, nd), Fraction(sy, nd)), Fraction(nd + spread, nd)
 
 
 def sectors_intersection(sectors: list[Sector], tol: Fraction = Fraction(0)) -> FeasibilityResult:
@@ -431,10 +431,11 @@ def _twin_any(sectors: list[Sector], slack: Fraction) -> bool:
     ``c - slack (|nx| + |ny|) (1 + norm1(apex))`` (tightened when slack < 0)?"""
     shifted = []
     for s in sectors:
-        unit = slack * (1 + norm1(s.apex))
+        (ax, ay), ad = over_one_denominator(s.apex.x, s.apex.y)
+        p, q = slack.numerator * (ad + abs(ax) + abs(ay)), slack.denominator * ad  # slack (1 + norm1(apex)), q > 0
         alts = []
         for group in s.alternatives:
-            alts.append([_coprime_row(lc.nx, lc.ny, lc.c - unit * (abs(lc.nx) + abs(lc.ny)), lc.strict) for lc in group])
+            alts.append([_coprime_row(q * lc.nx, q * lc.ny, q * lc.c - p * (abs(lc.nx) + abs(lc.ny)), lc.strict) for lc in group])
         shifted.append(alts)
     branch = first_branch(shifted)
     return branch is not None and _feasible_exact(branch)[0]

@@ -7,10 +7,10 @@ predicate downstream is decided by integer arithmetic.
 A half-plane is one ``LinearConstraint`` row, ``n . p >= c`` (strict when
 open); contact sectors are built from these rows and the exact solver
 eliminates them, so both read the same side convention.  A row is its four
-terms as coprime ints, the one primitive positive multiple of the row:
-``halfplane_constraint`` builds it from a base and a normal in ints, and
-``_coprime_row`` normalises ``Fraction`` terms (the tolerance twin's shifted
-rows, which take their unit from the sector's apex).
+terms as coprime ints, the one primitive positive multiple of the row;
+``_coprime_row`` is its one normaliser, for int and ``Fraction`` terms alike,
+through ``over_one_denominator``, the one place a common denominator is built.
+Every rational rotation takes its unit from ``half_angle_unit``.
 """
 
 from __future__ import annotations
@@ -116,9 +116,8 @@ class LinearConstraint:
 
 
 def _coprime_row(nx, ny, c, strict: bool) -> LinearConstraint:
-    """``nx x + ny y >= c`` times the positive factor making it coprime ints."""
-    den = lcm(nx.denominator, ny.denominator, c.denominator)
-    a, b, k = (v.numerator * (den // v.denominator) for v in (nx, ny, c))
+    """``nx x + ny y >= c`` (ints or rationals) times the positive factor making it coprime ints."""
+    (a, b, k), _ = over_one_denominator(nx, ny, c)
     g = gcd(a, b, k) or 1
     return LinearConstraint(a // g, b // g, k // g, strict)
 
@@ -127,16 +126,12 @@ def halfplane_constraint(base: Vec, normal: Vec, closed: bool) -> LinearConstrai
     """``normal . p >= normal . base`` as coprime ints, strict unless closed: the
     half-plane whose rim passes through ``base`` and which ``normal`` points into:
     with the normal ``(a, b) / dn`` and the base ``(X, Y) / db``, the row
-    ``a db x + b db y >= a X + b Y`` over its gcd, in ints."""
+    ``a db x + b db y >= a X + b Y``, normalised."""
     if normal.is_zero():
         raise ValueError("half-plane needs a nonzero normal")
-    nx, ny, bx, by = normal.x, normal.y, base.x, base.y
-    dn, db = lcm(nx.denominator, ny.denominator), lcm(bx.denominator, by.denominator)
-    a, b = nx.numerator * (dn // nx.denominator), ny.numerator * (dn // ny.denominator)
-    x, y = bx.numerator * (db // bx.denominator), by.numerator * (db // by.denominator)
-    a, b, c = a * db, b * db, a * x + b * y
-    g = gcd(a, b, c)
-    return LinearConstraint(a // g, b // g, c // g, not closed)
+    (a, b), _ = over_one_denominator(normal.x, normal.y)
+    (x, y), db = over_one_denominator(base.x, base.y)
+    return _coprime_row(a * db, b * db, a * x + b * y, not closed)
 
 
 # -- rigid motions ----------------------------------------------------------
@@ -172,17 +167,21 @@ class Identity:
 RigidMotion = Union[Rotation, Translation, Identity]
 
 
-def rational_rotation(t: ScalarLike) -> tuple[Fraction, Fraction]:
-    """Exact unit (cos, sin) from the half-angle parameter t.
+def half_angle_unit(t: ScalarLike) -> tuple[int, int, int]:
+    """Exact unit (cos, sin) = (c / d, s / d) from the half-angle parameter t, as ints.
 
     The map t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)) covers every rational point of
     the unit circle except (-1, 0); t = tan(angle/2).  With t = p/q that is
-    ((q^2 - p^2) / (q^2 + p^2), 2pq / (q^2 + p^2)).
+    ``(c, s, d) = (q^2 - p^2, 2pq, q^2 + p^2)``.
     """
     t = to_scalar(t)
     p, q = t.numerator, t.denominator
-    d = q * q + p * p
-    return Fraction(q * q - p * p, d), Fraction(2 * p * q, d)
+    return q * q - p * p, 2 * p * q, q * q + p * p
+
+
+def rational_rotation(t: ScalarLike) -> tuple[Fraction, Fraction]:
+    c, s, d = half_angle_unit(t)
+    return Fraction(c, d), Fraction(s, d)
 
 
 def rotation_about(center: Vec, t: ScalarLike, sense: str = "CCW") -> Rotation:

@@ -11,9 +11,9 @@ the body, so path simulation applies the inverse motion to each point.
 
 Every probe runs in integers: the center, the points and the translation
 vector go over one denominator (``geom.over_one_denominator``), the
-rotation unit is read off the half-angle t = p / q as ``(q^2 - p^2, +-2pq,
-q^2 + p^2)``, and the moved point goes to ``body.contains_over`` as ``(x,
-y, w)``, so a probe builds no ``Rotation`` and no moved-point ``Fraction``.
+rotation unit is read off the half-angle t in ints (``geom.half_angle_unit``),
+and the moved point goes to ``body.contains_over`` as ``(x, y, w)``, so a
+probe builds no ``Rotation`` and no moved-point ``Fraction``.
 Candidate centers are built one at a time, so an early escape builds no
 further centers.
 
@@ -45,6 +45,7 @@ from .geom import (
     Translation,
     Vec,
     apply_motion,
+    half_angle_unit,
     invert_motion,
     over_one_denominator,
     rational_rotation,
@@ -74,14 +75,11 @@ def _clear(body: ConvexBody, x: int, y: int, w: int) -> bool:
 def _rotation_clear(body: ConvexBody, pts, center: Vec, sense: str, t: Fraction) -> bool:
     """No point interior after rotating the points about the center by the half-angle t.
 
-    With t = p / q the unit is ``(q^2 - p^2, +-2pq) / d``, ``d = q^2 + p^2``
-    (``rational_rotation``'s formula); with the center ``(ox, oy) / ow`` and a
-    point ``(px, py) / pw`` the moved point is ``(ox pw d + c dx - s dy, oy pw
-    d + s dx + c dy) / (ow pw d)``, ``(dx, dy) = (px ow - ox pw, py ow - oy pw)``.
+    With t's unit ``(c, +-s) / d``, the center ``(ox, oy) / ow`` and a point ``(px,
+    py) / pw``, the moved point is ``(ox pw d + c dx - s dy, oy pw d + s dx + c
+    dy) / (ow pw d)``, ``(dx, dy) = (px ow - ox pw, py ow - oy pw)``.
     """
-    t = to_scalar(t)
-    p, q = t.numerator, t.denominator
-    c, s, d = q * q - p * p, 2 * p * q, q * q + p * p
+    c, s, d = half_angle_unit(t)
     if sense == CW:
         s = -s
     elif sense != CCW:
@@ -285,6 +283,8 @@ class MotionPath:
     @staticmethod
     def from_samples(samples) -> "MotionPath":
         samples = tuple(samples)
+        if not samples:
+            raise OutOfRangeError("a motion path needs at least one sample")
         t0, m0 = samples[0]
         probes = (Vec(Fraction(0), Fraction(0)), Vec(Fraction(1), Fraction(0)), Vec(Fraction(0), Fraction(1)))
         if t0 != 0 or any(apply_motion(m0, p) != p for p in probes):
@@ -305,7 +305,10 @@ def simulate_path(body: ConvexBody, pts, path: MotionPath, steps: int = 100):
     """First sampled (t, point index) with a point interior to the moved body.
 
     None is only "no penetration among the samples", never a certificate.
+    ``steps`` below 1 raises OutOfRangeError.
     """
+    if steps < 1:
+        raise OutOfRangeError("a path simulation needs at least one step")
     pts = list(pts)
     if path.kind == "samples":
         timeline = path.samples

@@ -48,9 +48,10 @@ from .geom import (
     Vec,
     cross,
     dot,
+    half_angle_unit,
     halfplane_constraint,
     norm1,
-    rational_rotation,
+    over_one_denominator,
     same_ray,
 )
 
@@ -134,7 +135,7 @@ def sector_contains(s: Sector, p: Vec, tol: Fraction = Fraction(0)) -> str:
 @dataclass(frozen=True)
 class CircArc:
     """Closed CCW arc of directions from ``start`` to ``end`` (non-normalized rays;
-    ``sector_directions`` gives primitive integer ones, twins rotated ``Fraction`` ones).
+    ``sector_directions`` gives primitive integer ones, twins positive integer multiples of turned ones).
 
     The pair of rays determines the arc: the sweep is the CCW angle from
     start to end in (0, 2*pi); equal rays denote a single direction.
@@ -226,10 +227,11 @@ def first_common_direction(arcs: list[CircArc | None]) -> Vec | None:
 
 
 def _rotate_dir(d: Vec, t: Fraction, ccw: bool) -> Vec:
-    c, s = rational_rotation(t)
+    c, s, _ = half_angle_unit(t)
     if not ccw:
         s = -s
-    return Vec(c * d.x - s * d.y, s * d.x + c * d.y)
+    (x, y), _ = over_one_denominator(d.x, d.y)
+    return Vec(c * x - s * y, s * x + c * y)
 
 
 def shrink_arc(arc: CircArc, t: Fraction) -> CircArc | None:

@@ -127,6 +127,21 @@ def test_negative_tolerance_is_refused():
     assert classify_fix(sq, oc, tol=Fraction(0)).status == NOT_WEAKLY_FIX
 
 
+@pytest.mark.parametrize("tol", [0.001, 1e-9, "1/1000", "0.01", " 1/3 "])
+def test_float_and_string_tolerances_read_as_scalars(tol):
+    sq, oc = square_opposite_corners()
+    for ask in (classify_fix, classify_almost_fix):
+        assert ask(sq, oc, tol=tol) == ask(sq, oc, tol=Fraction(tol))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), "1/0", "x/2", "abc", [Fraction(1)]])
+def test_non_finite_or_malformed_tolerance_is_refused(tol):
+    sq, oc = square_opposite_corners()
+    for ask in (classify_fix, classify_almost_fix):
+        with pytest.raises(OutOfRangeError):
+            ask(sq, oc, tol=tol)
+
+
 def test_duplicate_contact_points_collapse():
     sq, oc = square_opposite_corners()
     v = classify_fix(sq, [oc[0], oc[0], oc[1], oc[1]])
@@ -390,3 +405,10 @@ def test_closed_tests_run_first_and_decide_empty_open_tests_at_tol_zero(monkeypa
                     if not v.test("closed" + name[4:]).nonempty:
                         assert v.test(name) == classify.TestResult(name, "EMPTY", None)
     assert opened[0] and opened[1]  # both an all-skipped and a run open test were seen
+
+
+def test_negative_tuple_budget_is_refused():
+    sq = unit_square()
+    with pytest.raises(OutOfRangeError):
+        search_almost_fixing(sq, 2, resolution=1, max_tuples=-1)
+    assert search_almost_fixing(sq, 2, resolution=1, max_tuples=0) == []

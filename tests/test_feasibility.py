@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import arc_reference
 import branch_reference
 import recentre_reference
 from bruteforce import bruteforce_feasible, random_system
@@ -225,15 +226,25 @@ def test_union_sectors_have_no_cap():
             sectors_intersection(cones + unions)
 
 
-def random_sectors(rng):
-    """A few sectors with small apexes and tangents: corners, smooth contacts,
-    all normals parallel, mixed kinds and openness."""
+def small_apex(rng):
+    return Vec(Fraction(rng.randint(-6, 6), rng.choice([1, 2])), Fraction(rng.randint(-6, 6), rng.choice([1, 2])))
+
+
+def float_sized_apex(rng):
+    """An apex as mixed mode derives one: exact values of floats, with
+    denominators of 2^52 and more."""
+    return Vec(*(Fraction(math.cos(rng.uniform(0, 2 * math.pi))) * rng.randint(1, 6) for _ in range(2)))
+
+
+def random_sectors(rng, draw_apex=small_apex):
+    """A few sectors with small apexes (or ``draw_apex``'s) and tangents:
+    corners, smooth contacts, all normals parallel, mixed kinds and openness."""
     dirs = [vec(1, 0), vec(0, 1), vec(1, 1), vec(-1, 0), vec(0, -1), vec(2, 1), vec(-1, 2), vec(1, -3), vec(-2, -1)]
     family, d0 = rng.choice(["free", "parallel", "smooth"]), rng.choice(dirs)
     kind, closed = rng.choice(SECTOR_KINDS), rng.random() < 0.5
     sectors = []
     for _ in range(rng.randint(1, 5)):
-        apex = Vec(Fraction(rng.randint(-6, 6), rng.choice([1, 2])), Fraction(rng.randint(-6, 6), rng.choice([1, 2])))
+        apex = draw_apex(rng)
         if family == "parallel":
             u_left, u_right = rng.choice([d0, -d0]), rng.choice([d0, -d0])
         elif family == "smooth" and rng.random() < 0.6:
@@ -263,6 +274,22 @@ def test_first_branch_races_the_enumeration():
         flagged += want.near_degenerate
     counts = (scanned, parallel, feasible, flagged)
     assert scanned > 1000 and parallel > 200 and 1000 < feasible < 2000 and flagged > 80, counts
+
+
+def test_first_branch_races_the_enumeration_at_float_sized_apexes():
+    # The anchor and the twin's unit are computed over one denominator: apexes
+    # the size mixed mode feeds them must give the reference's answers too.
+    rng = random.Random(6116)
+    feasible = flagged = 0
+    for _ in range(300):
+        sectors = random_sectors(rng, float_sized_apex)
+        tol = rng.choice([Fraction(1, 10**9), Fraction(1, 100)])
+        got = sectors_intersection(sectors, tol)
+        want = branch_reference.sectors_intersection(sectors, tol)
+        assert (got.feasible, got.witness, got.near_degenerate) == (want.feasible, want.witness, want.near_degenerate)
+        feasible += want.feasible
+        flagged += want.near_degenerate
+    assert 50 < feasible < 250 and flagged > 10, (feasible, flagged)
 
 
 def rand_dir(rng):
@@ -386,3 +413,16 @@ def test_one_twin_flags_as_both_twins_did():
         assert directions_intersection(sets, tol).near_degenerate == ((grown is None) != (shrunk is None))
         flagged += both + ((grown is None) != (shrunk is None))
     assert flagged > 200, flagged
+
+
+def test_direction_twin_races_the_fraction_arcs():
+    # The twin turns integer rays; the reference turns Fraction rays.
+    rng = random.Random(9009)
+    flagged = 0
+    for _ in range(600):
+        tol = rng.choice([Fraction(1, 10**9), Fraction(1, 100), Fraction(1, 3)])
+        arcs = [rand_direction_set(rng, tol) for _ in range(rng.randint(1, 4))]
+        want = arc_reference.near_degenerate(arcs, tol)
+        assert directions_intersection(arcs, tol).near_degenerate == want
+        flagged += want
+    assert flagged > 50, flagged

@@ -13,6 +13,7 @@ from immobilize2d.geom import (
     apply_motion,
     cross,
     dot,
+    half_angle_unit,
     halfplane_constraint,
     invert_motion,
     norm1,
@@ -93,6 +94,15 @@ def test_rational_rotation_lies_on_unit_circle():
         assert c * c + s * s == 1
     assert rational_rotation(Fraction(0)) == (Fraction(1), Fraction(0))
     assert rational_rotation(Fraction(1)) == (Fraction(0), Fraction(1))
+
+
+def test_half_angle_unit_over_its_denominator_is_the_rational_rotation():
+    rng = random.Random(17)
+    for _ in range(300):
+        t = rand_fraction(rng, span=40, den=97)
+        c, s, d = half_angle_unit(t)
+        assert all(type(v) is int for v in (c, s, d)) and d > 0
+        assert (Fraction(c, d), Fraction(s, d)) == rational_rotation(t) == ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
 
 
 def test_rotation_constructor_enforces_unit_norm():

@@ -206,3 +206,17 @@ def test_sampled_path_replays_motions():
     sq, oc = square_opposite_corners()
     hit = oracle.simulate_path(sq, oc, path, steps=2)
     assert hit is None  # sliding the square far right frees both corners
+
+
+def test_simulate_path_refuses_a_step_count_below_one():
+    sq, mids = square_edge_midpoints()
+    path = oracle.MotionPath.rotation(vec(0, 0), "CW", Fraction(1, 50))
+    for steps in (0, -3):
+        with pytest.raises(OutOfRangeError):
+            oracle.simulate_path(sq, mids, path, steps=steps)
+    assert oracle.simulate_path(sq, mids, path, steps=1) == (Fraction(1), 0)
+
+
+def test_motion_path_refuses_no_samples():
+    with pytest.raises(OutOfRangeError):
+        oracle.MotionPath.from_samples([])

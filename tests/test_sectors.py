@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+import arc_reference
 from immobilize2d.body import TangentData, boundary_point, tangents_at
 from immobilize2d.errors import NearDegenerateError
 from immobilize2d.fixtures import unit_square
-from immobilize2d.geom import Vec, rational_rotation, vec
+from immobilize2d.geom import Vec, cross, dot, rational_rotation, vec
 from immobilize2d.sectors import (
     SECTOR_KINDS,
     CircArc,
+    _rotate_dir,
     arc_contains,
     direction_set,
     first_common_direction,
@@ -373,3 +375,14 @@ def test_perturbed_arcs_nest_at_twice_the_turn():
             bigger = grow_arc(arc, t)
             assert arc_contains(bigger, arc.start) and arc_contains(bigger, arc.end)
             assert bigger == arc or not (arc_contains(arc, bigger.start) or arc_contains(arc, bigger.end))
+
+
+def test_turned_rays_are_positive_integer_multiples_of_the_fraction_rays():
+    rng = random.Random(8008)
+    for _ in range(300):
+        t = Fraction(rng.randint(1, 400), rng.choice([7, 100, 10**9]))
+        d = rand_dir(rng) if rng.random() < 0.5 else Vec(rng.randint(-9, 9), rng.randint(-9, 9) or 1)
+        for ccw in (True, False):
+            ray, ref = _rotate_dir(d, t, ccw), arc_reference.rotate_dir(d, t, ccw)
+            assert type(ray.x) is int and type(ray.y) is int, ray
+            assert cross(ray, ref) == 0 and dot(ray, ref) > 0, (d, t, ccw)
