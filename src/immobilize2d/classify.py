@@ -46,7 +46,7 @@ from .body import (
 )
 from .errors import InvalidPointError, NotAlmostPositiveError, OutOfRangeError, RefinementExhaustedError
 from .feasibility import FeasibilityResult, directions_intersection, sectors_intersection
-from .geom import Vec, rot90_ccw, to_scalar
+from .geom import Vec, read_scalar, rot90_ccw
 from .sectors import contact_rows, sector_directions, sector_of
 
 QUESTION_FIX = "FIX"
@@ -142,10 +142,7 @@ def _dedupe_points(pts: list[BoundaryPoint]) -> list[BoundaryPoint]:
 def _classify(body: ConvexBody, pts: list[BoundaryPoint], question: str, tol: Fraction | None) -> Verdict:
     if tol is None:
         tol = body.tolerance()
-    try:
-        tol = to_scalar(tol)
-    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
-        raise OutOfRangeError(f"tolerance {tol!r} is not a finite number") from None
+    tol = read_scalar(tol, "tolerance")
     if tol < 0:
         raise OutOfRangeError(f"tolerance {tol} is negative")
     pts = _dedupe_points(list(pts))
@@ -265,9 +262,9 @@ def refine_almost_to_fix(
     The first doubled set to classify POSITIVE for FIX wins.  Placements are
     scanned in lexicographic order of ``_TAG_ORDER``, which starts with
     straddling, so the all-straddling placement is tried first.  An eps
-    that is not positive raises OutOfRangeError.
+    that is not a positive finite number raises OutOfRangeError.
     """
-    eps = to_scalar(eps)
+    eps = read_scalar(eps, "neighbourhood radius")
     if eps <= 0:
         raise OutOfRangeError("neighbourhood radius must be positive")
     pts = _dedupe_points(list(pts))

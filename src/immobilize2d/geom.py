@@ -21,6 +21,8 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Union
 
+from .errors import OutOfRangeError
+
 Scalar = Fraction
 
 ScalarLike = Union[Fraction, int, float, str]
@@ -31,6 +33,16 @@ def to_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def read_scalar(value: ScalarLike, what: str) -> Fraction:
+    """``to_scalar(value)`` for an argument: a value that is no finite number
+    (nan, inf, a malformed string, a zero denominator, None) raises
+    ``OutOfRangeError`` naming ``what``."""
+    try:
+        return to_scalar(value)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+        raise OutOfRangeError(f"{what} {value!r} is not a finite number") from None
 
 
 @dataclass(frozen=True)

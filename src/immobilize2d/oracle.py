@@ -9,13 +9,19 @@ the opposite sense), and a translation witness moves the points along the
 reported direction.  Motion paths, by contrast, are explicit motions of
 the body, so path simulation applies the inverse motion to each point.
 
-Every probe runs in integers: the center, the points and the translation
-vector go over one denominator (``geom.over_one_denominator``), the
-rotation unit is read off the half-angle t in ints (``geom.half_angle_unit``),
-and the moved point goes to ``body.contains_over`` as ``(x, y, w)``, so a
-probe builds no ``Rotation`` and no moved-point ``Fraction``.
-Candidate centers are built one at a time, so an early escape builds no
-further centers.
+Every probe runs in integers.  A search or a validator puts the contact
+points over one denominator once (``geom.over_one_denominator``) and hands
+them to the probes as ``(x, y, w)`` ints; the search's candidate centers
+are ``(X, Y, W)`` ints built one at a time, so an early escape builds no
+further centers, and a center becomes a ``Vec`` only in a report or to be
+compared with a disc's center.  A probe reads the rotation unit off the
+half-angle t in ints (``geom.half_angle_unit``), puts a translation vector
+over one denominator, and hands each moved point to ``body.contains_over``
+as ``(x, y, w)``, so it builds no ``Rotation`` and no ``Fraction``.
+The radius, the schedule entries, a witness center, a witness direction
+and a rotation path's half-angle are read through ``geom.read_scalar``, so
+a value that is no finite number raises ``OutOfRangeError``; the sample
+budget is an int.
 
 A validator accepts a witness when the smallest scheduled magnitudes (the
 last three of the schedule, or all of it if shorter) are penetration-free;
@@ -48,9 +54,9 @@ from .geom import (
     half_angle_unit,
     invert_motion,
     over_one_denominator,
+    read_scalar,
     rational_rotation,
     rotation_about,
-    to_scalar,
 )
 
 CW = "CW"
@@ -64,43 +70,54 @@ DEFAULT_TRANSLATION_SCHEDULE = tuple(Fraction(1, 2 ** (1 + i)) for i in range(10
 _RAND_DENOMINATOR = 1024
 
 
-def _clear(body: ConvexBody, x: int, y: int, w: int) -> bool:
-    """True when (x / w, y / w) is certainly not interior; near-degenerate counts as unclear."""
-    try:
-        return contains_over(body, x, y, w) is not Containment.INTERIOR
-    except NearDegenerateError:
-        return False
+def _homogeneous(pts) -> list[tuple[int, int, int]]:
+    """The boundary points' coordinates as ``(x, y, w)`` ints, one denominator each."""
+    out = []
+    for bp in pts:
+        (x, y), w = over_one_denominator(bp.coords.x, bp.coords.y)
+        out.append((x, y, w))
+    return out
 
 
-def _rotation_clear(body: ConvexBody, pts, center: Vec, sense: str, t: Fraction) -> bool:
+def _rotation_clear(body: ConvexBody, pts, center, sense: str, t: Fraction) -> bool:
     """No point interior after rotating the points about the center by the half-angle t.
 
-    With t's unit ``(c, +-s) / d``, the center ``(ox, oy) / ow`` and a point ``(px,
-    py) / pw``, the moved point is ``(ox pw d + c dx - s dy, oy pw d + s dx + c
-    dy) / (ow pw d)``, ``(dx, dy) = (px ow - ox pw, py ow - oy pw)``.
+    The points and the center are ``(x, y, w)`` ints (``_homogeneous``).  With
+    t's unit ``(c, +-s) / d``, the center ``(ox, oy, ow)`` and a point ``(px, py,
+    pw)``, the moved point is ``(ox pw d + c dx - s dy, oy pw d + s dx + c dy) /
+    (ow pw d)``, ``(dx, dy) = (px ow - ox pw, py ow - oy pw)``.  A point that is
+    near degenerate in mixed mode counts as not clear.
     """
     c, s, d = half_angle_unit(t)
     if sense == CW:
         s = -s
     elif sense != CCW:
         raise ValueError(f"unknown sense {sense!r}")
-    (ox, oy), ow = over_one_denominator(center.x, center.y)
+    ox, oy, ow = center
     oxd, oyd, owd = ox * d, oy * d, ow * d
-    for bp in pts:
-        (px, py), pw = over_one_denominator(bp.coords.x, bp.coords.y)
-        dx, dy = px * ow - ox * pw, py * ow - oy * pw
-        if not _clear(body, oxd * pw + c * dx - s * dy, oyd * pw + s * dx + c * dy, owd * pw):
-            return False
+    try:
+        for px, py, pw in pts:
+            dx, dy = px * ow - ox * pw, py * ow - oy * pw
+            moved = contains_over(body, oxd * pw + c * dx - s * dy, oyd * pw + s * dx + c * dy, owd * pw)
+            if moved is Containment.INTERIOR:
+                return False
+    except NearDegenerateError:
+        return False
     return True
 
 
 def _translation_clear(body: ConvexBody, pts, vector: Vec) -> bool:
-    """No point interior after adding the vector ``(vx, vy) / vw`` to each point."""
+    """No point interior after adding the vector ``(vx, vy) / vw`` to each ``(x, y, w)`` point.
+
+    A point that is near degenerate in mixed mode counts as not clear.
+    """
     (vx, vy), vw = over_one_denominator(vector.x, vector.y)
-    for bp in pts:
-        (px, py), pw = over_one_denominator(bp.coords.x, bp.coords.y)
-        if not _clear(body, px * vw + vx * pw, py * vw + vy * pw, pw * vw):
-            return False
+    try:
+        for px, py, pw in pts:
+            if contains_over(body, px * vw + vx * pw, py * vw + vy * pw, pw * vw) is Containment.INTERIOR:
+                return False
+    except NearDegenerateError:
+        return False
     return True
 
 
@@ -130,9 +147,10 @@ def validate_rotation_witness(
 ) -> bool:
     """Exactly check that rotating the points about the center stays penetration-free."""
     _require_exact(body)
-    _require_positive(schedule)
-    tail = schedule[-3:]
-    return bool(tail) and all(_rotation_clear(body, pts, center, sense, t) for t in tail)
+    tail = _positive(schedule)[-3:]
+    (ox, oy), ow = over_one_denominator(*(read_scalar(v, "rotation center") for v in (center.x, center.y)))
+    pts = _homogeneous(pts)
+    return bool(tail) and all(_rotation_clear(body, pts, (ox, oy, ow), sense, t) for t in tail)
 
 
 def validate_translation_witness(
@@ -143,10 +161,11 @@ def validate_translation_witness(
 ) -> bool:
     """Exactly check moving the points by each scheduled multiple of the direction."""
     _require_exact(body)
+    direction = Vec(*(read_scalar(v, "direction") for v in (direction.x, direction.y)))
     if direction.is_zero():
         raise OutOfRangeError("a translation witness needs a nonzero direction")
-    _require_positive(schedule)
-    tail = schedule[-3:]
+    tail = _positive(schedule)[-3:]
+    pts = _homogeneous(pts)
     return bool(tail) and all(_translation_clear(body, pts, direction.scaled(m)) for m in tail)
 
 
@@ -155,10 +174,13 @@ def _require_exact(body: ConvexBody) -> None:
         raise InexactModeUnsupportedError("witness validation requires an exact body")
 
 
-def _require_positive(schedule) -> None:
+def _positive(schedule) -> tuple[Fraction, ...]:
+    """The schedule read as ``Fraction``s, every one of them positive."""
+    schedule = tuple(read_scalar(m, "scheduled magnitude") for m in schedule)
     # a zero magnitude is the identity, which moves nothing; a negative one flips the family
-    if any(to_scalar(m) <= 0 for m in schedule):
+    if any(m <= 0 for m in schedule):
         raise OutOfRangeError("every scheduled magnitude must be positive")
+    return schedule
 
 
 # -- escape search -----------------------------------------------------------
@@ -171,18 +193,24 @@ def _grid_offsets(g: int):
 
 
 def _centers(center0: Vec, radius: Fraction, g: int, n_random: int, seed: int):
-    """The rotation centers in search order, built one at a time: with center0
-    and the radius over one denominator, a lattice center is ``(cx g + kx r) /
-    (g den)`` and a random one ``(cx R + kx r) / (R den)``, R = _RAND_DENOMINATOR."""
+    """The rotation centers in search order as ``(X, Y, W)`` ints, built one at
+    a time: with center0 and the radius over one denominator, a lattice center
+    is ``(cx g + kx r, cy g + ky r, g den)`` and a random one ``(cx R + kx r,
+    cy R + ky r, R den)``, R = _RAND_DENOMINATOR."""
     (cx, cy, r), den = over_one_denominator(center0.x, center0.y, radius)
+    cxg, cyg, w = cx * g, cy * g, g * den
     for kx, ky in _grid_offsets(g):
-        yield Vec(Fraction(cx * g + kx * r, g * den), Fraction(cy * g + ky * r, g * den))
+        yield cxg + kx * r, cyg + ky * r, w
+    cxr, cyr, w = cx * _RAND_DENOMINATOR, cy * _RAND_DENOMINATOR, _RAND_DENOMINATOR * den
     for idx in range(n_random):
         rng = random.Random(f"{seed}:{idx}")
         kx = rng.randint(-_RAND_DENOMINATOR, _RAND_DENOMINATOR)
         ky = rng.randint(-_RAND_DENOMINATOR, _RAND_DENOMINATOR)
-        den_r = _RAND_DENOMINATOR * den
-        yield Vec(Fraction(cx * _RAND_DENOMINATOR + kx * r, den_r), Fraction(cy * _RAND_DENOMINATOR + ky * r, den_r))
+        yield cxr + kx * r, cyr + ky * r, w
+
+
+def _vec(x: int, y: int, w: int) -> Vec:
+    return Vec(Fraction(x, w), Fraction(y, w))
 
 
 def escape_search(
@@ -199,16 +227,18 @@ def escape_search(
     radius disc, each with sense CW then CCW; then translation directions
     from a rational unit-circle net starting at (1, 0).  Absence of a report
     says nothing (sampled search); a report certifies exactly the scheduled
-    magnitudes it lists.  The radius, when given, must be positive.
+    magnitudes it lists.  The radius, when given, must be a positive finite
+    number, and the sample budget an int (not a bool) from 0 to 10**6.
     """
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise OutOfRangeError(f"sample budget {samples!r} is not an int")
     if not 0 <= samples <= 10**6:
         raise OutOfRangeError("sample budget must be between 0 and 10**6")
-    pts = list(pts)
     lo, hi = body.bounding_box()
     center0 = Vec((lo.x + hi.x) / 2, (lo.y + hi.y) / 2)
     if radius is None:
         radius = 4 * ((hi.x - lo.x) + (hi.y - lo.y))
-    radius = to_scalar(radius)
+    radius = read_scalar(radius, "search radius")
     if radius <= 0:
         raise OutOfRangeError("search radius must be positive")
 
@@ -219,15 +249,16 @@ def escape_search(
     n_grid = (2 * g + 1) ** 2
     n_random = max(0, (rot_budget - 2 * n_grid) // 2)
 
+    pts = _homogeneous(pts)
     rot_schedule = DEFAULT_ROTATION_SCHEDULE
     for center in _centers(center0, radius, g, n_random, seed):
-        if disc and center == disc_center:
+        if disc and _vec(*center) == disc_center:
             continue  # rotating a disc about its center does not move it
         for sense in (CW, CCW):
             if all(_rotation_clear(body, pts, center, sense, t) for t in rot_schedule):
                 return EscapeReport(
                     family="rotation",
-                    center=center,
+                    center=_vec(*center),
                     sense=sense,
                     direction=None,
                     magnitudes=rot_schedule,
@@ -274,7 +305,8 @@ class MotionPath:
 
     @staticmethod
     def rotation(center: Vec, sense: str, max_half_angle) -> "MotionPath":
-        return MotionPath(kind="rotation", center=center, sense=sense, max_half_angle=to_scalar(max_half_angle))
+        max_half_angle = read_scalar(max_half_angle, "half-angle")
+        return MotionPath(kind="rotation", center=center, sense=sense, max_half_angle=max_half_angle)
 
     @staticmethod
     def translation(vector: Vec) -> "MotionPath":

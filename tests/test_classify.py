@@ -134,7 +134,10 @@ def test_float_and_string_tolerances_read_as_scalars(tol):
         assert ask(sq, oc, tol=tol) == ask(sq, oc, tol=Fraction(tol))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), "1/0", "x/2", "abc", [Fraction(1)]])
+NOT_FINITE = [float("nan"), float("inf"), "1/0", "x/2", "abc", [Fraction(1)]]
+
+
+@pytest.mark.parametrize("tol", NOT_FINITE)
 def test_non_finite_or_malformed_tolerance_is_refused(tol):
     sq, oc = square_opposite_corners()
     for ask in (classify_fix, classify_almost_fix):
@@ -295,6 +298,14 @@ def test_refine_refuses_a_non_positive_epsilon(monkeypatch):
     for eps in (0, -1, Fraction(-1, 5), "0"):
         with pytest.raises(OutOfRangeError):
             refine_almost_to_fix(sq, oc, eps)
+
+
+@pytest.mark.parametrize("eps", NOT_FINITE + ["x", float("-inf")])
+def test_refine_refuses_a_non_finite_or_malformed_epsilon(monkeypatch, eps):
+    sq, oc = square_opposite_corners()
+    monkeypatch.setattr(classify, "classify_almost_fix", lambda *a, **k: pytest.fail("classified"))
+    with pytest.raises(OutOfRangeError, match="not a finite number"):
+        refine_almost_to_fix(sq, oc, eps)
 
 
 def test_refine_reports_exhaustion():

@@ -165,14 +165,17 @@ def test_escape_probes_match_the_fraction_reference(data):
     pts = [BoundaryPoint(0, Fraction(0), data.draw(probes(body))) for _ in range(data.draw(st.integers(1, 4)))]
     center = data.draw(st.one_of(probes(body), st.builds(Vec, rationals, rationals)))
     t = data.draw(positive_ts)
+    # the probes take the points and the center as (x, y, w) ints
+    over_one = oracle._homogeneous(pts)
+    (ox, oy), ow = over_one_denominator(center.x, center.y)
     c, s = reference_rotation(t)
     for sense, unit in ((oracle.CCW, (c, s)), (oracle.CW, (c, -s))):
         moved = [Vec(*reference_rotate((center.x, center.y), *unit, (bp.coords.x, bp.coords.y))) for bp in pts]
         expected = all(reference_clear(body, p) for p in moved)
-        assert oracle._rotation_clear(body, pts, center, sense, t) == expected, (center, sense, t)
+        assert oracle._rotation_clear(body, over_one, (ox, oy, ow), sense, t) == expected, (center, sense, t)
     v = Vec(data.draw(rationals), data.draw(rationals)).scaled(data.draw(positive_ts))
     expected = all(reference_clear(body, bp.coords + v) for bp in pts)
-    assert oracle._translation_clear(body, pts, v) == expected, v
+    assert oracle._translation_clear(body, over_one, v) == expected, v
 
 
 def test_rows_are_computed_on_first_containment_only():

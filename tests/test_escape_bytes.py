@@ -6,17 +6,22 @@ Hashes ``io.dumps(io.escape_report_to_json(...))`` of ``escape_search`` at
 polygons touched at their edge midpoints and at two vertices (radius None
 or 5/7 by seed), and a disc, whose own center the search skips.  The digest
 was recorded before the probes moved to integer arithmetic; a change to the
-candidate order, the probe arithmetic or the report changes it.
+candidate order, the probe arithmetic or the report changes it.  The number
+of probe calls over the same searches is pinned too: the benchmark's tracer
+counts those calls as ``oracle.probes``, so the count stays comparable
+across versions.
 """
 
 import hashlib
 from fractions import Fraction
 
-from immobilize2d import fixtures, io
+from immobilize2d import fixtures, io, oracle
 from immobilize2d.body import boundary_point
 from immobilize2d.oracle import escape_search
 
 ESCAPE_SHA256 = "dde92e5c75438b53ca95c374a60901d237f816d51e0b49e3f0e1dae9437668a1"
+# rotation and translation probe calls over escape_cases()
+PROBE_CALLS = {"_rotation_clear": 9268, "_translation_clear": 3257}
 
 
 def escape_cases():
@@ -45,3 +50,18 @@ def test_escape_reports_are_pinned():
         families.add(report.family if report else None)
     assert families == {"rotation", "translation", None}
     assert digest.hexdigest() == ESCAPE_SHA256
+
+
+def test_probe_calls_are_pinned(monkeypatch):
+    calls = dict.fromkeys(PROBE_CALLS, 0)
+    for name in PROBE_CALLS:
+        probe = getattr(oracle, name)
+
+        def counted(*args, name=name, probe=probe):
+            calls[name] += 1
+            return probe(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    for body, pts, radius in escape_cases():
+        escape_search(body, pts, radius=radius, samples=400, seed=3)
+    assert calls == PROBE_CALLS

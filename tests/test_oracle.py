@@ -8,7 +8,7 @@ from immobilize2d import oracle
 from immobilize2d.body import boundary_point
 from immobilize2d.errors import InexactModeUnsupportedError, OutOfRangeError
 from immobilize2d.fixtures import rectangle_remark, unit_disc, unit_square
-from immobilize2d.geom import vec
+from immobilize2d.geom import Vec, vec
 
 
 def square_opposite_corners():
@@ -100,13 +100,33 @@ def test_validators_refuse_a_non_move(monkeypatch):
     assert probes == []  # the whole schedule is checked before the first probe
 
 
+def test_validators_refuse_a_non_finite_argument(monkeypatch):
+    sq, mids = square_edge_midpoints()
+    probes = []
+    monkeypatch.setattr(oracle, "_rotation_clear", lambda *args: probes.append(args) or True)
+    monkeypatch.setattr(oracle, "_translation_clear", lambda *args: probes.append(args) or True)
+    nan = float("nan")
+    for schedule in ((nan,), (Fraction(1, 10), nan, Fraction(1, 100)), ("x",), (float("inf"),)):
+        with pytest.raises(OutOfRangeError):
+            oracle.validate_rotation_witness(sq, mids, vec(0, 0), oracle.CW, schedule)
+        with pytest.raises(OutOfRangeError):
+            oracle.validate_translation_witness(sq, mids, vec(1, 0), schedule)
+    for bad in (Vec(nan, Fraction(0)), Vec(Fraction(1), float("inf")), Vec("x", Fraction(0))):
+        with pytest.raises(OutOfRangeError):
+            oracle.validate_translation_witness(sq, mids, bad)
+        with pytest.raises(OutOfRangeError):
+            oracle.validate_rotation_witness(sq, mids, bad, oracle.CW)
+    assert probes == []
+
+
 def test_rotation_probes_read_t_as_a_scalar_and_refuse_an_unknown_sense():
     sq, oc = square_opposite_corners()
+    oc = oracle._homogeneous(oc)
     for sense in (oracle.CW, oracle.CCW):
-        assert oracle._rotation_clear(sq, oc, vec(0, 0), sense, "1/10") == oracle._rotation_clear(sq, oc, vec(0, 0), sense, Fraction(1, 10))
-        assert oracle._rotation_clear(sq, oc, vec(3, 1), sense, 1) == oracle._rotation_clear(sq, oc, vec(3, 1), sense, Fraction(1))
+        assert oracle._rotation_clear(sq, oc, (0, 0, 1), sense, "1/10") == oracle._rotation_clear(sq, oc, (0, 0, 1), sense, Fraction(1, 10))
+        assert oracle._rotation_clear(sq, oc, (3, 1, 1), sense, 1) == oracle._rotation_clear(sq, oc, (3, 1, 1), sense, Fraction(1))
     with pytest.raises(ValueError, match="unknown sense"):
-        oracle._rotation_clear(sq, oc, vec(0, 0), "cw", Fraction(1, 10))
+        oracle._rotation_clear(sq, oc, (0, 0, 1), "cw", Fraction(1, 10))
 
 
 def test_escape_search_finds_the_sliding_rectangle():
@@ -163,6 +183,20 @@ def test_escape_search_sample_budget():
         oracle.escape_search(sq, oc, samples=-1)
 
 
+def test_escape_search_refuses_a_sample_budget_that_is_not_an_int():
+    sq, oc = square_opposite_corners()
+    for samples in ("5", 2.5, True, False, None, Fraction(20)):
+        with pytest.raises(OutOfRangeError):
+            oracle.escape_search(sq, oc, samples=samples)
+
+
+def test_escape_search_refuses_a_non_finite_radius():
+    sq, oc = square_opposite_corners()
+    for radius in (float("nan"), float("inf"), "x", "1/0"):
+        with pytest.raises(OutOfRangeError):
+            oracle.escape_search(sq, oc, radius=radius, samples=20)
+
+
 def test_escape_search_refuses_a_non_positive_radius():
     sq, oc = square_opposite_corners()
     for radius in (0, -1, Fraction(-1, 2), "0"):
@@ -183,6 +217,12 @@ def test_simulate_translation_path_stays_clear():
     fx = rectangle_remark()
     path = oracle.MotionPath.translation(vec(1, 0))
     assert oracle.simulate_path(fx.body, fx.points, path, steps=40) is None
+
+
+def test_rotation_path_refuses_a_non_finite_half_angle():
+    for bad in (float("nan"), float("inf"), "x"):
+        with pytest.raises(OutOfRangeError):
+            oracle.MotionPath.rotation(vec(0, 0), "CW", bad)
 
 
 def test_motion_path_must_start_at_identity():
