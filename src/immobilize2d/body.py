@@ -19,9 +19,13 @@ Conventions
   segment's left half-plane as the coprime ints ``geom.halfplane_constraint``
   gives, read as ``(A, B, C, S)`` with ``A x + B y + C = k cross(b - a, p -
   a)`` for some ``k > 0`` and ``S = |A| + |B|``, built on first use.
-  ``contains_over`` takes a query point over one denominator, ``(x, y, w)``
-  in ints, so each segment sign is a few integer products; arcs keep their
-  ``Fraction`` margin.
+  A body keeps one table of these, ``ConvexBody.rows``, built on its first
+  containment query: per segment the row with the body tolerance ``tol =
+  tn / td`` applied, ``(A td, B td, C td, tn S)`` (``(A, B, C, 0)`` at ``tol =
+  0``), per arc the element itself.  ``contains_over`` takes a query point
+  over one denominator, ``(x, y, w)`` in ints, so each segment sign is a few
+  integer products against a pre-scaled bound; arcs keep their ``Fraction``
+  margin.
 """
 
 from __future__ import annotations
@@ -112,6 +116,23 @@ class ConvexBody:
 
     def tolerance(self) -> Fraction:
         return EXACT_TOLERANCE if self.mode == EXACT_POLYGON else DEFAULT_TOLERANCE
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, int, int, int] | Arc, ...]:
+        """One containment entry per element, built on first use: a segment's
+        ``Segment.row`` ``(A, B, C, S)`` with the tolerance ``tn / td`` applied,
+        ``(A td, B td, C td, tn S)``, and an arc as it is.  Not a field, so
+        equality and hashing ignore it."""
+        tol = self.tolerance()
+        tn, td = tol.numerator, tol.denominator
+        table = []
+        for el in self.elements:
+            if isinstance(el, Segment):
+                a, b, c, s = el.row
+                table.append((a * td, b * td, c * td, tn * s))
+            else:
+                table.append(el)
+        return tuple(table)
 
     def vertex(self, i: int) -> Vec:
         return self.elements[i % len(self.elements)].start()
@@ -353,25 +374,25 @@ def contains_over(body: ConvexBody, x: int, y: int, w: int) -> Containment:
     NearDegenerateError carrying the snapped best guess; exact bodies
     decide every sign exactly.
 
-    Segments are decided in integers.  A segment's margin ``cross(b - a, p -
-    a)`` is ``(A x + B y + C w) / (k w)`` for its row ``(A, B, C, S)``, and
-    ``|margin| <= tol * norm1(b - a)`` reads ``|M| * tol.den <= tol.num * S * w``
-    with ``M = A x + B y + C w``, so one comparison serves both modes.  An
-    arc reads its ``Fraction`` margin at p, built on the first arc met.
+    Segments are decided in integers off the body's table ``ConvexBody.rows``.
+    A segment's margin ``cross(b - a, p - a)`` is ``(A x + B y + C w) / (k w)``
+    for its row ``(A, B, C, S)``, and ``|margin| <= tol * norm1(b - a)`` with
+    ``tol = tn / td`` reads ``|M| <= K w`` for the entry ``(A td, B td, C td,
+    K = tn S)`` and ``M = A td x + B td y + C td w``, so one comparison serves
+    both modes.  An arc reads its ``Fraction`` margin at p, built on the first
+    arc met.
     """
-    tol = body.tolerance()
-    tol_num, tol_den = tol.numerator, tol.denominator
     p = None
     on_boundary = degenerate = False
-    for el in body.elements:
-        if isinstance(el, Segment):
-            a, b, c, s = el.row
-            m, bound = (a * x + b * y + c * w) * tol_den, tol_num * s * w
+    for row in body.rows:
+        if row.__class__ is tuple:  # a segment's pre-scaled row; an arc's entry is the Arc
+            a, b, c, k = row
+            m, bound = a * x + b * y + c * w, k * w
         else:
             if p is None:
                 p = Vec(Fraction(x, w), Fraction(y, w))
-            m, scale = _arc_margin(el, p)
-            bound = tol * scale
+            m, scale = _arc_margin(row, p)
+            bound = body.tolerance() * scale
         # |m| <= bound snaps to zero, and a nonzero margin that snaps is flagged
         if m > bound:
             continue

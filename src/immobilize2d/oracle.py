@@ -14,10 +14,14 @@ points over one denominator once (``geom.over_one_denominator``) and hands
 them to the probes as ``(x, y, w)`` ints; the search's candidate centers
 are ``(X, Y, W)`` ints built one at a time, so an early escape builds no
 further centers, and a center becomes a ``Vec`` only in a report or to be
-compared with a disc's center.  A probe reads the rotation unit off the
-half-angle t in ints (``geom.half_angle_unit``), puts a translation vector
-over one denominator, and hands each moved point to ``body.contains_over``
-as ``(x, y, w)``, so it builds no ``Rotation`` and no ``Fraction``.
+compared with a disc's center.  The translation directions are built
+lazily too, as integer units ``(c, s, d)`` off ``geom.half_angle_unit``, and
+a probe's vector is the unit times the magnitude ``mn / md``, ``(c mn, s mn)
+/ (d md)``, so an early escape builds no further directions.  A probe reads
+the rotation unit off the half-angle t in ints (``geom.half_angle_unit``),
+puts a translation vector over one denominator, and hands each moved point
+to ``body.contains_over`` as ``(x, y, w)``, so it builds no ``Rotation`` and
+no ``Fraction``.
 The radius, the schedule entries, a witness center, a witness direction
 and a rotation path's half-angle are read through ``geom.read_scalar``, so
 a value that is no finite number raises ``OutOfRangeError``; the sample
@@ -55,7 +59,6 @@ from .geom import (
     invert_motion,
     over_one_denominator,
     read_scalar,
-    rational_rotation,
     rotation_about,
 )
 
@@ -209,6 +212,18 @@ def _centers(center0: Vec, radius: Fraction, g: int, n_random: int, seed: int):
         yield cxr + kx * r, cyr + ky * r, w
 
 
+def _directions(net: int):
+    """The translation directions in search order as integer units ``(c, s,
+    d)``, built one at a time: ``half_angle_unit(k / net)`` and its negation
+    for k = 0..net, then (0, 1) and (0, -1)."""
+    for k in range(net + 1):
+        c, s, d = half_angle_unit(Fraction(k, net))
+        yield c, s, d
+        yield -c, -s, d
+    yield 0, 1, 1
+    yield 0, -1, 1
+
+
 def _vec(x: int, y: int, w: int) -> Vec:
     return Vec(Fraction(x, w), Fraction(y, w))
 
@@ -267,22 +282,16 @@ def escape_search(
 
     trans_budget = max(2, samples - 2 * (n_grid + n_random))
     net = max(1, trans_budget // 4)
-    directions: list[Vec] = []
-    for k in range(net + 1):
-        d = Vec(*rational_rotation(Fraction(k, net)))
-        directions.append(d)
-        directions.append(-d)
-    directions.append(Vec(Fraction(0), Fraction(1)))
-    directions.append(Vec(Fraction(0), Fraction(-1)))
-
     tr_schedule = DEFAULT_TRANSLATION_SCHEDULE
-    for d in directions:
-        if all(_translation_clear(body, pts, d.scaled(m)) for m in tr_schedule):
+    magnitudes = [m.as_integer_ratio() for m in tr_schedule]
+    for c, s, d in _directions(net):
+        vectors = (Vec(Fraction(c * mn, d * md), Fraction(s * mn, d * md)) for mn, md in magnitudes)
+        if all(_translation_clear(body, pts, v) for v in vectors):
             return EscapeReport(
                 family="translation",
                 center=None,
                 sense=None,
-                direction=d,
+                direction=_vec(c, s, d),
                 magnitudes=tr_schedule,
                 penetration_free=(True,) * len(tr_schedule),
             )

@@ -275,6 +275,35 @@ def test_fuzz_small_run_is_clean_and_deterministic(tmp_path):
     assert doc["violations"] == []
 
 
+def test_fuzz_reports_each_violation_and_exits_13(monkeypatch, tmp_path):
+    # each case fakes the two verdicts, the witness check and the escape search
+    # so that exactly one of the trial's consistency checks fails
+    from types import SimpleNamespace
+
+    from immobilize2d import classify as cls
+    from immobilize2d import oracle
+
+    fix_point, almost_point, report = object(), object(), object()
+    cases = (
+        (cls.POSITIVE, cls.INDETERMINATE, None, None, "fix POSITIVE but almost-fix not POSITIVE"),
+        (cls.INDETERMINATE, cls.NOT_ALMOST_FIX, None, None, "NOT_ALMOST_FIX without NOT_WEAKLY_FIX"),
+        (cls.NOT_WEAKLY_FIX, cls.NOT_ALMOST_FIX, fix_point, None, "fix rotation witness failed exact validation"),
+        (cls.NOT_WEAKLY_FIX, cls.NOT_ALMOST_FIX, almost_point, None, "almost rotation witness failed exact validation"),
+        (cls.POSITIVE, cls.POSITIVE, None, report, "escape motion found despite POSITIVE fix verdict"),
+    )
+    for fix, almost, refuted, escape, message in cases:
+        fix_verdict = SimpleNamespace(status=fix, witness=SimpleNamespace(point=fix_point, sense="CW"))
+        almost_verdict = SimpleNamespace(status=almost, witness=SimpleNamespace(point=almost_point, sense="CCW"))
+        monkeypatch.setattr(cls, "classify_fix", lambda body, pts, v=fix_verdict: v)
+        monkeypatch.setattr(cls, "classify_almost_fix", lambda body, pts, v=almost_verdict: v)
+        monkeypatch.setattr(oracle, "validate_rotation_witness", lambda body, pts, point, sense, r=refuted: point is not r)
+        monkeypatch.setattr(oracle, "escape_search", lambda body, pts, samples, seed, e=escape: e)
+        assert cli._fuzz_trial(5, 0, 5)["violations"] == [message]
+        out = tmp_path / "fuzz.json"
+        assert cli.main(["fuzz", "--trials", "1", "--seed", "5", "--out", str(out)]) == cli.EXIT_FUZZ_VIOLATION == 13
+        assert json.loads(out.read_text())["violations"] == [{"trial": 0, "violation": message}]
+
+
 def test_render_produces_svg(square_files, tmp_path):
     sq, corners, _ = square_files
     verdict = tmp_path / "v.json"

@@ -1,8 +1,10 @@
 """Property tests: integer containment and rotations against Fraction references.
 
-``contains_interior`` decides segments from integer rows, ``contains_over``
-takes the point over one denominator, and ``apply_motion`` and the oracle's
-escape probes rotate and translate over one denominator;
+``contains_interior`` decides segments from the body's integer row table
+(``ConvexBody.rows``, each ``Segment.row`` with the tolerance applied),
+``contains_over`` takes the point over one denominator, and
+``apply_motion`` and the oracle's escape probes rotate and translate over
+one denominator;
 ``tests/containment_reference.py`` writes all of them out in ``Fraction``s.
 Bodies are ``random_convex_polygon`` under a rational scale and shift, so
 rows carry denominators.  Points are drawn at random, on vertices, on edges
@@ -20,18 +22,19 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from containment_reference import reference_containment, reference_rotate, reference_rotation  # noqa: E402
-from immobilize2d import oracle  # noqa: E402
+from immobilize2d import io, oracle  # noqa: E402
 from immobilize2d.body import (  # noqa: E402
     EXACT_POLYGON,
     MIXED_INEXACT,
     BoundaryPoint,
+    boundary_point,
     contains_interior,
     contains_over,
     polygon,
     validate,
 )
 from immobilize2d.errors import NearDegenerateError  # noqa: E402
-from immobilize2d.fixtures import random_convex_polygon  # noqa: E402
+from immobilize2d.fixtures import random_convex_polygon, unit_disc  # noqa: E402
 from immobilize2d.geom import (  # noqa: E402
     Rotation,
     Vec,
@@ -181,9 +184,38 @@ def test_escape_probes_match_the_fraction_reference(data):
 def test_rows_are_computed_on_first_containment_only():
     body = random_convex_polygon(5, 6)
     validate(body)
-    assert not any("row" in vars(el) for el in body.elements)
+    # the benchmark's set-up: points on the boundary, body and points written out and read back
+    pts = [boundary_point(body, j, Fraction(1, 2)) for j in range(len(body.elements))]
+    loaded = io.body_from_json(io.loads(io.dumps(io.body_to_json(body))))
+    validate(loaded)
+    io.points_from_json(io.loads(io.dumps(io.points_to_json(pts))), loaded)
+    for b in (body, loaded, polygon([(0, 0), (1, 0), (0, 1)])):
+        assert "rows" not in vars(b)
+        assert not any("row" in vars(el) for el in b.elements)
     contains_interior(body, Vec(Fraction(1, 3), Fraction(1, 7)))
+    assert "rows" in vars(body)
     assert "row" in vars(body.elements[0])
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_row_table_is_each_segment_row_with_the_tolerance_applied(data):
+    body = data.draw(bodies(data.draw(st.sampled_from((EXACT_POLYGON, MIXED_INEXACT)))))
+    tn, td = body.tolerance().numerator, body.tolerance().denominator
+    assert len(body.rows) == len(body.elements)
+    for entry, el in zip(body.rows, body.elements):
+        a, b, c, s = el.row
+        assert entry == (a * td, b * td, c * td, tn * s)
+
+
+def test_a_built_table_leaves_equality_and_hash_alone():
+    for body in (random_convex_polygon(5, 6), unit_disc()):
+        fresh = io.body_from_json(io.loads(io.dumps(io.body_to_json(body))))
+        lo, hi = body.bounding_box()
+        contains_interior(body, Vec((lo.x + hi.x) / 2, (lo.y + hi.y) / 2))
+        assert "rows" in vars(body) and "rows" not in vars(fresh)
+        assert body == fresh and hash(body) == hash(fresh)
+    assert body.rows == body.elements  # an arc is its own entry
 
 
 @SETTINGS

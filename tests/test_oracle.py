@@ -1,14 +1,16 @@
 """Numeric escape-motion oracle: witness validation, sampling search, paths."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from test_escape_bytes import escape_cases
 
 from immobilize2d import oracle
 from immobilize2d.body import boundary_point
 from immobilize2d.errors import InexactModeUnsupportedError, OutOfRangeError
 from immobilize2d.fixtures import rectangle_remark, unit_disc, unit_square
-from immobilize2d.geom import Vec, vec
+from immobilize2d.geom import Vec, rational_rotation, vec
 
 
 def square_opposite_corners():
@@ -147,6 +149,41 @@ def test_escape_search_finds_the_corner_pivot():
     assert rep.center == vec(0, 0)
     assert rep.sense == "CW"
     assert rep.magnitudes == oracle.DEFAULT_ROTATION_SCHEDULE
+
+
+def test_translation_directions_are_the_eager_net_in_order():
+    for net in (1, 2, 3, 7, 60):
+        eager = []
+        for k in range(net + 1):
+            d = Vec(*rational_rotation(Fraction(k, net)))
+            eager += [d, -d]
+        eager += [vec(0, 1), vec(0, -1)]
+        assert [Vec(Fraction(c, d), Fraction(s, d)) for c, s, d in oracle._directions(net)] == eager
+
+
+def test_a_rotation_escape_builds_no_translation_direction(monkeypatch):
+    # a half-angle unit asked for outside the rotation probe is a translation direction
+    calls, unit, probe = [], oracle.half_angle_unit, oracle._rotation_clear.__code__
+
+    def counted(t):
+        if sys._getframe(1).f_code is not probe:
+            calls.append(t)
+        return unit(t)
+
+    monkeypatch.setattr(oracle, "half_angle_unit", counted)
+    sq, oc = square_opposite_corners()
+    for radius, samples in ((None, 400), (Fraction(1, 2), 20)):
+        assert oracle.escape_search(sq, oc, radius=radius, samples=samples, seed=0).family == "rotation"
+    assert calls == []
+    # a translation escape does read the net, and stops at the direction it reports
+    fx = rectangle_remark()
+    assert oracle.escape_search(fx.body, fx.points, samples=300, seed=0).family == "translation"
+    assert calls == [Fraction(0)]
+    # over the pinned searches, exactly the rotation reports read none of it
+    for body, pts, radius in escape_cases():
+        calls.clear()
+        report = oracle.escape_search(body, pts, radius=radius, samples=400, seed=3)
+        assert (calls == []) == (report is not None and report.family == "rotation")
 
 
 def test_escape_search_exhausts_on_pinned_midpoints():
