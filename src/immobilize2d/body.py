@@ -26,10 +26,19 @@ Conventions
   over one denominator, ``(x, y, w)`` in ints, so each segment sign is a few
   integer products against a pre-scaled bound; arcs keep their ``Fraction``
   margin.
+* ``validate`` reads each element's tangents as ints over that element's own
+  denominator (``_turn_directions``), never over one denominator shared
+  across the chain, whose numerators would grow with every element's
+  denominator; turns and the winding are signs of integer products.  Rows
+  stay lazy: ``validate`` builds no table.
+* ``ConvexBody.arclength`` is (start offsets, lengths, perimeter) by
+  ``element_length``, built on first use by ``offset_along_boundary`` or
+  ``perimeter``, not by ``polygon``, ``validate`` or loading.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -43,7 +52,17 @@ from .errors import (
     NotOnBoundaryError,
     in_float_range,
 )
-from .geom import Vec, cross, dot, halfplane_constraint, norm1, over_one_denominator, rot90_ccw, to_scalar
+from .geom import (
+    Vec,
+    cross,
+    dot,
+    halfplane_constraint,
+    norm1,
+    over_one_denominator,
+    read_scalar,
+    rot90_ccw,
+    to_scalar,
+)
 
 EXACT_POLYGON = "exact_polygon"
 MIXED_INEXACT = "mixed_inexact"
@@ -134,6 +153,18 @@ class ConvexBody:
                 table.append(el)
         return tuple(table)
 
+    @functools.cached_property
+    def arclength(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction]:
+        """(start offsets, lengths, perimeter) of the elements by
+        ``element_length``, built on first use by ``offset_along_boundary`` or
+        ``perimeter``.  Not a field, so equality and hashing ignore it."""
+        lengths = tuple(element_length(el)[0] for el in self.elements)
+        starts, acc = [], Fraction(0)
+        for ln in lengths:
+            starts.append(acc)
+            acc += ln
+        return tuple(starts), lengths, acc
+
     def vertex(self, i: int) -> Vec:
         return self.elements[i % len(self.elements)].start()
 
@@ -193,15 +224,26 @@ def _snap_sign(value: Fraction, tol_scaled: Fraction) -> tuple[int, bool]:
 # -- validation --------------------------------------------------------------
 
 
-def _turn_directions(body: ConvexBody) -> list[Vec]:
-    dirs: list[Vec] = []
+def _turn_directions(body: ConvexBody) -> list[tuple[int, int]]:
+    """Each element's start and end tangent as an int pair, a positive multiple
+    of ``start_tangent()`` / ``end_tangent()`` read off that element's own
+    coordinates: a segment puts its endpoints over one denominator and gives
+    ``(bx - ax, by - ay)`` for both, an arc turns ``from_dir`` and ``to_dir``,
+    each over its own denominator, a quarter."""
+    dirs: list[tuple[int, int]] = []
     for el in body.elements:
-        dirs.append(el.start_tangent())
-        dirs.append(el.end_tangent())
+        if isinstance(el, Segment):
+            (ax, ay, bx, by), _ = over_one_denominator(el.a.x, el.a.y, el.b.x, el.b.y)
+            d = (bx - ax, by - ay)
+            dirs += (d, d)
+        else:
+            (fx, fy), _ = over_one_denominator(el.from_dir.x, el.from_dir.y)
+            (tx, ty), _ = over_one_denominator(el.to_dir.x, el.to_dir.y)
+            dirs += ((-fy, fx), (-ty, tx))
     return dirs
 
 
-def _winding(dirs: list[Vec]) -> int:
+def _winding(dirs: list[tuple[int, int]]) -> int:
     """How many full turns the closed direction sequence makes, counted exactly.
 
     Every step turns by less than a half turn, left when ``cross`` is
@@ -209,18 +251,27 @@ def _winding(dirs: list[Vec]) -> int:
     half-open angle (u, v]: ``cross(u, ray) = -u.y > 0`` and v on the ray
     (``dot(ray, v) = v.x > 0``) or left of it (``cross(ray, v) = v.y > 0``).
     A right step, a clockwise junction that mixed mode snapped to straight,
-    counts -1 when it passes the ray backwards.
+    counts -1 when it passes the ray backwards.  Every test is a sign, so any
+    positive multiple of the directions counts the same.
     """
 
-    def passes(u: Vec, v: Vec) -> bool:
-        return u.y < 0 and (v.y > 0 or (v.y == 0 and v.x > 0))
+    def passes(u: tuple[int, int], v: tuple[int, int]) -> bool:
+        return u[1] < 0 and (v[1] > 0 or (v[1] == 0 and v[0] > 0))
 
-    return sum(passes(u, v) if cross(u, v) >= 0 else -passes(v, u) for u, v in zip(dirs, dirs[1:] + dirs[:1]))
+    return sum(
+        passes(u, v) if u[0] * v[1] - u[1] * v[0] >= 0 else -passes(v, u) for u, v in zip(dirs, dirs[1:] + dirs[:1])
+    )
 
 
 @in_float_range
 def validate(body: ConvexBody) -> None:
-    """Raise BodyValidationError (NOT_CLOSED, NOT_CONVEX, NOT_CCW, EMPTY_INTERIOR) if invalid."""
+    """Raise BodyValidationError (NOT_CLOSED, NOT_CONVEX, NOT_CCW, EMPTY_INTERIOR) if invalid.
+
+    Turns are decided on the int tangents of ``_turn_directions``: a junction
+    from u to v snaps to straight when ``|cross(u, v)| <= tol norm1(u)
+    norm1(v)``, read as ``td |cross| <= tn norm1 norm1`` for ``tol = tn / td``,
+    which no positive rescaling of u or v changes.
+    """
     els = body.elements
     if len(els) < 2:
         raise BodyValidationError("EMPTY_INTERIOR", 0, "need at least two boundary elements")
@@ -252,19 +303,22 @@ def validate(body: ConvexBody) -> None:
 
     # junction turns: left or straight everywhere; track signs to tell
     # a clockwise chain apart from a genuinely non-convex one
+    dirs = _turn_directions(body)
+    tn, td = tol.numerator, tol.denominator
     neg = pos = 0
     first_bad = -1
-    for i, el in enumerate(els):
-        nxt = els[(i + 1) % len(els)]
-        u, v = el.end_tangent(), nxt.start_tangent()
-        sign, _ = _snap_sign(cross(u, v), tol * norm1(u) * norm1(v))
-        if sign < 0:
+    for i in range(len(els)):
+        (ux, uy), (vx, vy) = dirs[2 * i + 1], dirs[(2 * i + 2) % len(dirs)]
+        c = ux * vy - uy * vx
+        m, bound = td * c, tn * (abs(ux) + abs(uy)) * (abs(vx) + abs(vy))
+        if m < -bound:
             neg += 1
             if first_bad < 0:
                 first_bad = i
-        elif sign > 0:
+            continue
+        if m > bound:
             pos += 1
-        if sign >= 0 and cross(u, v) == 0 and dot(u, v) < 0:
+        if c == 0 and ux * vx + uy * vy < 0:
             raise BodyValidationError("NOT_CONVEX", i, "boundary reverses direction")
     if neg and not pos:
         raise BodyValidationError("NOT_CCW", first_bad, "chain is oriented clockwise")
@@ -285,7 +339,7 @@ def validate(body: ConvexBody) -> None:
     elif twice_area <= 0:
         raise BodyValidationError("EMPTY_INTERIOR", 0, "boundary encloses no area")
 
-    if _winding(_turn_directions(body)) != 1:
+    if _winding(dirs) != 1:
         raise BodyValidationError("NOT_CONVEX", 0, "boundary does not wind exactly once")
 
 
@@ -321,7 +375,7 @@ def boundary_point(body: ConvexBody, element_index: int, param) -> BoundaryPoint
     n = len(body.elements)
     if not 0 <= element_index < n:
         raise NotOnBoundaryError(f"element index {element_index} out of range")
-    param = to_scalar(param)
+    param = read_scalar(param, "param")
     if param == 1:
         element_index = (element_index + 1) % n
         param = Fraction(0)
@@ -504,25 +558,16 @@ def element_length(el: BoundaryElement) -> tuple[Fraction, bool]:
 
 
 def perimeter(body: ConvexBody) -> Fraction:
-    return sum((element_length(el)[0] for el in body.elements), Fraction(0))
+    return body.arclength[2]
 
 
 def offset_along_boundary(body: ConvexBody, bp: BoundaryPoint, s) -> BoundaryPoint:
     """Walk a signed arclength s CCW (positive) along the boundary, wrapping."""
-    s = to_scalar(s)
-    lengths = [element_length(el)[0] for el in body.elements]
-    total = sum(lengths)
-    starts: list[Fraction] = []
-    acc = Fraction(0)
-    for ln in lengths:
-        starts.append(acc)
-        acc += ln
+    s = read_scalar(s, "arclength offset")
+    starts, lengths, total = body.arclength
     pos = (starts[bp.element_index] + bp.param * lengths[bp.element_index] + s) % total
-    for i in reversed(range(len(lengths))):
-        if starts[i] <= pos:
-            param = (pos - starts[i]) / lengths[i]
-            return boundary_point(body, i, param)
-    return boundary_point(body, 0, Fraction(0))
+    i = bisect.bisect_right(starts, pos) - 1
+    return boundary_point(body, i, (pos - starts[i]) / lengths[i])
 
 
 def is_full_disc(body: ConvexBody) -> tuple[bool, Vec | None]:

@@ -42,6 +42,7 @@ penetration refutes nothing.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,10 +190,12 @@ def _positive(schedule) -> tuple[Fraction, ...]:
 # -- escape search -----------------------------------------------------------
 
 
-def _grid_offsets(g: int):
-    ks = [(abs(kx) + abs(ky), kx, ky) for kx in range(-g, g + 1) for ky in range(-g, g + 1)]
-    ks.sort()
-    return [(kx, ky) for _, kx, ky in ks]
+@functools.lru_cache(maxsize=4)
+def _grid_offsets(g: int) -> tuple[tuple[int, int], ...]:
+    """The (2g + 1)^2 lattice offsets in search order, by 1-norm then kx, ky;
+    kept for the last few g (one per sample budget), not rebuilt per search."""
+    ks = sorted((abs(kx) + abs(ky), kx, ky) for kx in range(-g, g + 1) for ky in range(-g, g + 1))
+    return tuple((kx, ky) for _, kx, ky in ks)
 
 
 def _centers(center0: Vec, radius: Fraction, g: int, n_random: int, seed: int):

@@ -31,8 +31,9 @@ from immobilize2d.errors import (
     NotOnBoundaryError,
     OutOfRangeError,
 )
-from immobilize2d.fixtures import random_convex_polygon, unit_disc, unit_square
-from immobilize2d.geom import vec
+from immobilize2d import body as body_module
+from immobilize2d.fixtures import example_e1, example_e2, random_convex_polygon, unit_disc, unit_square
+from immobilize2d.geom import over_one_denominator, vec
 
 
 def test_validate_accepts_square_and_triangle():
@@ -235,6 +236,43 @@ def test_offset_crosses_corners():
     start = boundary_point(sq, 0, Fraction(1, 2))
     moved = offset_along_boundary(sq, start, Fraction(5, 2))
     assert moved.coords == vec(1, Fraction(1, 2))
+
+
+def test_non_finite_params_and_offsets_raise_out_of_range():
+    sq = unit_square()
+    start = boundary_point(sq, 0, Fraction(0))
+    for bad in (float("nan"), float("inf"), "x", None):
+        with pytest.raises(OutOfRangeError):
+            boundary_point(sq, 0, bad)
+        with pytest.raises(OutOfRangeError):
+            offset_along_boundary(sq, start, bad)
+
+
+def test_validate_puts_no_two_elements_over_one_denominator(monkeypatch):
+    # A shared denominator across the chain grows with every element's;
+    # each call may read the coordinates of one element only.
+    calls = []
+
+    def spy(*values):
+        calls.append(values)
+        return over_one_denominator(*values)
+
+    monkeypatch.setattr(body_module, "over_one_denominator", spy)
+    bodies = [random_convex_polygon(seed, 3 + seed % 8) for seed in range(10)]
+    bodies += [unit_disc(), example_e1(4).body, example_e2(3).body]
+    for b in bodies:
+        calls.clear()
+        validate(b)
+        assert calls
+        for values in calls:
+            assert len(values) <= 4
+            assert any(set(values) <= _coordinates(el) for el in b.elements), values
+
+
+def _coordinates(el):
+    if isinstance(el, Segment):
+        return {el.a.x, el.a.y, el.b.x, el.b.y}
+    return {el.from_dir.x, el.from_dir.y, el.to_dir.x, el.to_dir.y}
 
 
 def test_is_full_disc():

@@ -30,6 +30,7 @@ from immobilize2d.body import (  # noqa: E402
     boundary_point,
     contains_interior,
     contains_over,
+    offset_along_boundary,
     polygon,
     validate,
 )
@@ -190,10 +191,11 @@ def test_rows_are_computed_on_first_containment_only():
     validate(loaded)
     io.points_from_json(io.loads(io.dumps(io.points_to_json(pts))), loaded)
     for b in (body, loaded, polygon([(0, 0), (1, 0), (0, 1)])):
-        assert "rows" not in vars(b)
+        # validate builds neither table: it reads the tangents straight off the elements
+        assert "rows" not in vars(b) and "arclength" not in vars(b)
         assert not any("row" in vars(el) for el in b.elements)
     contains_interior(body, Vec(Fraction(1, 3), Fraction(1, 7)))
-    assert "rows" in vars(body)
+    assert "rows" in vars(body) and "arclength" not in vars(body)
     assert "row" in vars(body.elements[0])
 
 
@@ -213,7 +215,9 @@ def test_a_built_table_leaves_equality_and_hash_alone():
         fresh = io.body_from_json(io.loads(io.dumps(io.body_to_json(body))))
         lo, hi = body.bounding_box()
         contains_interior(body, Vec((lo.x + hi.x) / 2, (lo.y + hi.y) / 2))
-        assert "rows" in vars(body) and "rows" not in vars(fresh)
+        offset_along_boundary(body, boundary_point(body, 0, Fraction(1, 2)), Fraction(1, 3))
+        for table in ("rows", "arclength"):
+            assert table in vars(body) and table not in vars(fresh)
         assert body == fresh and hash(body) == hash(fresh)
     assert body.rows == body.elements  # an arc is its own entry
 
