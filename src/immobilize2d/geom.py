@@ -10,7 +10,8 @@ eliminates them, so both read the same side convention.  A row is its four
 terms as coprime ints, the one primitive positive multiple of the row;
 ``_coprime_row`` is its one normaliser, for int and ``Fraction`` terms alike,
 through ``over_one_denominator``, the one place a common denominator is built.
-Every rational rotation takes its unit from ``half_angle_unit``.
+Every rational rotation takes its unit from ``half_angle_unit``, and every
+rigid motion moves points as one integer map (``motion_map``).
 """
 
 from __future__ import annotations
@@ -196,27 +197,47 @@ def rational_rotation(t: ScalarLike) -> tuple[Fraction, Fraction]:
     return Fraction(c, d), Fraction(s, d)
 
 
+def rotation_unit(t: ScalarLike, sense: str) -> tuple[int, int, int]:
+    """``half_angle_unit(t)`` turning in the given sense: CW negates the sine."""
+    c, s, d = half_angle_unit(t)
+    if sense not in ("CW", "CCW"):
+        raise ValueError(f"unknown sense {sense!r}")
+    return c, -s if sense == "CW" else s, d
+
+
 def rotation_about(center: Vec, t: ScalarLike, sense: str = "CCW") -> Rotation:
     """Rotation about ``center`` with half-angle parameter t >= 0 in the given sense."""
-    c, s = rational_rotation(t)
-    if sense == "CW":
-        s = -s
-    elif sense != "CCW":
-        raise ValueError(f"unknown sense {sense!r}")
-    return Rotation(center, c, s)
+    c, s, d = rotation_unit(t, sense)
+    return Rotation(center, Fraction(c, d), Fraction(s, d))
+
+
+def rotation_map(center: tuple[int, int, int], c: int, s: int, d: int) -> tuple[int, int, int, int, int]:
+    """The map of the rotation by the unit ``(c, s) / d`` about ``(ox, oy) / ow``; it
+    sends ``(px, py) / pw`` to ``(ox pw d + c dx - s dy, oy pw d + s dx + c dy) /
+    (ow pw d)``, ``(dx, dy) = (px ow - ox pw, py ow - oy pw)``."""
+    ox, oy, ow = center
+    return c * ow, s * ow, ox * (d - c) + s * oy, oy * (d - c) - s * ox, ow * d
+
+
+def motion_map(m: RigidMotion) -> tuple[int, int, int, int, int]:
+    """The integer map ``(A, B, E, F, G)`` of a motion: it sends ``(x, y) / w`` to
+    ``(A x - B y + E w, B x + A y + F w) / (G w)``.  Anything that is no
+    ``Rotation``, ``Translation`` or ``Identity`` raises ``OutOfRangeError``."""
+    if isinstance(m, Identity):
+        return 1, 0, 0, 0, 1
+    if isinstance(m, Translation):
+        (vx, vy), vw = over_one_denominator(m.v.x, m.v.y)
+        return vw, 0, vx, vy, vw
+    if isinstance(m, Rotation):
+        (ox, oy), ow = over_one_denominator(m.center.x, m.center.y)
+        return rotation_map((ox, oy, ow), m.c.numerator, m.s.numerator, m.c.denominator)
+    raise OutOfRangeError(f"{m!r} is not a rigid motion")
 
 
 def apply_motion(m: RigidMotion, p: Vec) -> Vec:
-    if isinstance(m, Identity):
-        return p
-    if isinstance(m, Translation):
-        return p + m.v
-    # p and the center over one denominator w, the unit over its shared one
-    o = m.center
-    (px, py, ox, oy), w = over_one_denominator(p.x, p.y, o.x, o.y)
-    c, s, d = m.c.numerator, m.s.numerator, m.c.denominator
-    dx, dy = px - ox, py - oy
-    return Vec(Fraction(ox * d + c * dx - s * dy, w * d), Fraction(oy * d + s * dx + c * dy, w * d))
+    a, b, e, f, g = motion_map(m)
+    (x, y), w = over_one_denominator(p.x, p.y)
+    return Vec(Fraction(a * x - b * y + e * w, g * w), Fraction(b * x + a * y + f * w, g * w))
 
 
 def invert_motion(m: RigidMotion) -> RigidMotion:

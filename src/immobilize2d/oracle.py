@@ -11,21 +11,18 @@ the body, so path simulation applies the inverse motion to each point.
 
 Every probe runs in integers.  A search or a validator puts the contact
 points over one denominator once (``geom.over_one_denominator``) and hands
-them to the probes as ``(x, y, w)`` ints; the search's candidate centers
-are ``(X, Y, W)`` ints built one at a time, so an early escape builds no
-further centers, and a center becomes a ``Vec`` only in a report or to be
-compared with a disc's center.  The translation directions are built
-lazily too, as integer units ``(c, s, d)`` off ``geom.half_angle_unit``, and
-a probe's vector is the unit times the magnitude ``mn / md``, ``(c mn, s mn)
-/ (d md)``, so an early escape builds no further directions.  A probe reads
-the rotation unit off the half-angle t in ints (``geom.half_angle_unit``),
-puts a translation vector over one denominator, and hands each moved point
-to ``body.contains_over`` as ``(x, y, w)``, so it builds no ``Rotation`` and
-no ``Fraction``.
-The radius, the schedule entries, a witness center, a witness direction
-and a rotation path's half-angle are read through ``geom.read_scalar``, so
-a value that is no finite number raises ``OutOfRangeError``; the sample
-budget is an int.
+them to the probes as ``(x, y, w)`` ints.  The search builds its centers
+``(X, Y, W)`` and translation units ``(c, s, d)`` one at a time, so an early
+escape builds no further candidates.  Each probe builds its motion's
+integer map (``geom.rotation_map``, or ``(vw, 0, vx, vy, vw)`` for the
+vector ``(vx, vy) / vw``) and runs the one loop ``_clear``, which hands each
+moved point to ``body.contains_over``, so a probe builds no ``Fraction``.
+The radius, the schedule entries, a witness center, a witness direction,
+and a motion path's center, vector, half-angle and sample times are read
+through ``geom.read_scalar``, so a value that is no finite number raises
+``OutOfRangeError``; so does a sample budget or a path's step count that is
+not an int, a path sense other than CW and CCW, and a sampled motion that is
+no ``Rotation``, ``Translation`` or ``Identity``.
 
 A validator accepts a witness when the smallest scheduled magnitudes (the
 last three of the schedule, or all of it if shorter) are penetration-free;
@@ -58,9 +55,12 @@ from .geom import (
     apply_motion,
     half_angle_unit,
     invert_motion,
+    motion_map,
     over_one_denominator,
     read_scalar,
     rotation_about,
+    rotation_map,
+    rotation_unit,
 )
 
 CW = "CW"
@@ -83,46 +83,27 @@ def _homogeneous(pts) -> list[tuple[int, int, int]]:
     return out
 
 
-def _rotation_clear(body: ConvexBody, pts, center, sense: str, t: Fraction) -> bool:
-    """No point interior after rotating the points about the center by the half-angle t.
-
-    The points and the center are ``(x, y, w)`` ints (``_homogeneous``).  With
-    t's unit ``(c, +-s) / d``, the center ``(ox, oy, ow)`` and a point ``(px, py,
-    pw)``, the moved point is ``(ox pw d + c dx - s dy, oy pw d + s dx + c dy) /
-    (ow pw d)``, ``(dx, dy) = (px ow - ox pw, py ow - oy pw)``.  A point that is
-    near degenerate in mixed mode counts as not clear.
-    """
-    c, s, d = half_angle_unit(t)
-    if sense == CW:
-        s = -s
-    elif sense != CCW:
-        raise ValueError(f"unknown sense {sense!r}")
-    ox, oy, ow = center
-    oxd, oyd, owd = ox * d, oy * d, ow * d
+def _clear(body: ConvexBody, pts, m) -> bool:
+    """No ``(x, y, w)`` point interior after the map ``m``; a near-degenerate one is not clear."""
+    a, b, e, f, g = m
     try:
-        for px, py, pw in pts:
-            dx, dy = px * ow - ox * pw, py * ow - oy * pw
-            moved = contains_over(body, oxd * pw + c * dx - s * dy, oyd * pw + s * dx + c * dy, owd * pw)
-            if moved is Containment.INTERIOR:
+        for x, y, w in pts:
+            if contains_over(body, a * x - b * y + e * w, b * x + a * y + f * w, g * w) is Containment.INTERIOR:
                 return False
     except NearDegenerateError:
         return False
     return True
+
+
+def _rotation_clear(body: ConvexBody, pts, center, sense: str, t: Fraction) -> bool:
+    """``_clear`` under the rotation about the ``(x, y, w)`` center by the half-angle t."""
+    return _clear(body, pts, rotation_map(center, *rotation_unit(t, sense)))
 
 
 def _translation_clear(body: ConvexBody, pts, vector: Vec) -> bool:
-    """No point interior after adding the vector ``(vx, vy) / vw`` to each ``(x, y, w)`` point.
-
-    A point that is near degenerate in mixed mode counts as not clear.
-    """
+    """``_clear`` under the translation by the vector."""
     (vx, vy), vw = over_one_denominator(vector.x, vector.y)
-    try:
-        for px, py, pw in pts:
-            if contains_over(body, px * vw + vx * pw, py * vw + vy * pw, pw * vw) is Containment.INTERIOR:
-                return False
-    except NearDegenerateError:
-        return False
-    return True
+    return _clear(body, pts, (vw, 0, vx, vy, vw))
 
 
 @dataclass(frozen=True)
@@ -152,7 +133,8 @@ def validate_rotation_witness(
     """Exactly check that rotating the points about the center stays penetration-free."""
     _require_exact(body)
     tail = _positive(schedule)[-3:]
-    (ox, oy), ow = over_one_denominator(*(read_scalar(v, "rotation center") for v in (center.x, center.y)))
+    center = _read_vec(center, "rotation center")
+    (ox, oy), ow = over_one_denominator(center.x, center.y)
     pts = _homogeneous(pts)
     return bool(tail) and all(_rotation_clear(body, pts, (ox, oy, ow), sense, t) for t in tail)
 
@@ -165,12 +147,26 @@ def validate_translation_witness(
 ) -> bool:
     """Exactly check moving the points by each scheduled multiple of the direction."""
     _require_exact(body)
-    direction = Vec(*(read_scalar(v, "direction") for v in (direction.x, direction.y)))
+    direction = _read_vec(direction, "direction")
     if direction.is_zero():
         raise OutOfRangeError("a translation witness needs a nonzero direction")
     tail = _positive(schedule)[-3:]
     pts = _homogeneous(pts)
     return bool(tail) and all(_translation_clear(body, pts, direction.scaled(m)) for m in tail)
+
+
+def _read_vec(v, what: str) -> Vec:
+    """``v`` with both coordinates read through ``read_scalar``; anything but a
+    ``Vec`` raises ``OutOfRangeError`` too."""
+    if not isinstance(v, Vec):
+        raise OutOfRangeError(f"{what} {v!r} is not a Vec")
+    return Vec(read_scalar(v.x, what), read_scalar(v.y, what))
+
+
+def _read_count(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise OutOfRangeError(f"{what} {value!r} is not an int")
+    return value
 
 
 def _require_exact(body: ConvexBody) -> None:
@@ -248,9 +244,7 @@ def escape_search(
     magnitudes it lists.  The radius, when given, must be a positive finite
     number, and the sample budget an int (not a bool) from 0 to 10**6.
     """
-    if isinstance(samples, bool) or not isinstance(samples, int):
-        raise OutOfRangeError(f"sample budget {samples!r} is not an int")
-    if not 0 <= samples <= 10**6:
+    if not 0 <= _read_count(samples, "sample budget") <= 10**6:
         raise OutOfRangeError("sample budget must be between 0 and 10**6")
     lo, hi = body.bounding_box()
     center0 = Vec((lo.x + hi.x) / 2, (lo.y + hi.y) / 2)
@@ -317,21 +311,26 @@ class MotionPath:
 
     @staticmethod
     def rotation(center: Vec, sense: str, max_half_angle) -> "MotionPath":
+        if sense not in (CW, CCW):
+            raise OutOfRangeError(f"unknown sense {sense!r}")
+        center = _read_vec(center, "rotation center")
         max_half_angle = read_scalar(max_half_angle, "half-angle")
         return MotionPath(kind="rotation", center=center, sense=sense, max_half_angle=max_half_angle)
 
     @staticmethod
     def translation(vector: Vec) -> "MotionPath":
-        return MotionPath(kind="translation", vector=vector)
+        return MotionPath(kind="translation", vector=_read_vec(vector, "translation vector"))
 
     @staticmethod
     def from_samples(samples) -> "MotionPath":
-        samples = tuple(samples)
+        """Sampled motions ``(t, motion)``: each t a finite number, each motion a
+        ``Rotation``, ``Translation`` or ``Identity``, the first one the identity at 0."""
+        samples = tuple((read_scalar(t, "sample time"), m) for t, m in samples)
         if not samples:
             raise OutOfRangeError("a motion path needs at least one sample")
-        t0, m0 = samples[0]
-        probes = (Vec(Fraction(0), Fraction(0)), Vec(Fraction(1), Fraction(0)), Vec(Fraction(0), Fraction(1)))
-        if t0 != 0 or any(apply_motion(m0, p) != p for p in probes):
+        maps = [motion_map(m) for _, m in samples]  # refuses anything but a rigid motion
+        a, b, e, f, g = maps[0]
+        if samples[0][0] != 0 or (a, b, e, f) != (g, 0, 0, 0):
             raise OutOfRangeError("a motion path must start at the identity")
         return MotionPath(kind="samples", samples=samples)
 
@@ -349,9 +348,9 @@ def simulate_path(body: ConvexBody, pts, path: MotionPath, steps: int = 100):
     """First sampled (t, point index) with a point interior to the moved body.
 
     None is only "no penetration among the samples", never a certificate.
-    ``steps`` below 1 raises OutOfRangeError.
+    ``steps`` must be an int (not a bool) of at least 1, else OutOfRangeError.
     """
-    if steps < 1:
+    if _read_count(steps, "step count") < 1:
         raise OutOfRangeError("a path simulation needs at least one step")
     pts = list(pts)
     if path.kind == "samples":

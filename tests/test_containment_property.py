@@ -3,8 +3,8 @@
 ``contains_interior`` decides segments from the body's integer row table
 (``ConvexBody.rows``, each ``Segment.row`` with the tolerance applied),
 ``contains_over`` takes the point over one denominator, and
-``apply_motion`` and the oracle's escape probes rotate and translate over
-one denominator;
+``apply_motion`` and the oracle's escape probes rotate and translate by one
+integer map (``geom.motion_map``, ``geom.rotation_map``);
 ``tests/containment_reference.py`` writes all of them out in ``Fraction``s.
 Bodies are ``random_convex_polygon`` under a rational scale and shift, so
 rows carry denominators.  Points are drawn at random, on vertices, on edges
@@ -37,7 +37,9 @@ from immobilize2d.body import (  # noqa: E402
 from immobilize2d.errors import NearDegenerateError  # noqa: E402
 from immobilize2d.fixtures import random_convex_polygon, unit_disc  # noqa: E402
 from immobilize2d.geom import (  # noqa: E402
+    Identity,
     Rotation,
+    Translation,
     Vec,
     apply_motion,
     invert_motion,
@@ -234,6 +236,15 @@ def test_rotations_match_the_fraction_formulas(p, q, cx, cy, x, y):
         for motion, unit in ((m, (c, sign * s)), (invert_motion(m), (c, -sign * s))):
             moved = apply_motion(motion, point)
             assert (moved.x, moved.y) == reference_rotate((cx, cy), *unit, (x, y))
+
+
+@SETTINGS
+@hypothesis.given(rationals, rationals, rationals, rationals)
+def test_translations_and_the_identity_match_fraction_addition(vx, vy, x, y):
+    point, shift = Vec(x, y), Translation(Vec(vx, vy))
+    for motion, (dx, dy) in ((shift, (vx, vy)), (invert_motion(shift), (-vx, -vy)), (Identity(), (0, 0)), (invert_motion(Identity()), (0, 0))):
+        moved = apply_motion(motion, point)
+        assert (moved.x, moved.y) == (x + dx, y + dy)
 
 
 units = st.builds(reference_rotation, rationals)

@@ -8,10 +8,12 @@ where a near-degenerate point counts as not clear).  Each case probes its
 contact points together and each one alone.  Rotations cover both senses,
 centers on every contact point, on every vertex and off the body, and each
 half-angle of the default schedule plus 1/3; translations cover seven
-directions at each default magnitude.
+directions at each default magnitude.  A spy on ``contains_over`` pins the
+ints each probe hands it, not only their ratios.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import escape_reference as ref
 import pytest
@@ -80,3 +82,35 @@ def test_translation_probes_match_the_fraction_reference(name, body, pts):
                 assert oracle._translation_clear(body, over_one, v) == expected, (subset, v)
                 seen.add(expected)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name, body, pts", CASES, ids=[c[0] for c in CASES])
+def test_probes_hand_contains_over_the_same_ints(monkeypatch, name, body, pts):
+    seen = []
+    real = oracle.contains_over
+    monkeypatch.setattr(oracle, "contains_over", lambda body, x, y, w: seen.append((x, y, w)) or real(body, x, y, w))
+    over_one = oracle._homogeneous(pts)
+
+    def check(clear, expected):
+        assert seen and seen == expected[: len(seen)]
+        assert not clear or len(seen) == len(expected)
+        seen.clear()
+
+    for center in centers(body, pts):
+        (ox, oy), ow = over_one_denominator(center.x, center.y)
+        for sense in (oracle.CW, oracle.CCW):
+            for t in HALF_ANGLES:
+                p, q = t.numerator, t.denominator
+                c, s, d = q * q - p * p, (2 * p * q if sense == oracle.CCW else -2 * p * q), q * q + p * p
+                expected = []
+                for px, py, pw in over_one:
+                    dx, dy = px * ow - ox * pw, py * ow - oy * pw
+                    expected.append((ox * d * pw + c * dx - s * dy, oy * d * pw + s * dx + c * dy, ow * d * pw))
+                check(oracle._rotation_clear(body, over_one, (ox, oy, ow), sense, t), expected)
+    for direction in DIRECTIONS:
+        for m in oracle.DEFAULT_TRANSLATION_SCHEDULE:
+            v = direction.scaled(m)
+            vw = lcm(v.x.denominator, v.y.denominator)
+            vx, vy = v.x.numerator * (vw // v.x.denominator), v.y.numerator * (vw // v.y.denominator)
+            expected = [(px * vw + vx * pw, py * vw + vy * pw, pw * vw) for px, py, pw in over_one]
+            check(oracle._translation_clear(body, over_one, v), expected)

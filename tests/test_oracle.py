@@ -294,6 +294,39 @@ def test_simulate_path_refuses_a_step_count_below_one():
     assert oracle.simulate_path(sq, mids, path, steps=1) == (Fraction(1), 0)
 
 
+def test_simulate_path_refuses_a_step_count_that_is_not_an_int():
+    sq, mids = square_edge_midpoints()
+    path = oracle.MotionPath.rotation(vec(0, 0), "CW", Fraction(1, 50))
+    for steps in (2.5, "3", None, True):
+        with pytest.raises(OutOfRangeError):
+            oracle.simulate_path(sq, mids, path, steps=steps)
+
+
+def test_motion_path_refuses_bad_inputs_at_construction():
+    from immobilize2d.geom import Identity, Rotation, Translation
+
+    nan = float("nan")
+    bad_paths = [
+        lambda: oracle.MotionPath.rotation(vec(0, 0), "cw", Fraction(1, 50)),
+        lambda: oracle.MotionPath.rotation(None, "CW", Fraction(1, 50)),
+        lambda: oracle.MotionPath.rotation(Vec(nan, Fraction(0)), "CW", Fraction(1, 50)),
+        lambda: oracle.MotionPath.translation(None),
+        lambda: oracle.MotionPath.translation(Vec(Fraction(1), "x")),
+        lambda: oracle.MotionPath.from_samples([(0, Identity()), (Fraction(1, 2), "junk")]),
+        lambda: oracle.MotionPath.from_samples([(0, "junk")]),
+        lambda: oracle.MotionPath.from_samples([(0, Identity()), (nan, Identity())]),
+        lambda: oracle.MotionPath.from_samples([("x", Identity())]),
+        lambda: oracle.MotionPath.from_samples([(0, Rotation(vec(1, 2), Fraction(3, 5), Fraction(4, 5)))]),
+    ]
+    for build in bad_paths:
+        with pytest.raises(OutOfRangeError):
+            build()
+    # a unit rotation about any center and a zero translation start at the identity too
+    for start in (Rotation(vec(1, 2), Fraction(1), Fraction(0)), Translation(vec(0, 0))):
+        path = oracle.MotionPath.from_samples([("0", start), (Fraction(1), Translation(vec(6, 0)))])
+        assert path.samples[0][0] == 0
+
+
 def test_motion_path_refuses_no_samples():
     with pytest.raises(OutOfRangeError):
         oracle.MotionPath.from_samples([])
