@@ -325,21 +325,26 @@ def validate(body: ConvexBody) -> None:
     if neg:
         raise BodyValidationError("NOT_CONVEX", first_bad, "right turn in boundary chain")
 
-    verts = [el.start() for el in els]
-    twice_area = sum(cross(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts)))
-    if body.mode != EXACT_POLYGON:
-        # arc caps add area beyond the vertex polygon
-        cap = 0.0
-        for el in els:
-            if isinstance(el, Arc):
-                sweep = _arc_sweep(el)
-                cap += float(el.radius) ** 2 * (sweep - math.sin(sweep))
-        if float(twice_area) + cap <= float(tol):
+    # An exact chain with no right turn and no reversal that winds once is a
+    # convex polygon, whose area is positive; any other chain has its area
+    # summed, and a chain winding twice can enclose a negative one.
+    winding = _winding(dirs)
+    if body.mode != EXACT_POLYGON or winding != 1:
+        verts = [el.start() for el in els]
+        twice_area = sum(cross(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts)))
+        if body.mode != EXACT_POLYGON:
+            # arc caps add area beyond the vertex polygon
+            cap = 0.0
+            for el in els:
+                if isinstance(el, Arc):
+                    sweep = _arc_sweep(el)
+                    cap += float(el.radius) ** 2 * (sweep - math.sin(sweep))
+            if float(twice_area) + cap <= float(tol):
+                raise BodyValidationError("EMPTY_INTERIOR", 0, "boundary encloses no area")
+        elif twice_area <= 0:
             raise BodyValidationError("EMPTY_INTERIOR", 0, "boundary encloses no area")
-    elif twice_area <= 0:
-        raise BodyValidationError("EMPTY_INTERIOR", 0, "boundary encloses no area")
 
-    if _winding(dirs) != 1:
+    if winding != 1:
         raise BodyValidationError("NOT_CONVEX", 0, "boundary does not wind exactly once")
 
 

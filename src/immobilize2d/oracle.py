@@ -300,7 +300,15 @@ def escape_search(
 
 @dataclass(frozen=True)
 class MotionPath:
-    """Parametric motion family on [0, 1] starting at the identity."""
+    """Parametric motion family on [0, 1] starting at the identity.
+
+    Every path, however built, is checked and read once here: a rotation
+    needs a sense and reads its center and half-angle, a translation reads
+    its vector, and sampled motions ``(t, motion)`` need each t a finite
+    number in [0, 1], strictly increasing, each motion a ``Rotation``,
+    ``Translation`` or ``Identity``, the first one the identity at 0.
+    Anything else raises ``OutOfRangeError``.
+    """
 
     kind: str  # rotation | translation | samples
     center: Vec | None = None
@@ -309,29 +317,43 @@ class MotionPath:
     vector: Vec | None = None
     samples: tuple[tuple[Fraction, RigidMotion], ...] | None = None
 
+    def __post_init__(self):
+        if self.kind == "rotation":
+            if self.sense not in (CW, CCW):
+                raise OutOfRangeError(f"unknown sense {self.sense!r}")
+            object.__setattr__(self, "center", _read_vec(self.center, "rotation center"))
+            object.__setattr__(self, "max_half_angle", read_scalar(self.max_half_angle, "half-angle"))
+        elif self.kind == "translation":
+            object.__setattr__(self, "vector", _read_vec(self.vector, "translation vector"))
+        elif self.kind == "samples":
+            try:
+                samples = tuple((read_scalar(t, "sample time"), m) for t, m in self.samples or ())
+            except (TypeError, ValueError):  # not iterable, or an item that is no pair
+                raise OutOfRangeError(f"samples {self.samples!r} are not (t, motion) pairs") from None
+            if not samples:
+                raise OutOfRangeError("a motion path needs at least one sample")
+            maps = [motion_map(m) for _, m in samples]  # refuses anything but a rigid motion
+            a, b, e, f, g = maps[0]
+            if samples[0][0] != 0 or (a, b, e, f) != (g, 0, 0, 0):
+                raise OutOfRangeError("a motion path must start at the identity")
+            times = [t for t, _ in samples]
+            if times[-1] > 1 or any(s >= t for s, t in zip(times, times[1:])):
+                raise OutOfRangeError("sample times must increase strictly within [0, 1]")
+            object.__setattr__(self, "samples", samples)
+        else:
+            raise OutOfRangeError(f"unknown motion path kind {self.kind!r}")
+
     @staticmethod
     def rotation(center: Vec, sense: str, max_half_angle) -> "MotionPath":
-        if sense not in (CW, CCW):
-            raise OutOfRangeError(f"unknown sense {sense!r}")
-        center = _read_vec(center, "rotation center")
-        max_half_angle = read_scalar(max_half_angle, "half-angle")
         return MotionPath(kind="rotation", center=center, sense=sense, max_half_angle=max_half_angle)
 
     @staticmethod
     def translation(vector: Vec) -> "MotionPath":
-        return MotionPath(kind="translation", vector=_read_vec(vector, "translation vector"))
+        return MotionPath(kind="translation", vector=vector)
 
     @staticmethod
     def from_samples(samples) -> "MotionPath":
-        """Sampled motions ``(t, motion)``: each t a finite number, each motion a
-        ``Rotation``, ``Translation`` or ``Identity``, the first one the identity at 0."""
-        samples = tuple((read_scalar(t, "sample time"), m) for t, m in samples)
-        if not samples:
-            raise OutOfRangeError("a motion path needs at least one sample")
-        maps = [motion_map(m) for _, m in samples]  # refuses anything but a rigid motion
-        a, b, e, f, g = maps[0]
-        if samples[0][0] != 0 or (a, b, e, f) != (g, 0, 0, 0):
-            raise OutOfRangeError("a motion path must start at the identity")
+        """Sampled motions ``(t, motion)``, checked as the class says."""
         return MotionPath(kind="samples", samples=samples)
 
     def motion_at(self, t: Fraction) -> RigidMotion:

@@ -167,7 +167,7 @@ def render_svg(
 
     for rows in contacts:
         apex = (float(rows.apex.x), float(rows.apex.y))
-        for lc in (rows.left,) if rows.smooth else (rows.left, rows.right):
+        for lc in rows.rows:
             seg = _clip_line(apex, (-float(lc.ny), float(lc.nx)), window)
             if seg:
                 (ax, ay), (bx, by) = seg

@@ -13,14 +13,15 @@ two half-planes: its left side ``-u . p >= -u . apex`` and its right side
               contact even when the point is perturbed to either side),
 * ``small_r`` intersection of the right half-planes.
 
-A sector is stored as those half-plane rows, grouped into conjunctive
-alternatives whose union it is: two one-row alternatives for a large sector
-at a corner, one row at a smooth contact (both tangents bound the same
-half-plane), one two-row alternative for a small sector.  Membership and
-the exact sector-system solver both read these rows.  A contact's two
-closed right-side rows are built once, as ``ContactRows``; every sector of
-that contact is read off them by flipping signs (left kinds) and ``strict``
-(open sectors), and both flips keep a row coprime.
+A contact is its distinct closed right-side rows, built once as
+``ContactRows``: two at a corner, one at a smooth contact, where both
+tangents bound the same half-plane.  Every sector of the contact is read off
+them by one rule: flip the signs (left kinds) and ``strict`` (open sectors),
+both of which keep a row coprime, then take a small sector as one
+alternative holding every row and a large one as one alternative per row.
+A sector is the union of its alternatives, so at a smooth contact ``L`` and
+``small_l`` are one sector, as are ``R`` and ``small_r``.  Membership and the
+exact sector-system solver both read these rows.
 
 A direction set is the circle trace of a closed sector: the one closed arc
 (``CircArc``) of directions d such that apex + d stays in the sector.  It
@@ -69,35 +70,29 @@ class Sector:
 
 @dataclass(frozen=True)
 class ContactRows:
-    """A contact's first-order data: the closed right-side rows of its two
-    tangents, ``u . p >= u . apex`` for ``u_left`` and ``u_right``, and whether
-    they are one row (a smooth contact).  Every sector is read off these."""
+    """A contact's first-order data: the distinct closed right-side rows
+    ``u . p >= u . apex`` of its tangents, ``u_left`` first; one row at a
+    smooth contact.  Every sector is read off these."""
 
     apex: Vec
-    left: LinearConstraint
-    right: LinearConstraint
-    smooth: bool
+    rows: tuple[LinearConstraint, ...]
 
 
 def contact_rows(apex: Vec, t: TangentData) -> ContactRows:
+    # both rows are coprime and pass through apex, so they are equal exactly when the tangents point the same way
     left, right = halfplane_constraint(apex, t.u_left, True), halfplane_constraint(apex, t.u_right, True)
-    return ContactRows(apex, left, right, same_ray(t.u_left, t.u_right))
+    return ContactRows(apex, (left,) if left == right else (left, right))
 
 
 def sector_of(rows: ContactRows, kind: str, closed: bool) -> Sector:
     """The sector of ``kind``: left kinds negate the rows, open ones make them
-    strict; both flips keep a row coprime."""
+    strict (both flips keep a row coprime); a small sector is one alternative
+    holding every row, a large one an alternative per row."""
     if kind not in SECTOR_KINDS:
         raise ValueError(f"unknown sector kind {kind!r}")
     k = -1 if kind in ("L", "small_l") else 1
-    left, right = (LinearConstraint(k * lc.nx, k * lc.ny, k * lc.c, not closed) for lc in (rows.left, rows.right))
-    if kind.startswith("small"):
-        alternatives = ((left, right),)
-    elif rows.smooth:
-        alternatives = ((left,),)  # smooth contact: both tangents bound the same half-plane
-    else:
-        alternatives = ((left,), (right,))
-    return Sector(rows.apex, closed, alternatives)
+    flipped = tuple(LinearConstraint(k * lc.nx, k * lc.ny, k * lc.c, not closed) for lc in rows.rows)
+    return Sector(rows.apex, closed, (flipped,) if kind.startswith("small") else tuple((lc,) for lc in flipped))
 
 
 def make_sector(kind: str, closed: bool, apex: Vec, t: TangentData) -> Sector:
@@ -170,7 +165,7 @@ def sector_directions(s: Sector) -> CircArc:
     A row ``n . p >= c`` keeps the directions from ``rot90_cw(n)`` to
     ``rot90_ccw(n)``.  A union (a large sector at a corner) runs from its first
     row's start to its last row's end, an intersection (a small sector) from
-    its last row's start to its first row's end; a smooth large sector's one
+    its last row's start to its first row's end; a smooth contact's one
     row is both.  ``L`` gives a sweep of pi + turn angle, ``small_l`` one of
     pi - turn angle; the right-side kinds give their antipodes.
     """

@@ -36,6 +36,7 @@ FEASIBILITY = "src/immobilize2d/feasibility.py"
 BODY = "src/immobilize2d/body.py"
 GEOM = "src/immobilize2d/geom.py"
 ORACLE = "src/immobilize2d/oracle.py"
+SECTORS = "src/immobilize2d/sectors.py"
 
 FUZZ_CHECKS = ("tests/test_cli.py::test_fuzz_reports_each_violation_and_exits_13",)
 RECENTRE = ("tests/test_recentre.py",)
@@ -67,6 +68,16 @@ MUTANTS = [
     # validate's mixed-mode junction snap and the arclength walk
     (BODY, "m, bound = td * c, tn *", "m, bound = c, tn *", VALIDATE, None),
     (BODY, "bisect.bisect_right(starts, pos) - 1", "bisect.bisect_left(starts, pos) - 1", VALIDATE, None),
+    # exact mode sums the area only for a chain that does not wind once
+    (BODY, "elif twice_area <= 0:", "elif False:", ("tests/test_body.py::test_validation_counts_winding_without_floats",), None),
+    # a smooth contact is one row
+    (
+        SECTORS,
+        "(left,) if left == right else (left, right)",
+        "(left, right)",
+        ("tests/test_classify.py::test_almost_fix_at_smooth_contacts_solves_one_row_per_contact",),
+        None,
+    ),
     # the one integer map of a rigid motion and the one probe loop
     (GEOM, "c * ow, s * ow, ox * (d - c) + s * oy,", "c * ow, s * ow, -(ox * (d - c) + s * oy),", MOTIONS, None),
     (GEOM, "return c, -s if sense == \"CW\" else s, d", "return c, -s if sense == \"CCW\" else s, d", MOTIONS, None),
@@ -80,6 +91,8 @@ MUTANTS = [
         MOTIONS,
         None,
     ),
+    # sampled motion paths keep their times in order
+    (ORACLE, "any(s >= t for s, t in zip(times, times[1:]))", "False", ("tests/test_oracle.py",), None),
 ]
 
 

@@ -105,6 +105,12 @@ def test_validation_counts_winding_without_floats(monkeypatch):
         validate(star)
     assert e.value.code == "NOT_CONVEX"
     assert "wind" in str(e.value)
+    # Every turn of this hexagon is a left turn too, and it winds twice, but
+    # its signed area is negative: a chain that does not wind once still has
+    # its area summed, and an empty interior is reported first.
+    with pytest.raises(BodyValidationError) as e:
+        validate(polygon([(-1, -4), (-4, 6), (-4, 5), (1, -4), (5, -2), (-6, -5)]))
+    assert e.value.code == "EMPTY_INTERIOR"
     # A clockwise junction within tolerance passes as straight in mixed mode;
     # it turns back over the direction (1, 0), and the winding still counts 1.
     eps = Fraction(1, 10**12)

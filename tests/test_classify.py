@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from immobilize2d import classify
+from immobilize2d import classify, feasibility
 from immobilize2d.body import BoundaryPoint, boundary_point, offset_along_boundary, polygon
 from immobilize2d.classify import (
     CCW,
@@ -108,6 +108,32 @@ def test_edge_midpoints_are_indeterminate_with_center_witness():
     a = classify_almost_fix(sq, mids)
     assert a.status == INDETERMINATE
     assert a.witness.point == vec(0, 0)
+
+
+def test_almost_fix_at_smooth_contacts_solves_one_row_per_contact(monkeypatch):
+    # At a smooth contact both tangents bound one half-plane, so each small
+    # sector is that one row, not the row twice.
+    rows = []
+    solve = feasibility._feasible_exact
+
+    def counting(constraints):
+        rows.append(len(constraints))
+        return solve(constraints)
+
+    monkeypatch.setattr(feasibility, "_feasible_exact", counting)
+    pentagon = regular_polygon(5, 3)
+    for body, pts in (square_edge_midpoints(), (pentagon, [boundary_point(pentagon, i, Fraction(1, 3)) for i in range(5)])):
+        rows.clear()
+        classify_almost_fix(body, pts)
+        assert rows and set(rows) == {len(pts)}
+
+
+def test_almost_fix_at_forty_edge_midpoints_is_positive():
+    # 40 smooth contacts pose 40-row systems for both questions, under the row cap.
+    body = regular_polygon(40, 5)
+    mids = [boundary_point(body, i, Fraction(1, 2)) for i in range(40)]
+    assert classify_fix(body, mids).status == POSITIVE
+    assert classify_almost_fix(body, mids).status == POSITIVE
 
 
 def test_verdict_carries_question_and_mode():

@@ -317,6 +317,9 @@ def test_motion_path_refuses_bad_inputs_at_construction():
         lambda: oracle.MotionPath.from_samples([(0, Identity()), (nan, Identity())]),
         lambda: oracle.MotionPath.from_samples([("x", Identity())]),
         lambda: oracle.MotionPath.from_samples([(0, Rotation(vec(1, 2), Fraction(3, 5), Fraction(4, 5)))]),
+        lambda: oracle.MotionPath.from_samples([Identity()]),
+        lambda: oracle.MotionPath.from_samples([(0, Identity(), 1)]),
+        lambda: oracle.MotionPath.from_samples(5),
     ]
     for build in bad_paths:
         with pytest.raises(OutOfRangeError):
@@ -325,6 +328,37 @@ def test_motion_path_refuses_bad_inputs_at_construction():
     for start in (Rotation(vec(1, 2), Fraction(1), Fraction(0)), Translation(vec(0, 0))):
         path = oracle.MotionPath.from_samples([("0", start), (Fraction(1), Translation(vec(6, 0)))])
         assert path.samples[0][0] == 0
+
+
+def test_motion_path_constructor_checks_what_the_builders_check():
+    from immobilize2d.geom import Identity, Translation
+
+    bad_paths = [
+        lambda: oracle.MotionPath(kind="rotation", center=vec(0, 0), sense="cw", max_half_angle=Fraction(1, 50)),
+        lambda: oracle.MotionPath(kind="rotation", center=vec(0, 0), sense="CW"),
+        lambda: oracle.MotionPath(kind="translation"),
+        lambda: oracle.MotionPath(kind="samples"),
+        lambda: oracle.MotionPath(kind="samples", samples=((Fraction(0), Translation(vec(1, 0))),)),
+        lambda: oracle.MotionPath(kind="bogus"),
+    ]
+    for build in bad_paths:
+        with pytest.raises(OutOfRangeError):
+            build()
+    path = oracle.MotionPath(kind="rotation", center=vec(0, 0), sense="CW", max_half_angle="1/50")
+    assert path == oracle.MotionPath.rotation(vec(0, 0), "CW", Fraction(1, 50))
+    assert path.max_half_angle == Fraction(1, 50)
+    assert oracle.MotionPath(kind="samples", samples=[(0, Identity())]).samples == ((Fraction(0), Identity()),)
+
+
+def test_sample_times_increase_strictly_within_the_unit_interval():
+    from immobilize2d.geom import Identity, Translation
+
+    shift = Translation(vec(1, 0))
+    for times in ((0, 5), (0, Fraction(1, 2), Fraction(1, 4)), (0, Fraction(1, 2), Fraction(1, 2)), (0, 0), (0, 1, -1)):
+        with pytest.raises(OutOfRangeError):
+            oracle.MotionPath.from_samples([(times[0], Identity())] + [(t, shift) for t in times[1:]])
+    path = oracle.MotionPath.from_samples([(0, Identity()), (Fraction(1, 3), shift), (1, shift)])
+    assert [t for t, _ in path.samples] == [0, Fraction(1, 3), 1]
 
 
 def test_motion_path_refuses_no_samples():

@@ -17,7 +17,10 @@ the same answer.
 The integer builders are raced against ``Fraction`` references too: a row
 must equal ``_coprime_row`` on the rational terms, every ``(kind, closed)``
 sector read off a contact's ``ContactRows``, smooth contacts included, must
-equal the sector this file builds row by row from ``+-u`` in ``Fraction``s,
+equal the sector this file builds row by row from ``+-u`` in ``Fraction``s
+(the intersection of the contact's distinct rows for a small sector, their
+union for a large one, so both sides' large and small sectors agree at a
+smooth contact, which has one row),
 and the primitive integer rays of ``direction_set`` must point along the
 ``Fraction`` rays ``rot90_ccw(u)``, contain the same probes, and give
 ``directions_intersection`` the same ``Fraction`` witness and flag.
@@ -106,30 +109,38 @@ def reference_row(n: Vec, apex: Vec, strict: bool) -> LinearConstraint:
     return LinearConstraint(ints[0] // g, ints[1] // g, ints[2] // g, strict)
 
 
+def is_smooth(t: TangentData) -> bool:
+    ul, ur = t.u_left, t.u_right
+    return ul.x * ur.y == ul.y * ur.x and ul.x * ur.x + ul.y * ur.y > 0
+
+
 def reference_sector(kind: str, closed: bool, apex: Vec, t: TangentData) -> Sector:
+    """A small sector is the intersection of the contact's distinct rows, a
+    large one their union; a smooth contact has one row."""
     ul, ur = (-t.u_left, -t.u_right) if kind in ("L", "small_l") else (t.u_left, t.u_right)
     left, right = reference_row(ul, apex, not closed), reference_row(ur, apex, not closed)
-    smooth = ul.x * ur.y == ul.y * ur.x and ul.x * ur.x + ul.y * ur.y > 0
-    if kind.startswith("small"):
-        return Sector(apex, closed, ((left, right),))
-    return Sector(apex, closed, ((left,),) if smooth else ((left,), (right,)))
+    rows = (left,) if is_smooth(t) else (left, right)
+    return Sector(apex, closed, (rows,) if kind.startswith("small") else tuple((lc,) for lc in rows))
 
 
 @SETTINGS
 @hypothesis.given(points, tangents())
 def test_sectors_read_off_contact_rows_are_the_fraction_sectors(apex, t):
     rows = contact_rows(apex, t)
+    assert (len(rows.rows) == 1) == is_smooth(t)
     for kind in SECTOR_KINDS:
         for closed in (False, True):
             expected = reference_sector(kind, closed, apex, t)
             assert sector_of(rows, kind, closed) == expected == make_sector(kind, closed, apex, t)
+        if is_smooth(t) and not kind.startswith("small"):
+            small = "small_l" if kind == "L" else "small_r"
+            assert all(sector_of(rows, kind, closed) == sector_of(rows, small, closed) for closed in (False, True))
 
 
 def reference_direction_set(kind: str, t: TangentData) -> CircArc:
     """``direction_set`` with the ``Fraction`` rays ``rot90_ccw(u)``."""
     nl, nr = rot90_ccw(t.u_left), rot90_ccw(t.u_right)
-    smooth = cross(nl, nr) == 0 and dot(nl, nr) > 0
-    arc = CircArc(nl, -nl) if smooth else (CircArc(nl, -nr) if kind in ("L", "R") else CircArc(nr, -nl))
+    arc = CircArc(nl, -nl) if is_smooth(t) else (CircArc(nl, -nr) if kind in ("L", "R") else CircArc(nr, -nl))
     return CircArc(-arc.start, -arc.end) if kind in ("R", "small_r") else arc
 
 
