@@ -7,11 +7,12 @@ an interval witness for free.  Every bound, on x in the solve and on y in the
 read-out, stays an integer pair ``(N, B)``, ``B > 0``, and one picker
 (``_inside``) compares them by cross-multiplication.  One elimination and one
 y read-out serve the feasibility solve and witness re-centring.  Re-centring
-pairs its margin rows once per witness, adds per box only the box's x rows
-and the pairs of its y rows, and runs a bounded Newton search on ints; the
-margins that score and snap witnesses are integer comparisons over one
-denominator.  A ``Fraction`` is built only for a coordinate of a point
-returned (and for the t of re-centring's optimum), never per bound or row.
+puts the witness, anchor and scale over one denominator once, pairs its margin
+rows once per witness, adds per box only the box's x rows and the pairs of
+its y rows, runs a bounded Newton search on ints, and carries each candidate
+as ``(X, Y, W)`` ints; the margins that score and snap witnesses are integer
+comparisons.  A ``Fraction`` is built only for a coordinate of a point
+returned (and for the snapping floor), never per bound, row or candidate.
 
 Sector systems add one twist: a large sector at a corner is a union of two
 half-planes, so the system is a union of branches, one of each sector's
@@ -51,12 +52,12 @@ class FeasibilityResult:
     near_degenerate: bool = False
 
 
-def _inside(lowers: list[tuple], uppers: list[tuple]) -> Fraction | None:
-    """A point of the interval left by the bounds ``(N, B, strict)``, ``B > 0``:
-    ``v >= N / B`` for lowers, ``v <= N / B`` for uppers (``>``, ``<`` when
-    strict).  The midpoint when bounded on both sides, one past a lone bound,
-    else 0; None when empty.  The highest lower and the lowest upper bound are
-    picked by cross-multiplication, and bounds tied with them merge ``strict``."""
+def _inside(lowers: list[tuple], uppers: list[tuple]) -> tuple[int, int] | None:
+    """A point ``(N, D)``, ``D > 0``, of the interval left by the bounds ``(N, B, strict)``,
+    ``B > 0``: ``v >= N / B`` for lowers, ``v <= N / B`` for uppers (``>``, ``<`` when
+    strict).  The midpoint when bounded on both sides, one past a lone bound, else 0;
+    None when empty.  The highest lower and the lowest upper bound are picked by
+    cross-multiplication, and bounds tied with them merge ``strict``."""
     lo = hi = None
     for n, b, strict in lowers:
         if lo is None or n * lo[1] > lo[0] * b:
@@ -72,12 +73,12 @@ def _inside(lowers: list[tuple], uppers: list[tuple]) -> Fraction | None:
         d = hi[0] * lo[1] - lo[0] * hi[1]
         if d < 0 or (d == 0 and (lo[2] or hi[2])):
             return None
-        return Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
+        return lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
     if lo is not None:
-        return Fraction(lo[0] + lo[1], lo[1])
+        return lo[0] + lo[1], lo[1]
     if hi is not None:
-        return Fraction(hi[0] - hi[1], hi[1])
-    return Fraction(0)
+        return hi[0] - hi[1], hi[1]
+    return 0, 1
 
 
 def _pair(lowers: list[tuple], uppers: list[tuple]):
@@ -100,18 +101,18 @@ def _eliminate_y(rows: list[tuple]):
     yield from _pair([row for row in rows if row[1] > 0], [row for row in rows if row[1] < 0])
 
 
-def _point_at(rows: list[tuple], x: Fraction, t) -> Vec:
-    """``(x, y)``, y picked by ``_inside`` from the interval the rows leave at
-    ``(x, t)``: its midpoint when it is bounded on both sides.  With x and t
-    as ``X / D`` and ``T / D``, a row bounds y by ``(c D + w T - a X) / (b D)``."""
-    (xn, tn), den = over_one_denominator(x, t)
+def _point_at(rows: list[tuple], x: int, t: int, den: int) -> tuple[int, int, int] | None:
+    """``(X, Y, W)``, ``W > 0``, the point at ``x / den``, ``den > 0``, whose y ``_inside``
+    picks from the interval the rows leave at ``(x, t) / den`` (its midpoint when bounded
+    on both sides); None when it is empty.  A row bounds y by ``(c den + w t - a x) / (b den)``."""
     lowers, uppers = [], []
     for a, b, c, w, strict in rows:
         if b > 0:
-            lowers.append((c * den + w * tn - a * xn, b * den, strict))
+            lowers.append((c * den + w * t - a * x, b * den, strict))
         elif b < 0:
-            uppers.append((a * xn - c * den - w * tn, -b * den, strict))
-    return Vec(x, _inside(lowers, uppers))
+            uppers.append((a * x - c * den - w * t, -b * den, strict))
+    y = _inside(lowers, uppers)
+    return None if y is None else (x * y[1], y[0] * den, den * y[1])
 
 
 def _feasible_exact(constraints: list[LinearConstraint]) -> tuple[bool, Vec | None]:
@@ -126,8 +127,10 @@ def _feasible_exact(constraints: list[LinearConstraint]) -> tuple[bool, Vec | No
         elif c > 0 or (strict and c == 0):
             return False, None
     x = _inside(x_lowers, x_uppers)
-    # The pairing makes the x interval exact, so the y interval at x is nonempty.
-    return (False, None) if x is None else (True, _point_at(rows, x, 0))
+    if x is None:
+        return False, None
+    px, py, pw = _point_at(rows, x[0], 0, x[1])  # the pairing makes x exact, so y's interval is nonempty
+    return True, Vec(Fraction(px, pw), Fraction(py, pw))
 
 
 def _round_half_even(n: int, d: int) -> int:
@@ -216,7 +219,7 @@ def first_branch(alternatives: list[tuple[tuple[LinearConstraint, ...], ...]]) -
 
 
 _QUALITY_GOOD = Fraction(1, 64)
-_IMPROVE_BOXES = (Fraction(8), Fraction(128), Fraction(2048))
+_IMPROVE_BOXES = (8, 128, 2048)
 
 
 def _least_margin(constraints: list[LinearConstraint], x: int, y: int, den: int) -> tuple[int, int]:
@@ -231,26 +234,20 @@ def _least_margin(constraints: list[LinearConstraint], x: int, y: int, den: int)
     return m0, n0
 
 
-def _min_margin(constraints: list[LinearConstraint], p: Vec) -> Fraction:
-    """Smallest normalized margin ``(n.p - c) / norm1(n)``, p over one denominator."""
-    (x, y), den = over_one_denominator(p.x, p.y)
-    m, n = _least_margin(constraints, x, y, den)
-    return Fraction(m, n * den)
-
-
-def _witness_quality(constraints: list[LinearConstraint], p: Vec, anchor: Vec, scale: Fraction) -> Fraction:
+def _witness_quality(constraints: list[LinearConstraint], p: tuple, anchor: tuple) -> tuple[int, int]:
     """Smallest normalized margin, discounted by the distance from the anchor.
 
     A witness far from the contact region needs a proportionally larger
     margin to describe the same angular clearance, so the discount makes the
-    ratio comparable across near and far candidates.  ``scale`` is the size
-    of the contact region itself, which keeps the ratio dimensionless.  With
-    p, the anchor and scale over one denominator D, it is ``m / (n D)`` over
-    ``(S + |X - AX| + |Y - AY|) / D``.
+    ratio comparable across near and far candidates.  The scale S / D is the
+    size of the contact region itself, which keeps the ratio dimensionless.
+    For p ``(X, Y, W)`` and the anchor and scale ``(AX, AY, S, D)`` the ratio
+    is ``(m D, n (S W + |X D - AX W| + |Y D - AY W|))``, margin ``m / (n W)``.
     """
-    (x, y, ax, ay, s), den = over_one_denominator(p.x, p.y, anchor.x, anchor.y, scale)
-    m, n = _least_margin(constraints, x, y, den)
-    return Fraction(m, n * (s + abs(x - ax) + abs(y - ay)))
+    x, y, w = p
+    ax, ay, s, d = anchor
+    m, n = _least_margin(constraints, x, y, w)
+    return m * d, n * (s * w + abs(x * d - ax * w) + abs(y * d - ay * w))
 
 
 def _x_lines(x_rows, lowers: list, uppers: list, caps: list) -> bool:
@@ -280,17 +277,17 @@ def _margin_system(constraints: list[LinearConstraint]):
     return rows, [r for r in rows if r[1] > 0], [r for r in rows if r[1] < 0], lowers, uppers, caps
 
 
-def _deepest_point(system, anchor: Vec, size: Fraction) -> Vec | None:
-    """The point of the box ``|x - anchor.x|, |y - anchor.y| <= size`` whose
-    smallest normalized margin is largest, for the ``_margin_system`` rows.
+def _deepest_point(system, anchor: tuple, factor: int) -> tuple[int, int, int] | None:
+    """The point ``(X, Y, W)`` of the box ``|x - AX / D|, |y - AY / D| <= factor S / D``,
+    for the anchor ``(AX, AY, S, D)``, whose least normalized margin is largest.
 
     This is the exact optimum of the LP "maximise t subject to
     ``n.p - c >= t(|nx|+|ny|)`` for every constraint" within the box; None
     when that maximum ``t*`` is 0 or not even ``t = 0`` is feasible.  The box
-    rows are the coprime ints ``halfplane_constraint`` would build: the two
-    x rows are lines as they are, and only the pairs that involve the two y
-    rows are added to the system's one pairing.  Every paired row keeps a
-    nonnegative t coefficient, so each x lower bound is a line in t that
+    rows are read off the anchor's ints (``D x >= AX - factor S`` and so on):
+    the two x rows are lines as they are, and only the pairs that involve the
+    two y rows are added to the system's one pairing.  Every paired row keeps
+    a nonnegative t coefficient, so each x lower bound is a line in t that
     rises and each upper bound one that falls.  The gap between the highest
     lower and the lowest upper bound is then convex, nondecreasing and
     piecewise linear, and Newton steps started right of its largest root
@@ -306,10 +303,10 @@ def _deepest_point(system, anchor: Vec, size: Fraction) -> Vec | None:
     if system is None:
         return None
     rows, y_lowers, y_uppers, lowers, uppers, caps = system
-    (xn, xd), (xn2, xd2) = (anchor.x - size).as_integer_ratio(), (anchor.x + size).as_integer_ratio()
-    (yn, yd), (yn2, yd2) = (anchor.y - size).as_integer_ratio(), (anchor.y + size).as_integer_ratio()
-    y_low, y_high = (0, yd, yn, 0, False), (0, -yd2, -yn2, 0, False)
-    lowers, uppers, caps = lowers + [(xd, 0, xn)], uppers + [(xd2, 0, xn2)], caps[:]
+    ax, ay, s, d = anchor
+    size = factor * s
+    y_low, y_high = (0, d, ay - size, 0, False), (0, -d, -ay - size, 0, False)
+    lowers, uppers, caps = lowers + [(d, 0, ax - size)], uppers + [(d, 0, ax + size)], caps[:]
     box_pairs = itertools.chain(_pair([y_low], y_uppers + [y_high]), _pair(y_lowers, [y_high]))
     if not _x_lines(box_pairs, lowers, uppers, caps):
         return None
@@ -317,9 +314,9 @@ def _deepest_point(system, anchor: Vec, size: Fraction) -> Vec | None:
     return None if xt is None else _point_at(rows + [y_low, y_high], *xt)
 
 
-def _newton(lowers: list, uppers: list, caps: list) -> tuple[Fraction, Fraction] | None:
-    """Newton on the x gap of ``_deepest_point``'s lines, from the least cap:
-    the midpoint x of the x interval at the largest root t, and t."""
+def _newton(lowers: list, uppers: list, caps: list) -> tuple[int, int, int] | None:
+    """Newton on the x gap of ``_deepest_point``'s lines, from the least cap: ``(X, T, D)``,
+    ``D > 0``, the midpoint ``X / D`` of the x interval at the largest root ``T / D``."""
     # Start at the root of the pair that dominates as t grows, or at a lower cap.
     ta, tw, tc = lowers[0]  # top: the highest slope, then intercept
     for a, w, c in lowers:
@@ -353,7 +350,7 @@ def _newton(lowers: list, uppers: list, caps: list) -> tuple[Fraction, Fraction]
             if d < 0 or (d == 0 and w * ua > uw * a):
                 ua, uw, uc, uv = a, w, c, v
         if lv * ua <= uv * la:
-            return Fraction(lv * ua + uv * la, 2 * la * ua * q), Fraction(p, q)
+            return lv * ua + uv * la, 2 * la * ua * p, 2 * la * ua * q
         if lw * ua == uw * la:  # the gap stays positive for all smaller t
             return None
         if not steps:
@@ -382,20 +379,24 @@ def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, s
     """
     if not constraints:
         return w
-    best, best_q = w, _witness_quality(constraints, w, anchor, scale)
-    if best_q >= _QUALITY_GOOD:
+    (wx, wy, ax, ay, s), d = over_one_denominator(w.x, w.y, anchor.x, anchor.y, scale)
+    anchor = ax, ay, s, d
+    best, (bm, bn) = None, _witness_quality(constraints, (wx, wy, d), anchor)
+    if bm * _QUALITY_GOOD.denominator >= _QUALITY_GOOD.numerator * bn:
         return w
     system = _margin_system(constraints)
     for factor in _IMPROVE_BOXES:
-        point = _deepest_point(system, anchor, factor * scale)
+        point = _deepest_point(system, anchor, factor)
         if point is None:
             continue
-        q = _witness_quality(constraints, point, anchor, scale)
-        if q > best_q:
-            best, best_q = point, q
-    if best == w:
+        m, n = _witness_quality(constraints, point, anchor)
+        if m * bn > bm * n:
+            best, bm, bn = point, m, n
+    if best is None:
         return w
-    return _snap_witness(best, constraints, _min_margin(constraints, best) / 2)
+    x, y, d = best
+    m, n = _least_margin(constraints, x, y, d)
+    return _snap_witness(Vec(Fraction(x, d), Fraction(y, d)), constraints, Fraction(m, 2 * n * d))
 
 
 def _anchor(sectors: list[Sector]) -> tuple[Vec, Fraction]:

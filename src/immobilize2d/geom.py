@@ -28,6 +28,10 @@ Scalar = Fraction
 
 ScalarLike = Union[Fraction, int, float, str]
 
+# CPython's default int-string digit limit, which the "a/b" form meets through int(),
+# and the largest decimal exponent a scalar string may carry.
+MAX_DIGITS = 4300
+
 
 def to_scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, float, Fraction, 'num/den' or decimal string to Fraction."""
@@ -36,11 +40,26 @@ def to_scalar(value: ScalarLike) -> Fraction:
     return Fraction(value)
 
 
+def screen_scalar(value, what: str) -> None:
+    """Refuse what ``Fraction`` would read as a number it is not, or slowly, with
+    ``OutOfRangeError`` naming ``what``: a boolean, and a string whose decimal
+    exponent exceeds ``MAX_DIGITS`` in magnitude (``Fraction`` builds ``10 **
+    exponent``, whose cost grows with the exponent).  A malformed exponent
+    raises ``ValueError``, as ``Fraction`` would."""
+    if isinstance(value, bool):
+        raise OutOfRangeError(f"{what} {value!r} is a boolean, not a number")
+    if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        if e and abs(int(exponent)) > MAX_DIGITS:
+            raise OutOfRangeError(f"{what} {value!r} has a decimal exponent beyond {MAX_DIGITS} in magnitude")
+
+
 def read_scalar(value: ScalarLike, what: str) -> Fraction:
     """``to_scalar(value)`` for an argument: a value that is no finite number
     (nan, inf, a malformed string, a zero denominator, None) raises
-    ``OutOfRangeError`` naming ``what``."""
+    ``OutOfRangeError`` naming ``what``, as does what ``screen_scalar`` refuses."""
     try:
+        screen_scalar(value, what)
         return to_scalar(value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError):
         raise OutOfRangeError(f"{what} {value!r} is not a finite number") from None

@@ -27,12 +27,8 @@ from .body import (
 )
 from .classify import QUESTION_ALMOST, QUESTION_FIX, PlacementDescriptor, Verdict, Witness
 from .errors import InvalidPointError, OutOfRangeError
-from .geom import Vec, to_scalar
+from .geom import MAX_DIGITS, Vec, screen_scalar, to_scalar
 from .oracle import EscapeReport
-
-
-# CPython's default int-string digit limit, which the "a/b" form meets through int().
-_MAX_DIGITS = 4300
 
 
 def scalar_to_json(x: Fraction) -> str:
@@ -40,26 +36,21 @@ def scalar_to_json(x: Fraction) -> str:
     try:
         return str(x)
     except ValueError:
-        raise OutOfRangeError(f"scalar too long to print: a term has more than {_MAX_DIGITS} digits") from None
+        raise OutOfRangeError(f"scalar too long to print: a term has more than {MAX_DIGITS} digits") from None
 
 
 def scalar_from_json(v) -> Fraction:
-    """Exact scalar; a boolean, zero denominator, non-finite or malformed value,
-    or a decimal exponent past ``_MAX_DIGITS`` in magnitude, is OUT_OF_RANGE."""
-    if isinstance(v, bool):
-        raise OutOfRangeError(f"scalar {v!r} is a boolean, not a number")
+    """Exact scalar; a zero denominator, a non-finite or malformed value, or
+    what ``screen_scalar`` refuses (a boolean, a decimal exponent past
+    ``MAX_DIGITS`` in magnitude), is OUT_OF_RANGE."""
     try:
         if isinstance(v, str):
             v = v.strip()
             if "/" in v:
                 num, den = (int(part) for part in v.split("/", 1))
                 return Fraction(num, den)
-            _, e, exponent = v.lower().partition("e")
-            # Checked before Fraction builds 10 ** exponent, whose cost is exponential in the exponent's length.
-            if e and abs(int(exponent)) > _MAX_DIGITS:
-                raise OutOfRangeError(f"scalar {v!r} has a decimal exponent beyond {_MAX_DIGITS} in magnitude")
-            return Fraction(v)  # decimal or integer string, parsed exactly
-        return to_scalar(v)
+        screen_scalar(v, "scalar")
+        return to_scalar(v)  # a decimal or integer string is parsed exactly
     except ZeroDivisionError:
         raise OutOfRangeError(f"zero denominator in scalar {v!r}") from None
     except (ValueError, OverflowError):

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import gcd
 
 from .body import TangentData, _snap_sign
-from .errors import NearDegenerateError
+from .errors import NearDegenerateError, OutOfRangeError
 from .geom import (
     LinearConstraint,
     Vec,
@@ -53,6 +53,7 @@ from .geom import (
     halfplane_constraint,
     norm1,
     over_one_denominator,
+    read_scalar,
     same_ray,
 )
 
@@ -103,8 +104,12 @@ def sector_contains(s: Sector, p: Vec, tol: Fraction = Fraction(0)) -> str:
     """"IN", "ON_BOUNDARY" (closed sectors only) or "OUT".
 
     Raises NearDegenerateError when tol > 0 and a deciding margin is within
-    tol of zero without being exactly zero.
+    tol of zero without being exactly zero; a tol that is no finite number or
+    is negative raises OutOfRangeError.
     """
+    tol = read_scalar(tol, "tolerance")
+    if tol.numerator < 0:
+        raise OutOfRangeError(f"tolerance {tol} is negative")
     degenerate = False
     agg = -1
     for rows in s.alternatives:

@@ -39,6 +39,8 @@ ORACLE = "src/immobilize2d/oracle.py"
 SECTORS = "src/immobilize2d/sectors.py"
 
 FUZZ_CHECKS = ("tests/test_cli.py::test_fuzz_reports_each_violation_and_exits_13",)
+CORNER_FUZZ = ("tests/test_fuzz_corners.py",)
+READOUT = ("tests/test_witness_readout.py",)
 RECENTRE = ("tests/test_recentre.py",)
 VALIDATE = ("tests/test_validate_race.py",)
 MOTIONS = ("tests/test_geom.py", "tests/test_containment_property.py", "tests/test_escape_race.py", "tests/test_oracle.py")
@@ -50,10 +52,16 @@ MUTANTS = [
     (CLI, "if almost.status == cls.NOT_ALMOST_FIX and fix.status != cls.NOT_WEAKLY_FIX:", "if False:", FUZZ_CHECKS, None),
     (CLI, "if not oracle.validate_rotation_witness(body, pts, w.point, w.sense):", "if False:", FUZZ_CHECKS, None),
     (CLI, "if oracle.escape_search(body, pts, samples=240, seed=index) is not None:", "if False:", FUZZ_CHECKS, None),
+    # the corner path: a large sector is the union of its contact's rows, which
+    # the default fuzz's smooth contacts never tell from its first row alone
+    (SECTORS, "else tuple((lc,) for lc in flipped))", "else tuple((lc,) for lc in flipped[:1]))", CORNER_FUZZ, None),
+    # the interval picker merges the strict flags of tied bounds
+    (FEASIBILITY, "elif strict and n * lo[1] == lo[0] * b:", "elif False:", READOUT, None),
     # witness re-centring and snapping
-    (FEASIBILITY, "_min_margin(constraints, best) / 2)", "_min_margin(constraints, best) / 4)", RECENTRE, None),
+    (FEASIBILITY, "Fraction(m, 2 * n * d))", "Fraction(m, 4 * n * d))", RECENTRE, None),
+    (FEASIBILITY, "n * (s * w + abs(", "n * (s * d + abs(", (*READOUT, *RECENTRE), None),
     (FEASIBILITY, "_QUALITY_GOOD = Fraction(1, 64)", "_QUALITY_GOOD = Fraction(1, 128)", RECENTRE, None),
-    (FEASIBILITY, "(2 * r == d and q & 1)", "(2 * r == d)", ("tests/test_witness_readout.py", *RECENTRE), None),
+    (FEASIBILITY, "(2 * r == d and q & 1)", "(2 * r == d)", (*READOUT, *RECENTRE), None),
     (FEASIBILITY, "d == 0 and w * la < lw * a", "d == 0 and w * la <= lw * a", RECENTRE, NEWTON_TIE),
     (FEASIBILITY, "d == 0 and w * ua > uw * a", "d == 0 and w * ua >= uw * a", RECENTRE, NEWTON_TIE),
     # the direction twin grows arcs for the empty test and shrinks them for the other

@@ -254,6 +254,17 @@ def test_non_finite_params_and_offsets_raise_out_of_range():
             offset_along_boundary(sq, start, bad)
 
 
+def test_boolean_params_and_offsets_are_refused():
+    # True read as param 1, element 0's far end: element 1's first vertex.
+    sq = unit_square()
+    start = boundary_point(sq, 0, Fraction(0))
+    for bad in (True, False):
+        with pytest.raises(OutOfRangeError, match="boolean"):
+            boundary_point(sq, 0, bad)
+        with pytest.raises(OutOfRangeError, match="boolean"):
+            offset_along_boundary(sq, start, bad)
+
+
 def test_validate_puts_no_two_elements_over_one_denominator(monkeypatch):
     # A shared denominator across the chain grows with every element's;
     # each call may read the coordinates of one element only.

@@ -171,6 +171,15 @@ def test_non_finite_or_malformed_tolerance_is_refused(tol):
             ask(sq, oc, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [True, False, "1e1000000"])
+def test_boolean_or_huge_exponent_tolerance_is_refused(tol):
+    # tol=True ran at tolerance 1 and flagged near-degeneracy.
+    sq, oc = square_opposite_corners()
+    for ask in (classify_fix, classify_almost_fix):
+        with pytest.raises(OutOfRangeError):
+            ask(sq, oc, tol=tol)
+
+
 def test_duplicate_contact_points_collapse():
     sq, oc = square_opposite_corners()
     v = classify_fix(sq, [oc[0], oc[0], oc[1], oc[1]])

@@ -20,14 +20,14 @@ from immobilize2d.feasibility import (
     _deepest_point,
     _feasible_exact,
     _improve_witness,
+    _least_margin,
     _margin_system,
-    _min_margin,
     directions_intersection,
     linear_feasible,
     sectors_intersection,
 )
 from immobilize2d.fixtures import regular_polygon
-from immobilize2d.geom import Vec, rational_rotation, vec
+from immobilize2d.geom import Vec, over_one_denominator, rational_rotation, vec
 from immobilize2d.sectors import (
     SECTOR_KINDS,
     CircArc,
@@ -145,14 +145,17 @@ def test_max_margin_is_the_exact_optimum():
         anchor, size = vec(rng.randint(-4, 4), rng.randint(-4, 4)), Fraction(rng.randint(1, 6))
         box = recentre_reference.box_around(anchor, size)
         box_rows = [integer_row(b, False) for b in box]
-        p = _deepest_point(_margin_system(cons), anchor, size)
+        (ax, ay, s), d = over_one_denominator(anchor.x, anchor.y, size)
+        p = _deepest_point(_margin_system(cons), (ax, ay, s, d), 1)
         if p is None:
             closed = bruteforce_feasible([integer_row(c, False) for c in cons] + box_rows)
             seen["zero" if closed else "infeasible"] += 1
             assert not bruteforce_feasible([integer_row(c, True) for c in cons] + box_rows), rows
             continue
         seen["point"] += 1
-        t = _min_margin(cons, p)
+        m, n = _least_margin(cons, *p)
+        t, p = Fraction(m, n * p[2]), Vec(Fraction(p[0], p[2]), Fraction(p[1], p[2]))
+        assert t == recentre_reference.min_margin(cons, p), (rows, p)
         assert t > 0 and all(b.holds(p) for b in box), (rows, p)
         tight = tightened(cons, t)
         assert not bruteforce_feasible([integer_row(c, True) for c in tight] + box_rows), (rows, t)

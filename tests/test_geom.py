@@ -1,10 +1,12 @@
 """Exact-arithmetic geometry kernel: vectors, half-planes, rational rigid motions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from immobilize2d.errors import OutOfRangeError
 from immobilize2d.geom import (
     Identity,
     Rotation,
@@ -18,12 +20,32 @@ from immobilize2d.geom import (
     invert_motion,
     norm1,
     rational_rotation,
+    read_scalar,
     rot90_ccw,
     rotation_about,
     same_ray,
     to_scalar,
     vec,
 )
+
+
+def test_read_scalar_refuses_booleans_and_exponents_past_the_digit_limit():
+    # A bool read as 0 or 1, and Fraction builds 10 ** exponent before any
+    # check, in time that grows with the exponent: both are refused first.
+    for v in (True, False):
+        with pytest.raises(OutOfRangeError, match="boolean"):
+            read_scalar(v, "param")
+    started = time.perf_counter()
+    for v in ("1e1000000", "1e-1_000_000", "1E4301", "-2.5e-4301", " 3e+4_301 "):
+        with pytest.raises(OutOfRangeError, match="exponent"):
+            read_scalar(v, "param")
+    assert time.perf_counter() - started < 1
+    assert read_scalar("1e-4300", "param") == Fraction(1, 10**4300)
+    assert read_scalar("2.5E-3", "param") == Fraction(1, 400)
+    assert read_scalar(1, "param") == 1 and read_scalar(" 1/3 ", "param") == Fraction(1, 3)
+    for v in ("1e", "1e5e5", "e5"):
+        with pytest.raises(OutOfRangeError, match="not a finite number"):
+            read_scalar(v, "param")
 
 
 def rand_fraction(rng, span=6, den=64):

@@ -18,12 +18,25 @@ import recentre_reference
 from bruteforce import random_system
 from immobilize2d import cli, feasibility
 from immobilize2d.errors import SolverStepLimitError
-from immobilize2d.feasibility import _deepest_point, _improve_witness, _margin_system, _min_margin, linear_feasible
-from immobilize2d.geom import LinearConstraint, Vec
+from immobilize2d.feasibility import _deepest_point, _improve_witness, _least_margin, _margin_system, linear_feasible
+from immobilize2d.geom import LinearConstraint, Vec, over_one_denominator
 
 
 def random_rational(rng, span, den):
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+
+def deepest_point(system, anchor, size):
+    """``_deepest_point`` in the box of half-width ``size`` around ``anchor``, as a ``Vec``."""
+    (ax, ay, s), d = over_one_denominator(anchor.x, anchor.y, size)
+    p = _deepest_point(system, (ax, ay, s, d), 1)
+    return None if p is None else Vec(Fraction(p[0], p[2]), Fraction(p[1], p[2]))
+
+
+def min_margin(cons, p):
+    (x, y), den = over_one_denominator(p.x, p.y)
+    m, n = _least_margin(cons, x, y, den)
+    return Fraction(m, n * den)
 
 
 def test_deepest_points_race_the_reference_on_random_systems_and_boxes():
@@ -38,12 +51,12 @@ def test_deepest_points_race_the_reference_on_random_systems_and_boxes():
         for _ in range(2):
             anchor = Vec(random_rational(rng, 20, 4), random_rational(rng, 20, 4))
             size = Fraction(rng.randint(1, 40), rng.randint(1, 7))
-            p = _deepest_point(system, anchor, size)
+            p = deepest_point(system, anchor, size)
             assert p == recentre_reference.deepest_point(cons, recentre_reference.box_around(anchor, size)), rows
             seen["none" if p is None else "point"] += 1
         res = linear_feasible(cons)
         if res.feasible:
-            assert _min_margin(cons, res.witness) == recentre_reference.min_margin(cons, res.witness)
+            assert min_margin(cons, res.witness) == recentre_reference.min_margin(cons, res.witness)
             anchor, scale = Vec(random_rational(rng, 6, 3), random_rational(rng, 6, 3)), Fraction(rng.randint(1, 5), rng.randint(1, 3))
             w = _improve_witness(cons, res.witness, anchor, scale)
             assert w == recentre_reference.improve_witness(cons, res.witness, anchor, scale), rows

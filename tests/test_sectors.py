@@ -8,7 +8,7 @@ import pytest
 
 import arc_reference
 from immobilize2d.body import TangentData, boundary_point, tangents_at
-from immobilize2d.errors import NearDegenerateError
+from immobilize2d.errors import NearDegenerateError, OutOfRangeError
 from immobilize2d.fixtures import unit_square
 from immobilize2d.geom import Vec, cross, dot, rational_rotation, vec
 from immobilize2d.sectors import (
@@ -55,6 +55,19 @@ def test_large_sector_is_union_of_open_halfplanes():
     assert sector_contains(closed_left, apex + vec(1, 0)) == "ON_BOUNDARY"
     assert sector_contains(closed_left, apex + vec(0, 1)) == "ON_BOUNDARY"
     assert sector_contains(closed_left, apex + vec(2, 2)) == "OUT"
+
+
+@pytest.mark.parametrize("tol", [Fraction(-1), -0.5, float("nan"), "abc", True])
+def test_sector_membership_refuses_a_negative_or_non_numeric_tolerance(tol):
+    # A negative tol read a closed sector's rim as IN, nan passed silently and
+    # a string met a bare TypeError; the tolerance is read as classify reads it.
+    apex, t = corner_tangents()
+    closed_left = make_sector("L", closed=True, apex=apex, t=t)
+    rim = apex + vec(1, 0)
+    with pytest.raises(OutOfRangeError):
+        sector_contains(closed_left, rim, tol)
+    assert sector_contains(closed_left, rim) == sector_contains(closed_left, rim, "0") == "ON_BOUNDARY"
+    assert sector_contains(closed_left, apex + vec(-1, -1), "1/100") == "IN"
 
 
 def test_small_sector_is_intersection():

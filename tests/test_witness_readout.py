@@ -7,7 +7,9 @@ witnesses on integer pairs compared by cross-multiplication.
 The draws aim at what the integer code must get right bit for bit: bounds
 tied with mixed strict flags, one-sided and unbounded y intervals, exact
 halves on the dyadic snapping grid, and the fallback past 60 bits.  Every
-system is raced as integer rows and again as ``Fraction``-valued rows.
+system is raced as integer rows and again as ``Fraction``-valued rows.  The
+integer helpers read and return points as ints over one denominator; the
+adapters below put ``Fraction`` inputs over one and rebuild ``Vec``s.
 """
 
 import math
@@ -16,8 +18,8 @@ from fractions import Fraction
 
 import recentre_reference as ref
 from bruteforce import random_system
-from immobilize2d.feasibility import _feasible_exact, _min_margin, _point_at, _snap_witness, _witness_quality
-from immobilize2d.geom import LinearConstraint, Vec
+from immobilize2d.feasibility import _feasible_exact, _least_margin, _point_at, _snap_witness, _witness_quality
+from immobilize2d.geom import LinearConstraint, Vec, over_one_denominator
 
 
 def rational(rng, span=12, den=8):
@@ -27,6 +29,27 @@ def rational(rng, span=12, den=8):
 def as_fractions(cons):
     """The same rows with ``Fraction`` entries, as callers may pass them."""
     return [LinearConstraint(Fraction(lc.nx), Fraction(lc.ny), Fraction(lc.c), lc.strict) for lc in cons]
+
+
+def point_at(rows, x, t):
+    """``_point_at`` at ``Fraction`` x and t, as a ``Vec`` whose y is None when empty."""
+    (xn, tn), den = over_one_denominator(x, t)
+    p = _point_at(rows, xn, tn, den)
+    return Vec(x, None) if p is None else Vec(Fraction(p[0], p[2]), Fraction(p[1], p[2]))
+
+
+def min_margin(cons, p):
+    """The least normalized margin ``_least_margin`` reads at ``p`` over one denominator."""
+    (x, y), den = over_one_denominator(p.x, p.y)
+    m, n = _least_margin(cons, x, y, den)
+    return Fraction(m, n * den)
+
+
+def witness_quality(cons, p, anchor, scale):
+    """``_witness_quality`` at a ``Vec`` point, anchor and scale, as a ``Fraction``."""
+    (x, y), w = over_one_denominator(p.x, p.y)
+    (ax, ay, s), d = over_one_denominator(anchor.x, anchor.y, scale)
+    return Fraction(*_witness_quality(cons, (x, y, w), (ax, ay, s, d)))
 
 
 def row_through(rng, x, t, v, sign, strict):
@@ -52,10 +75,10 @@ def test_y_read_out_races_the_reference():
         for sign in signs:
             rows += [row_through(rng, x, t, v, sign, rng.random() < 0.4) for _ in range(rng.randint(0, 3))]
         rng.shuffle(rows)
-        p = _point_at(rows, x, t)
+        p = point_at(rows, x, t)
         assert p == ref.point_at(rows, x, t), (rows, x, t)
         fraction_rows = [(Fraction(a), Fraction(b), Fraction(c), Fraction(w), s) for a, b, c, w, s in rows]
-        assert _point_at(fraction_rows, x, t) == p, (rows, x, t)
+        assert point_at(fraction_rows, x, t) == p, (rows, x, t)
         seen["empty" if p.y is None else shape] += 1
     assert min(seen.values()) > 20, seen
 
@@ -140,8 +163,8 @@ def test_witness_quality_races_the_reference():
             continue
         p, anchor = Vec(rational(rng, den=30), rational(rng, den=30)), Vec(rational(rng, den=5), rational(rng, den=5))
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        q = _witness_quality(cons, p, anchor, scale)
-        assert q == ref.witness_quality(cons, p, anchor, scale) == _witness_quality(as_fractions(cons), p, anchor, scale)
-        assert _min_margin(cons, p) == ref.min_margin(cons, p) == _min_margin(as_fractions(cons), p)
+        q = witness_quality(cons, p, anchor, scale)
+        assert q == ref.witness_quality(cons, p, anchor, scale) == witness_quality(as_fractions(cons), p, anchor, scale)
+        assert min_margin(cons, p) == ref.min_margin(cons, p) == min_margin(as_fractions(cons), p)
         checked += 1
     assert checked > 1500
