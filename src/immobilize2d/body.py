@@ -61,7 +61,7 @@ from .geom import (
     over_one_denominator,
     read_scalar,
     rot90_ccw,
-    to_scalar,
+    vec,
 )
 
 EXACT_POLYGON = "exact_polygon"
@@ -207,7 +207,7 @@ class Containment(enum.Enum):
 
 def polygon(points: list[tuple] | list[Vec], mode: str = EXACT_POLYGON) -> ConvexBody:
     """Build a body from a CCW list of vertices (validated separately)."""
-    pts = [p if isinstance(p, Vec) else Vec(to_scalar(p[0]), to_scalar(p[1])) for p in points]
+    pts = [p if isinstance(p, Vec) else vec(p[0], p[1]) for p in points]
     els = tuple(Segment(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
     return ConvexBody(els, mode)
 

@@ -29,6 +29,7 @@ from .errors import (
     OutOfRangeError,
     RefinementExhaustedError,
 )
+from .geom import read_scalar
 from .render import render_svg
 
 EXIT_POSITIVE = 0
@@ -79,7 +80,7 @@ def cmd_classify(args) -> int:
     if args.exact:
         tol = Fraction(0)
     elif args.tol is not None:
-        tol = io.scalar_from_json(args.tol)
+        tol = read_scalar(args.tol, "tolerance")  # read here: the verdict document prints it
     else:
         tol = body.tolerance()
     started = time.perf_counter()
@@ -100,8 +101,7 @@ def cmd_classify(args) -> int:
 def cmd_refine(args) -> int:
     body = _load_body(args.body)
     pts = _load_points(args.points, body)
-    eps = io.scalar_from_json(args.epsilon)
-    placement, verdict = cls.refine_almost_to_fix(body, pts, eps)
+    placement, verdict = cls.refine_almost_to_fix(body, pts, args.epsilon)
     doc = {
         "placement": io.placement_to_json(placement),
         "points": io.points_to_json(placement.points()),
@@ -117,8 +117,7 @@ def cmd_refine(args) -> int:
 def cmd_escape(args) -> int:
     body = _load_body(args.body)
     pts = _load_points(args.points, body)
-    radius = io.scalar_from_json(args.radius) if args.radius is not None else None
-    report = oracle.escape_search(body, pts, radius=radius, samples=args.samples, seed=args.seed)
+    report = oracle.escape_search(body, pts, radius=args.radius, samples=args.samples, seed=args.seed)
     doc = io.escape_report_to_json(report)
     doc["body_is_disc"] = is_full_disc(body)[0]
     _emit(doc, args.out)
@@ -226,7 +225,7 @@ def _fixture_payload(args):
         fx = fixtures.example_e2(args.n)
         return fx.body, fx.points, {"expected": fx.expected, "notes": fx.notes, "truncated": fx.truncated}
     if name == "regular":
-        return fixtures.regular_polygon(args.k, io.scalar_from_json(args.circumradius)), (), {}
+        return fixtures.regular_polygon(args.k, args.circumradius), (), {}
     return fixtures.random_convex_polygon(args.seed, args.k), (), {}
 
 

@@ -26,7 +26,7 @@ from .body import (
     validate,
 )
 from .errors import BodyValidationError, DegenerateError, OutOfRangeError
-from .geom import Vec, cross, to_scalar, vec
+from .geom import Vec, cross, read_scalar, vec
 from .sectors import _pos_lt
 
 _ORIGIN = Vec(Fraction(0), Fraction(0))
@@ -202,10 +202,10 @@ def unit_disc() -> ConvexBody:
 
 def regular_polygon(k: int, circumradius) -> ConvexBody:
     """Rational snap of the regular k-gon with a vertex at angle 0; the
-    circumradius must be positive."""
+    circumradius, read by ``read_scalar``, must be positive."""
     if not 3 <= k <= 64:
         raise OutOfRangeError("vertex count must be between 3 and 64")
-    r = to_scalar(circumradius)
+    r = read_scalar(circumradius, "circumradius")
     if r <= 0:
         raise OutOfRangeError("circumradius must be positive")
     verts = []

@@ -2,7 +2,9 @@
 
 All coordinates are ``fractions.Fraction``.  Floats are accepted at the
 boundary of the API and converted to their exact binary value, so every
-predicate downstream is decided by integer arithmetic.
+predicate downstream is decided by integer arithmetic.  ``read_scalar`` is
+the one reader of a number from outside, for library arguments, JSON
+documents and command-line flags alike.
 
 A half-plane is one ``LinearConstraint`` row, ``n . p >= c`` (strict when
 open); contact sectors are built from these rows and the exact solver
@@ -33,36 +35,30 @@ ScalarLike = Union[Fraction, int, float, str]
 MAX_DIGITS = 4300
 
 
-def to_scalar(value: ScalarLike) -> Fraction:
-    """Coerce an int, float, Fraction, 'num/den' or decimal string to Fraction."""
+def read_scalar(value: ScalarLike, what: str = "scalar") -> Fraction:
+    """The one reader of a number from outside: an int, a float, a ``Fraction``
+    or a string in ``Fraction``'s grammar ("3/4", " -7/2 ", "2.5E-3", what
+    ``io.scalar_to_json`` writes), as its exact ``Fraction``; a ``Fraction`` is
+    returned as it is.  A value that is no finite number (nan, inf, a
+    malformed string, a zero denominator, None), a boolean, and a string whose
+    decimal exponent exceeds ``MAX_DIGITS`` in magnitude (``Fraction`` builds
+    ``10 ** exponent``, whose cost grows with the exponent) raise
+    ``OutOfRangeError`` naming ``what``."""
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
-
-
-def screen_scalar(value, what: str) -> None:
-    """Refuse what ``Fraction`` would read as a number it is not, or slowly, with
-    ``OutOfRangeError`` naming ``what``: a boolean, and a string whose decimal
-    exponent exceeds ``MAX_DIGITS`` in magnitude (``Fraction`` builds ``10 **
-    exponent``, whose cost grows with the exponent).  A malformed exponent
-    raises ``ValueError``, as ``Fraction`` would."""
     if isinstance(value, bool):
         raise OutOfRangeError(f"{what} {value!r} is a boolean, not a number")
-    if isinstance(value, str):
-        _, e, exponent = value.lower().partition("e")
-        if e and abs(int(exponent)) > MAX_DIGITS:
-            raise OutOfRangeError(f"{what} {value!r} has a decimal exponent beyond {MAX_DIGITS} in magnitude")
-
-
-def read_scalar(value: ScalarLike, what: str) -> Fraction:
-    """``to_scalar(value)`` for an argument: a value that is no finite number
-    (nan, inf, a malformed string, a zero denominator, None) raises
-    ``OutOfRangeError`` naming ``what``, as does what ``screen_scalar`` refuses."""
     try:
-        screen_scalar(value, what)
-        return to_scalar(value)
+        if isinstance(value, str):
+            _, e, exponent = value.lower().partition("e")
+            if e and abs(int(exponent)) > MAX_DIGITS:
+                raise OutOfRangeError(f"{what} {value!r} has a decimal exponent beyond {MAX_DIGITS} in magnitude")
+        return Fraction(value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError):
         raise OutOfRangeError(f"{what} {value!r} is not a finite number") from None
+
+
+to_scalar = read_scalar
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class Vec:
         return Vec(-self.x, -self.y)
 
     def scaled(self, k: ScalarLike) -> "Vec":
-        k = to_scalar(k)
+        k = read_scalar(k, "scale factor")
         return Vec(self.x * k, self.y * k)
 
     def is_zero(self) -> bool:
@@ -90,7 +86,7 @@ class Vec:
 
 
 def vec(x: ScalarLike, y: ScalarLike) -> Vec:
-    return Vec(to_scalar(x), to_scalar(y))
+    return Vec(read_scalar(x, "coordinate"), read_scalar(y, "coordinate"))
 
 
 def over_one_denominator(*values) -> tuple[list[int], int]:
@@ -206,7 +202,7 @@ def half_angle_unit(t: ScalarLike) -> tuple[int, int, int]:
     the unit circle except (-1, 0); t = tan(angle/2).  With t = p/q that is
     ``(c, s, d) = (q^2 - p^2, 2pq, q^2 + p^2)``.
     """
-    t = to_scalar(t)
+    t = read_scalar(t, "half-angle")
     p, q = t.numerator, t.denominator
     return q * q - p * p, 2 * p * q, q * q + p * p
 

@@ -1,9 +1,13 @@
 """JSON interchange for bodies, points, verdicts, placements, and reports.
 
-Scalars serialize as canonical fraction strings ("3/4", "-2"); the parser
-additionally accepts decimal strings ("0.75"), integers, and floats, all
-converted exactly.  Serialization builds dicts in a fixed key order and
-`dumps` renders them stably, so identical data yields identical bytes.
+Scalars serialize as canonical fraction strings ("3/4", "-2").  A scalar
+field is read by ``geom.read_scalar``, the library's one number reader: a
+string in ``Fraction``'s grammar (a fraction "-7/2" with no sign on the
+denominator and no space around the slash, or a decimal "0.75", "2.5E-3"),
+an integer or a float, all converted exactly.  A JSON null, array or object
+where a scalar belongs is a structural error of its document.
+Serialization builds dicts in a fixed key order and `dumps` renders them
+stably, so identical data yields identical bytes.
 
 Arc endpoints are stored as ``from``/``to`` vectors pointing from the
 center to the endpoints (exactly the in-memory representation), keeping
@@ -27,7 +31,7 @@ from .body import (
 )
 from .classify import QUESTION_ALMOST, QUESTION_FIX, PlacementDescriptor, Verdict, Witness
 from .errors import InvalidPointError, OutOfRangeError
-from .geom import MAX_DIGITS, Vec, screen_scalar, to_scalar
+from .geom import MAX_DIGITS, Vec, read_scalar
 from .oracle import EscapeReport
 
 
@@ -39,22 +43,11 @@ def scalar_to_json(x: Fraction) -> str:
         raise OutOfRangeError(f"scalar too long to print: a term has more than {MAX_DIGITS} digits") from None
 
 
-def scalar_from_json(v) -> Fraction:
-    """Exact scalar; a zero denominator, a non-finite or malformed value, or
-    what ``screen_scalar`` refuses (a boolean, a decimal exponent past
-    ``MAX_DIGITS`` in magnitude), is OUT_OF_RANGE."""
-    try:
-        if isinstance(v, str):
-            v = v.strip()
-            if "/" in v:
-                num, den = (int(part) for part in v.split("/", 1))
-                return Fraction(num, den)
-        screen_scalar(v, "scalar")
-        return to_scalar(v)  # a decimal or integer string is parsed exactly
-    except ZeroDivisionError:
-        raise OutOfRangeError(f"zero denominator in scalar {v!r}") from None
-    except (ValueError, OverflowError):
-        raise OutOfRangeError(f"scalar {v!r} is not a finite number") from None
+def _scalar(v, what: str) -> Fraction:
+    """``read_scalar(v, what)`` for a JSON value; a null, array or object raises ``TypeError``."""
+    if v is None or isinstance(v, (list, dict)):
+        raise TypeError(f"{what} {v!r} is not a number or a string")
+    return read_scalar(v, what)
 
 
 def vec_to_json(v: Vec) -> dict:
@@ -64,7 +57,7 @@ def vec_to_json(v: Vec) -> dict:
 def vec_from_json(d) -> Vec:
     """A malformed vector is INVALID_POINT; body and witness documents report it as OUT_OF_RANGE."""
     try:
-        return Vec(scalar_from_json(d["x"]), scalar_from_json(d["y"]))
+        return Vec(_scalar(d["x"], "coordinate"), _scalar(d["y"], "coordinate"))
     except (KeyError, TypeError) as exc:
         raise InvalidPointError(f"malformed vector {d!r}") from exc
 
@@ -101,7 +94,7 @@ def body_from_json(doc) -> ConvexBody:
                 elements.append(
                     Arc(
                         vec_from_json(entry["center"]),
-                        scalar_from_json(entry["radius"]),
+                        _scalar(entry["radius"], "arc radius"),
                         vec_from_json(entry["from"]),
                         vec_from_json(entry["to"]),
                     )
@@ -127,7 +120,7 @@ def points_from_json(doc, body: ConvexBody) -> list[BoundaryPoint]:
             continue
         try:
             raw = entry["element"]
-            element, param = int(raw), scalar_from_json(entry["param"])
+            element, param = int(raw), _scalar(entry["param"], "param")
             if isinstance(raw, bool) or (isinstance(raw, float) and element != raw):
                 raise ValueError(raw)
         except (KeyError, TypeError, ValueError, OverflowError):

@@ -17,18 +17,18 @@ escape builds no further candidates.  Each probe builds its motion's
 integer map (``geom.rotation_map``, or ``(vw, 0, vx, vy, vw)`` for the
 vector ``(vx, vy) / vw``) and runs the one loop ``_clear``, which hands each
 moved point to ``body.contains_over``, so a probe builds no ``Fraction``.
-The radius, the schedule entries, a witness center, a witness direction,
-and a motion path's center, vector, half-angle and sample times are read
-through ``geom.read_scalar``, so a value that is no finite number raises
+The radius, a witness center, a witness direction, and a motion path's
+center, vector, half-angle and sample times are read through
+``geom.read_scalar``, so a value that is no finite number raises
 ``OutOfRangeError``; so does a sample budget or a path's step count that is
 not an int, a path sense other than CW and CCW, and a sampled motion that is
 no ``Rotation``, ``Translation`` or ``Identity``.
 
-A validator accepts a witness when the smallest scheduled magnitudes (the
-last three of the schedule, or all of it if shorter) are penetration-free;
-the larger magnitudes are not evaluated.  It refuses a non-move: a zero
-translation direction, or any scheduled magnitude that is not positive
-(zero is the identity, a negative one the opposite family).
+A validator accepts a witness when the three smallest magnitudes of its
+family's default schedule (the last three of ``DEFAULT_ROTATION_SCHEDULE``
+or ``DEFAULT_TRANSLATION_SCHEDULE``) are penetration-free; the larger
+magnitudes are not evaluated.  It refuses a non-move, a zero translation
+direction, with ``OutOfRangeError``.
 A first-order certificate only promises some unquantified neighbourhood of
 the identity, so it is checked from below; at larger magnitudes a perfectly
 valid rotation may carry a point back through the body (the circular
@@ -123,36 +123,25 @@ class EscapeReport:
     penetration_free: tuple[bool, ...]
 
 
-def validate_rotation_witness(
-    body: ConvexBody,
-    pts,
-    center: Vec,
-    sense: str,
-    schedule: tuple[Fraction, ...] = DEFAULT_ROTATION_SCHEDULE,
-) -> bool:
-    """Exactly check that rotating the points about the center stays penetration-free."""
+def validate_rotation_witness(body: ConvexBody, pts, center: Vec, sense: str) -> bool:
+    """Exactly check that rotating the points about the center by each of the
+    last three half-angles of ``DEFAULT_ROTATION_SCHEDULE`` stays penetration-free."""
     _require_exact(body)
-    tail = _positive(schedule)[-3:]
     center = _read_vec(center, "rotation center")
     (ox, oy), ow = over_one_denominator(center.x, center.y)
     pts = _homogeneous(pts)
-    return bool(tail) and all(_rotation_clear(body, pts, (ox, oy, ow), sense, t) for t in tail)
+    return all(_rotation_clear(body, pts, (ox, oy, ow), sense, t) for t in DEFAULT_ROTATION_SCHEDULE[-3:])
 
 
-def validate_translation_witness(
-    body: ConvexBody,
-    pts,
-    direction: Vec,
-    schedule: tuple[Fraction, ...] = DEFAULT_TRANSLATION_SCHEDULE,
-) -> bool:
-    """Exactly check moving the points by each scheduled multiple of the direction."""
+def validate_translation_witness(body: ConvexBody, pts, direction: Vec) -> bool:
+    """Exactly check moving the points by each of the last three multiples of
+    the direction in ``DEFAULT_TRANSLATION_SCHEDULE``."""
     _require_exact(body)
     direction = _read_vec(direction, "direction")
     if direction.is_zero():
         raise OutOfRangeError("a translation witness needs a nonzero direction")
-    tail = _positive(schedule)[-3:]
     pts = _homogeneous(pts)
-    return bool(tail) and all(_translation_clear(body, pts, direction.scaled(m)) for m in tail)
+    return all(_translation_clear(body, pts, direction.scaled(m)) for m in DEFAULT_TRANSLATION_SCHEDULE[-3:])
 
 
 def _read_vec(v, what: str) -> Vec:
@@ -172,15 +161,6 @@ def _read_count(value, what: str) -> int:
 def _require_exact(body: ConvexBody) -> None:
     if body.tolerance() != 0:
         raise InexactModeUnsupportedError("witness validation requires an exact body")
-
-
-def _positive(schedule) -> tuple[Fraction, ...]:
-    """The schedule read as ``Fraction``s, every one of them positive."""
-    schedule = tuple(read_scalar(m, "scheduled magnitude") for m in schedule)
-    # a zero magnitude is the identity, which moves nothing; a negative one flips the family
-    if any(m <= 0 for m in schedule):
-        raise OutOfRangeError("every scheduled magnitude must be positive")
-    return schedule
 
 
 # -- escape search -----------------------------------------------------------

@@ -49,11 +49,11 @@ from .geom import (
     Vec,
     cross,
     dot,
-    half_angle_unit,
     halfplane_constraint,
     norm1,
     over_one_denominator,
     read_scalar,
+    rotation_unit,
     same_ray,
 )
 
@@ -227,9 +227,7 @@ def first_common_direction(arcs: list[CircArc | None]) -> Vec | None:
 
 
 def _rotate_dir(d: Vec, t: Fraction, ccw: bool) -> Vec:
-    c, s, _ = half_angle_unit(t)
-    if not ccw:
-        s = -s
+    c, s, _ = rotation_unit(t, "CCW" if ccw else "CW")
     (x, y), _ = over_one_denominator(d.x, d.y)
     return Vec(c * x - s * y, s * x + c * y)
 

@@ -44,6 +44,11 @@ READOUT = ("tests/test_witness_readout.py",)
 RECENTRE = ("tests/test_recentre.py",)
 VALIDATE = ("tests/test_validate_race.py",)
 MOTIONS = ("tests/test_geom.py", "tests/test_containment_property.py", "tests/test_escape_race.py", "tests/test_oracle.py")
+READ_SCALAR = (
+    "tests/test_geom.py::test_read_scalar_refuses_booleans_and_exponents_past_the_digit_limit",
+    "tests/test_geom.py::test_vec_reads_its_coordinates_through_read_scalar",
+    "tests/test_fixtures.py::test_parameter_bounds",
+)
 NEWTON_TIE = "a tie in value and in slope is the same line, so either pick gives the same bound"
 
 MUTANTS = [
@@ -99,6 +104,9 @@ MUTANTS = [
         MOTIONS,
         None,
     ),
+    # the one number reader refuses a boolean and a decimal exponent past MAX_DIGITS
+    (GEOM, "if isinstance(value, bool):", "if False:", READ_SCALAR, None),
+    (GEOM, "if e and abs(int(exponent)) > MAX_DIGITS:", "if False:", READ_SCALAR, None),
     # sampled motion paths keep their times in order
     (ORACLE, "any(s >= t for s, t in zip(times, times[1:]))", "False", ("tests/test_oracle.py",), None),
 ]

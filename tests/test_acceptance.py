@@ -74,8 +74,8 @@ def test_criterion_3_opposite_corner_suite():
     assert v.status == "NOT_WEAKLY_FIX"
     assert v.witness.kind == "rotation_center"
     assert v.witness.point == vec(0, 0)
-    schedule = tuple(Fraction(1, 10**k) for k in range(2, 9))
-    assert oracle.validate_rotation_witness(sq, oc, v.witness.point, v.witness.sense, schedule)
+    assert oracle.DEFAULT_ROTATION_SCHEDULE == tuple(Fraction(1, 10**k) for k in range(2, 9))
+    assert oracle.validate_rotation_witness(sq, oc, v.witness.point, v.witness.sense)
 
     a = classify_almost_fix(sq, oc)
     assert a.status == "POSITIVE"

@@ -117,6 +117,13 @@ def test_validation_counts_winding_without_floats(monkeypatch):
     validate(polygon([(0, 0), (1, eps), (2, 0), (2, 2), (0, 2)], mode=MIXED_INEXACT))
 
 
+def test_polygon_reads_tuple_vertices_through_read_scalar():
+    for bad in (True, "nan", "1e99999"):
+        with pytest.raises(OutOfRangeError):
+            polygon([(0, 0), (1, bad), (0, 1)])
+    assert polygon([(0, 0), ("1", 0), (0, "1/1")]) == polygon([vec(0, 0), vec(1, 0), vec(0, 1)])
+
+
 def test_validate_accepts_disc_in_mixed_mode():
     validate(unit_disc())
 

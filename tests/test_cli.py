@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from immobilize2d import cli
-from immobilize2d.errors import RefinementExhaustedError
+from immobilize2d import cli, io
+from immobilize2d.errors import NotOnBoundaryError, OutOfRangeError, RefinementExhaustedError
+from immobilize2d.geom import read_scalar
 
 
 def run_cli(*args):
@@ -368,6 +369,38 @@ def test_zero_denominator_is_a_coded_error(square_files, tmp_path):
         assert "Traceback" not in r.stderr, param
 
 
+# Forms with a space or a sign around the slash, which Fraction's grammar
+# refuses, and forms it takes: every reader of a number agrees on each.
+SCALAR_STRINGS = ("3/4", " 1/2 ", " 1 / 2 ", "+1/ 2", "1/-2", "1/+2", "2.5E-3", "1_0/4", "1/0", "nan")
+
+
+def test_flags_documents_and_library_read_a_scalar_alike(square_files, tmp_path, capsys):
+    sq, corners, _ = square_files
+    pts = tmp_path / "param.json"
+    body = io.body_from_json(json.loads(sq.read_text()))
+    for text in SCALAR_STRINGS:
+        try:
+            value = read_scalar(text)
+        except OutOfRangeError:
+            value = None
+        status = cli.main(["classify", "--mode", "fix", "--body", str(sq), "--points", str(corners), f"--tol={text}"])
+        out = capsys.readouterr()
+        pts.write_text(json.dumps([{"element": 0, "param": text}]))
+        try:
+            param = io.points_from_json(json.loads(pts.read_text()), body)[0].param
+        except (OutOfRangeError, NotOnBoundaryError) as exc:
+            param = exc
+        if value is None:
+            assert status == 1 and "error[OUT_OF_RANGE]" in out.err, (text, out)
+            assert isinstance(param, OutOfRangeError), (text, param)
+        else:
+            assert json.loads(out.out)["metadata"]["tolerances"]["tol"] == io.scalar_to_json(value), text
+            if value < 1:
+                assert param == value, text
+            else:  # read alike, then placed: past the element's end
+                assert isinstance(param, NotOnBoundaryError) and f"param {value} outside" in str(param), (text, param)
+
+
 def test_unknown_body_mode_is_a_coded_error(square_files, tmp_path):
     sq, corners, _ = square_files
     doc = json.loads(sq.read_text())
@@ -390,6 +423,7 @@ BAD_POINTS = (
     "[5]",
     '[{"element": 1.5, "param": "1/2"}]',
     '[{"element": true, "param": "1/2"}]',
+    '[{"coords": {"x": null, "y": "0"}}]',
 )
 BAD_BODIES = (
     '{"mode": "exact_polygon"}',

@@ -1,5 +1,6 @@
 """Built-in example bodies and their pinned classifications."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -83,9 +84,13 @@ def test_parameter_bounds():
         regular_polygon(2, 1)
     with pytest.raises(OutOfRangeError):
         regular_polygon(65, 1)
-    for circumradius in (-1, 0):
+    for circumradius in (-1, 0, True):  # True read as 1 once built a radius-1 pentagon
         with pytest.raises(OutOfRangeError):
             regular_polygon(5, circumradius)
+    started = time.perf_counter()  # the exponent is refused before 10 ** exponent is built
+    with pytest.raises(OutOfRangeError, match="exponent"):
+        regular_polygon(5, "1e-10000000")
+    assert time.perf_counter() - started < 1
     with pytest.raises(OutOfRangeError):
         random_convex_polygon(0, 2)
     with pytest.raises(OutOfRangeError):

@@ -48,6 +48,18 @@ def test_read_scalar_refuses_booleans_and_exponents_past_the_digit_limit():
             read_scalar(v, "param")
 
 
+def test_vec_reads_its_coordinates_through_read_scalar():
+    started = time.perf_counter()
+    with pytest.raises(OutOfRangeError, match="exponent"):
+        vec("1e-10000000", 0)
+    assert time.perf_counter() - started < 1
+    for x in (True, "nan", float("inf"), None, "1/0"):
+        with pytest.raises(OutOfRangeError):
+            vec(x, 0)
+    assert vec("3/4", 0.5) == Vec(Fraction(3, 4), Fraction(1, 2))
+    assert to_scalar is read_scalar
+
+
 def rand_fraction(rng, span=6, den=64):
     return Fraction(rng.randint(-span * den, span * den), den)
 

@@ -10,16 +10,16 @@ from immobilize2d.body import boundary_point
 from immobilize2d.classify import classify_fix
 from immobilize2d.errors import InvalidPointError, OutOfRangeError
 from immobilize2d.fixtures import rectangle_remark, unit_disc, unit_square
-from immobilize2d.geom import vec
+from immobilize2d.geom import read_scalar, vec
 from immobilize2d.oracle import escape_search
 
 
 def test_scalar_forms_all_parse_exactly():
-    assert io.scalar_from_json("3/4") == Fraction(3, 4)
-    assert io.scalar_from_json("0.75") == Fraction(3, 4)
-    assert io.scalar_from_json(0.75) == Fraction(3, 4)
-    assert io.scalar_from_json(-2) == Fraction(-2)
-    assert io.scalar_from_json("-7/2") == Fraction(-7, 2)
+    assert read_scalar("3/4") == Fraction(3, 4)
+    assert read_scalar("0.75") == Fraction(3, 4)
+    assert read_scalar(0.75) == Fraction(3, 4)
+    assert read_scalar(-2) == Fraction(-2)
+    assert read_scalar("-7/2") == Fraction(-7, 2)
     assert io.scalar_to_json(Fraction(22, 7)) == "22/7"
 
 
@@ -28,14 +28,14 @@ def test_decimal_exponents_past_the_digit_limit_are_refused_before_parsing():
     started = time.perf_counter()
     for v in ("1e-10000000", "1e-1_000_000", "1E4301", "-2.5e-4301", "3e+4_301", " 1e99999 "):
         with pytest.raises(OutOfRangeError, match="exponent"):
-            io.scalar_from_json(v)
+            read_scalar(v)
     assert time.perf_counter() - started < 1
-    assert io.scalar_from_json("1e-4300") == Fraction(1, 10**4300)
-    assert io.scalar_from_json("-1_5e4_300") == -15 * 10**4300
-    assert io.scalar_from_json("2.5E-3") == Fraction(1, 400)
+    assert read_scalar("1e-4300") == Fraction(1, 10**4300)
+    assert read_scalar("-1_5e4_300") == -15 * 10**4300
+    assert read_scalar("2.5E-3") == Fraction(1, 400)
     for v in ("1e", "1e5e5", "e5"):
         with pytest.raises(OutOfRangeError, match="not a finite number"):
-            io.scalar_from_json(v)
+            read_scalar(v)
 
 
 def test_terms_past_the_digit_limit_are_out_of_range():

@@ -70,36 +70,27 @@ def test_validators_evaluate_only_the_last_three_magnitudes(monkeypatch):
     monkeypatch.setattr(oracle, "_rotation_clear", fake_rotation_clear)
     monkeypatch.setattr(oracle, "_translation_clear", fake_translation_clear)
     validators = (
-        (oracle.DEFAULT_ROTATION_SCHEDULE, lambda s: oracle.validate_rotation_witness(sq, pts, vec(0, 0), oracle.CW, s)),
-        (oracle.DEFAULT_TRANSLATION_SCHEDULE, lambda s: oracle.validate_translation_witness(sq, pts, vec(1, 0), s)),
+        (oracle.DEFAULT_ROTATION_SCHEDULE, lambda: oracle.validate_rotation_witness(sq, pts, vec(0, 0), oracle.CW)),
+        (oracle.DEFAULT_TRANSLATION_SCHEDULE, lambda: oracle.validate_translation_witness(sq, pts, vec(1, 0))),
     )
-    for full, validate in validators:
-        for n in range(len(full) + 1):
-            schedule = full[:n]
-            tail = schedule[-3:]
-            for mask in range(1 << n):
-                failing = {m for k, m in enumerate(schedule) if mask >> k & 1}
-                seen.clear()
-                ok = validate(schedule)
-                assert ok == (bool(tail) and not failing & set(tail)), (schedule, failing)
-                assert set(seen) <= set(tail), (schedule, failing, seen)
+    for schedule, validate in validators:
+        tail = schedule[-3:]
+        for mask in range(1 << len(schedule)):
+            failing = {m for k, m in enumerate(schedule) if mask >> k & 1}
+            seen.clear()
+            ok = validate()
+            assert ok == (not failing & set(tail)), (schedule, failing)
+            assert set(seen) <= set(tail), (schedule, failing, seen)
 
 
 def test_validators_refuse_a_non_move(monkeypatch):
     # the identity leaves pinned points where they are, so it would "validate"
     sq, mids = square_edge_midpoints()
+    probes = []
+    monkeypatch.setattr(oracle, "_translation_clear", lambda *args: probes.append(args) or True)
     with pytest.raises(OutOfRangeError):
         oracle.validate_translation_witness(sq, mids, vec(0, 0))
-    bad = ((Fraction(0),), (Fraction(-1, 100),), (Fraction(-1, 10), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)))
-    probes = []
-    monkeypatch.setattr(oracle, "_rotation_clear", lambda *args: probes.append(args) or True)
-    monkeypatch.setattr(oracle, "_translation_clear", lambda *args: probes.append(args) or True)
-    for schedule in bad:
-        with pytest.raises(OutOfRangeError):
-            oracle.validate_rotation_witness(sq, mids, vec(0, 0), oracle.CW, schedule)
-        with pytest.raises(OutOfRangeError):
-            oracle.validate_translation_witness(sq, mids, vec(1, 0), schedule)
-    assert probes == []  # the whole schedule is checked before the first probe
+    assert probes == []
 
 
 def test_validators_refuse_a_non_finite_argument(monkeypatch):
@@ -108,12 +99,7 @@ def test_validators_refuse_a_non_finite_argument(monkeypatch):
     monkeypatch.setattr(oracle, "_rotation_clear", lambda *args: probes.append(args) or True)
     monkeypatch.setattr(oracle, "_translation_clear", lambda *args: probes.append(args) or True)
     nan = float("nan")
-    for schedule in ((nan,), (Fraction(1, 10), nan, Fraction(1, 100)), ("x",), (float("inf"),)):
-        with pytest.raises(OutOfRangeError):
-            oracle.validate_rotation_witness(sq, mids, vec(0, 0), oracle.CW, schedule)
-        with pytest.raises(OutOfRangeError):
-            oracle.validate_translation_witness(sq, mids, vec(1, 0), schedule)
-    for bad in (Vec(nan, Fraction(0)), Vec(Fraction(1), float("inf")), Vec("x", Fraction(0))):
+    for bad in (Vec(nan, Fraction(0)), Vec(Fraction(1), float("inf")), Vec("x", Fraction(0)), Vec(True, Fraction(0))):
         with pytest.raises(OutOfRangeError):
             oracle.validate_translation_witness(sq, mids, bad)
         with pytest.raises(OutOfRangeError):
