@@ -34,6 +34,7 @@ from .classify import (
     Witness,
     boundary_grid,
     classify_almost_fix,
+    classify_both,
     classify_fix,
     refine_almost_to_fix,
     search_almost_fixing,
@@ -103,6 +104,7 @@ __all__ = [
     "boundary_grid",
     "boundary_point",
     "classify_almost_fix",
+    "classify_both",
     "classify_fix",
     "contains_interior",
     "direction_set",

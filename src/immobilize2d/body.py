@@ -363,12 +363,12 @@ def _arc_sweep(el: Arc) -> float:
 
 def element_point(el: BoundaryElement, param: Fraction) -> Vec:
     """Coordinates of the boundary point at ``param`` in [0, 1] on the element."""
-    if isinstance(el, Segment):
-        return el.a + el.direction().scaled(param)
     if param == 0:
         return el.start()
     if param == 1:
         return el.end()
+    if isinstance(el, Segment):
+        return el.a + el.direction().scaled(param)
     a0 = math.atan2(float(el.from_dir.y), float(el.from_dir.x))
     ang = a0 + float(param) * _arc_sweep(el)
     r = float(el.radius)

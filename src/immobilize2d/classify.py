@@ -27,6 +27,15 @@ off the same closed left sectors as test 3 (``sectors.sector_directions``).
 The closed tests run first: an open sector lies in its closed one, so at
 tolerance 0 an empty closed test makes its open test empty without solving
 it.
+
+One call can ask both questions (``classify_both``, which ``fuzz`` uses): the
+tolerance is read, the points deduplicated and the contact rows built once,
+and each distinct system is solved once, keyed by its solver and its rows.
+Within a call sector i always comes from contact i and the tolerance is
+fixed, so the rows decide the result.  At a smooth contact the large and
+small sectors are one sector, so on an all-smooth contact set the ALMOST_FIX
+tests reuse every FIX solve; at corners their systems differ and are solved.
+``classify_fix`` and ``classify_almost_fix`` are the one-question calls.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .body import (
 from .errors import InvalidPointError, NotAlmostPositiveError, OutOfRangeError, RefinementExhaustedError
 from .feasibility import FeasibilityResult, directions_intersection, sectors_intersection
 from .geom import Vec, read_scalar, rot90_ccw
-from .sectors import contact_rows, sector_directions, sector_of
+from .sectors import Sector, contact_rows, sector_directions, sector_of
 
 QUESTION_FIX = "FIX"
 QUESTION_ALMOST = "ALMOST_FIX"
@@ -139,31 +148,47 @@ def _dedupe_points(pts: list[BoundaryPoint]) -> list[BoundaryPoint]:
     return out
 
 
-def _classify(body: ConvexBody, pts: list[BoundaryPoint], question: str, tol: Fraction | None) -> Verdict:
+def _directions(closed_left: list[Sector], tol: Fraction) -> FeasibilityResult:
+    return directions_intersection([sector_directions(s) for s in closed_left], tol)
+
+
+def _classify(body: ConvexBody, pts: list[BoundaryPoint], questions: tuple[str, ...], tol: Fraction | None) -> tuple[Verdict, ...]:
     if tol is None:
         tol = body.tolerance()
     tol = read_scalar(tol, "tolerance")
     if tol < 0:
         raise OutOfRangeError(f"tolerance {tol} is negative")
     pts = _dedupe_points(list(pts))
-    kind_left, kind_right = _QUESTION_KINDS[question]
     contacts = [contact_rows(bp.coords, tangents_at(body, bp)) for bp in pts]
+    # Sector i always comes from contact i and tol is fixed: a system's rows decide its result.
+    solved: dict[tuple, FeasibilityResult] = {}
 
-    def result(name: str, res: FeasibilityResult) -> TestResult:
+    def run(name: str, system: list[Sector], solver=sectors_intersection) -> TestResult:
+        key = (solver, tuple(s.alternatives for s in system))
+        if key not in solved:
+            solved[key] = solver(system, tol)
+        res = solved[key]
         return TestResult(name, "NONEMPTY" if res.feasible else "EMPTY", res.witness, res.near_degenerate)
 
-    def run(name: str, kind: str, closed: bool) -> TestResult:
-        return result(name, sectors_intersection([sector_of(c, kind, closed) for c in contacts], tol))
+    def sectors(kind: str, closed: bool) -> list[Sector]:
+        return [sector_of(c, kind, closed) for c in contacts]
 
-    closed_left = [sector_of(c, kind_left, True) for c in contacts]
-    closed_l = result("closedL", sectors_intersection(closed_left, tol))
-    closed_r = run("closedR", kind_right, True)
-    # With tol > 0 the open test still runs: its tolerance twin may flag.
-    open_l = run("openL", kind_left, False) if closed_l.nonempty or tol > 0 else TestResult("openL", "EMPTY", None)
-    open_r = run("openR", kind_right, False) if closed_r.nonempty or tol > 0 else TestResult("openR", "EMPTY", None)
-    directions = result("directions", directions_intersection([sector_directions(s) for s in closed_left], tol))
-    results = [open_l, open_r, closed_l, closed_r, directions]
+    verdicts = []
+    for question in questions:
+        kind_left, kind_right = _QUESTION_KINDS[question]
+        closed_left = sectors(kind_left, True)
+        closed_l = run("closedL", closed_left)
+        closed_r = run("closedR", sectors(kind_right, True))
+        # With tol > 0 the open test still runs: its tolerance twin may flag.
+        open_l = run("openL", sectors(kind_left, False)) if closed_l.nonempty or tol > 0 else TestResult("openL", "EMPTY", None)
+        open_r = run("openR", sectors(kind_right, False)) if closed_r.nonempty or tol > 0 else TestResult("openR", "EMPTY", None)
+        directions = run("directions", closed_left, _directions)
+        verdicts.append(_verdict(question, body.mode, (open_l, open_r, closed_l, closed_r, directions)))
+    return tuple(verdicts)
 
+
+def _verdict(question: str, mode: str, results: tuple[TestResult, ...]) -> Verdict:
+    open_l, open_r, closed_l, closed_r, directions = results
     witness: Witness | None = None
     if open_l.nonempty:
         status = _NEGATIVE_STATUS[question]
@@ -185,21 +210,27 @@ def _classify(body: ConvexBody, pts: list[BoundaryPoint], question: str, tol: Fr
     return Verdict(
         question=question,
         status=status,
-        tests=tuple(results),
+        tests=results,
         witness=witness,
-        mode=body.mode,
+        mode=mode,
         near_degenerate=any(t.near_degenerate for t in results),
     )
 
 
 def classify_fix(body: ConvexBody, pts: list[BoundaryPoint], tol: Fraction | None = None) -> Verdict:
     """Can the contacts block every nearby nonidentical rigid motion?"""
-    return _classify(body, pts, QUESTION_FIX, tol)
+    return _classify(body, pts, (QUESTION_FIX,), tol)[0]
 
 
 def classify_almost_fix(body: ConvexBody, pts: list[BoundaryPoint], tol: Fraction | None = None) -> Verdict:
     """Can the contacts be doubled into nearby pairs that block everything?"""
-    return _classify(body, pts, QUESTION_ALMOST, tol)
+    return _classify(body, pts, (QUESTION_ALMOST,), tol)[0]
+
+
+def classify_both(body: ConvexBody, pts: list[BoundaryPoint], tol: Fraction | None = None) -> tuple[Verdict, Verdict]:
+    """``(classify_fix(...), classify_almost_fix(...))`` from one pass: each
+    distinct sector or direction system of the two questions is solved once."""
+    return _classify(body, pts, (QUESTION_FIX, QUESTION_ALMOST), tol)
 
 
 # -- refinement of an almost-fixing set into a fixing set ---------------------

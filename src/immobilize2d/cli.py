@@ -151,17 +151,19 @@ def _fuzz_trial(seed: int, index: int, max_points: int) -> dict:
     if body is None:
         return {"trial": index, "skipped": True, "violations": []}
     pts = _fuzz_points(body, rng, max_points)
-    fix = cls.classify_fix(body, pts)
-    almost = cls.classify_almost_fix(body, pts)
+    fix, almost = cls.classify_both(body, pts)
     violations = []
     if fix.status == cls.POSITIVE and almost.status != cls.POSITIVE:
         violations.append("fix POSITIVE but almost-fix not POSITIVE")
     if almost.status == cls.NOT_ALMOST_FIX and fix.status != cls.NOT_WEAKLY_FIX:
         violations.append("NOT_ALMOST_FIX without NOT_WEAKLY_FIX")
+    valid = {}  # at smooth contacts both questions give one witness: validate it once
     for label, verdict in (("fix", fix), ("almost", almost)):
         if verdict.status in (cls.NOT_WEAKLY_FIX, cls.NOT_ALMOST_FIX):
             w = verdict.witness
-            if not oracle.validate_rotation_witness(body, pts, w.point, w.sense):
+            if (w.point, w.sense) not in valid:
+                valid[w.point, w.sense] = oracle.validate_rotation_witness(body, pts, w.point, w.sense)
+            if not valid[w.point, w.sense]:
                 violations.append(f"{label} rotation witness failed exact validation")
     if fix.status == cls.POSITIVE:
         if oracle.escape_search(body, pts, samples=240, seed=index) is not None:

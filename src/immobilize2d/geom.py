@@ -40,10 +40,13 @@ def read_scalar(value: ScalarLike, what: str = "scalar") -> Fraction:
     or a string in ``Fraction``'s grammar ("3/4", " -7/2 ", "2.5E-3", what
     ``io.scalar_to_json`` writes), as its exact ``Fraction``; a ``Fraction`` is
     returned as it is.  A value that is no finite number (nan, inf, a
-    malformed string, a zero denominator, None), a boolean, and a string whose
+    malformed string, a zero denominator, None), a boolean, a string whose
     decimal exponent exceeds ``MAX_DIGITS`` in magnitude (``Fraction`` builds
-    ``10 ** exponent``, whose cost grows with the exponent) raise
-    ``OutOfRangeError`` naming ``what``."""
+    ``10 ** exponent``, whose cost grows with the exponent) and a string with
+    a ``_`` or a space inside it raise ``OutOfRangeError`` naming ``what``.
+    ``Fraction`` reads digit separators ``_`` only from CPython 3.11 and spaces
+    around the slash only from 3.12, and ``scalar_to_json`` writes neither, so
+    refusing both gives every supported Python one grammar."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -53,6 +56,8 @@ def read_scalar(value: ScalarLike, what: str = "scalar") -> Fraction:
             _, e, exponent = value.lower().partition("e")
             if e and abs(int(exponent)) > MAX_DIGITS:
                 raise OutOfRangeError(f"{what} {value!r} has a decimal exponent beyond {MAX_DIGITS} in magnitude")
+            if "_" in value or len(value.split()) > 1:
+                raise OutOfRangeError(f"{what} {value!r} has a '_' or a space inside it")
         return Fraction(value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError):
         raise OutOfRangeError(f"{what} {value!r} is not a finite number") from None

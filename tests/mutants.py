@@ -55,11 +55,14 @@ MUTANTS = [
     # the fuzz trial's consistency checks, each switched off
     (CLI, "if fix.status == cls.POSITIVE and almost.status != cls.POSITIVE:", "if False:", FUZZ_CHECKS, None),
     (CLI, "if almost.status == cls.NOT_ALMOST_FIX and fix.status != cls.NOT_WEAKLY_FIX:", "if False:", FUZZ_CHECKS, None),
-    (CLI, "if not oracle.validate_rotation_witness(body, pts, w.point, w.sense):", "if False:", FUZZ_CHECKS, None),
+    (CLI, "if not valid[w.point, w.sense]:", "if False:", FUZZ_CHECKS, None),
     (CLI, "if oracle.escape_search(body, pts, samples=240, seed=index) is not None:", "if False:", FUZZ_CHECKS, None),
     # the corner path: a large sector is the union of its contact's rows, which
     # the default fuzz's smooth contacts never tell from its first row alone
     (SECTORS, "else tuple((lc,) for lc in flipped))", "else tuple((lc,) for lc in flipped[:1]))", CORNER_FUZZ, None),
+    # both questions share each solved system by its rows; keyed by test name, ALMOST_FIX
+    # would reuse FIX's results, which only corner contacts tell apart
+    (CLASSIFY, "key = (solver, tuple(s.alternatives for s in system))", "key = (solver, name)", CORNER_FUZZ, None),
     # the interval picker merges the strict flags of tied bounds
     (FEASIBILITY, "elif strict and n * lo[1] == lo[0] * b:", "elif False:", READOUT, None),
     # witness re-centring and snapping

@@ -128,6 +128,37 @@ def test_almost_fix_at_smooth_contacts_solves_one_row_per_contact(monkeypatch):
         assert rows and set(rows) == {len(pts)}
 
 
+def test_both_questions_at_smooth_contacts_solve_only_what_fix_alone_solves(monkeypatch):
+    # At smooth contacts ALMOST_FIX poses exactly FIX's systems, and classify_both
+    # solves each distinct one once; at corners its systems differ and are solved too.
+    calls = []
+    solve = classify.sectors_intersection
+    monkeypatch.setattr(classify, "sectors_intersection", lambda sectors, tol: calls.append(1) or solve(sectors, tol))
+    pentagon, irregular = regular_polygon(5, 3), random_convex_polygon(0, 5)
+    smooth = [
+        square_edge_midpoints(),
+        (pentagon, [boundary_point(pentagon, i, Fraction(1, 3)) for i in range(5)]),
+        (irregular, [boundary_point(irregular, i, Fraction(1, 3)) for i in range(5)]),
+    ]
+    statuses = set()
+    for (body, pts), tol in itertools.product(smooth, (None, Fraction(1, 100))):
+        calls.clear()
+        fix = classify_fix(body, pts, tol)
+        alone = len(calls)
+        calls.clear()
+        assert classify.classify_both(body, pts, tol)[0] == fix
+        assert len(calls) == alone > 0, (body, pts, tol)
+        statuses.add(fix.status)
+    assert statuses == {INDETERMINATE, NOT_WEAKLY_FIX, POSITIVE}, statuses
+    sq, oc = square_opposite_corners()
+    calls.clear()
+    classify_fix(sq, oc)
+    alone = len(calls)
+    calls.clear()
+    classify.classify_both(sq, oc)
+    assert len(calls) > alone
+
+
 def test_almost_fix_at_forty_edge_midpoints_is_positive():
     # 40 smooth contacts pose 40-row systems for both questions, under the row cap.
     body = regular_polygon(40, 5)

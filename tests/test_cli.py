@@ -295,8 +295,7 @@ def test_fuzz_reports_each_violation_and_exits_13(monkeypatch, tmp_path):
     for fix, almost, refuted, escape, message in cases:
         fix_verdict = SimpleNamespace(status=fix, witness=SimpleNamespace(point=fix_point, sense="CW"))
         almost_verdict = SimpleNamespace(status=almost, witness=SimpleNamespace(point=almost_point, sense="CCW"))
-        monkeypatch.setattr(cls, "classify_fix", lambda body, pts, v=fix_verdict: v)
-        monkeypatch.setattr(cls, "classify_almost_fix", lambda body, pts, v=almost_verdict: v)
+        monkeypatch.setattr(cls, "classify_both", lambda body, pts, v=(fix_verdict, almost_verdict): v)
         monkeypatch.setattr(oracle, "validate_rotation_witness", lambda body, pts, point, sense, r=refuted: point is not r)
         monkeypatch.setattr(oracle, "escape_search", lambda body, pts, samples, seed, e=escape: e)
         assert cli._fuzz_trial(5, 0, 5)["violations"] == [message]
@@ -369,8 +368,9 @@ def test_zero_denominator_is_a_coded_error(square_files, tmp_path):
         assert "Traceback" not in r.stderr, param
 
 
-# Forms with a space or a sign around the slash, which Fraction's grammar
-# refuses, and forms it takes: every reader of a number agrees on each.
+# Forms with a space, a sign or a digit separator around the slash, which the
+# reader refuses on every Python, and forms it takes: every reader of a number
+# agrees on each.
 SCALAR_STRINGS = ("3/4", " 1/2 ", " 1 / 2 ", "+1/ 2", "1/-2", "1/+2", "2.5E-3", "1_0/4", "1/0", "nan")
 
 

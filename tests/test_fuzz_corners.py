@@ -11,13 +11,18 @@ time on the fuzz's random polygons, and axis-aligned rectangles touched only
 along their top and bottom edges, criterion 1's sliding rectangle, where the
 first-order tests cannot decide.  Run with ``-s`` to see the joint-outcome
 table.
+
+``fuzz`` asks both questions through ``classify.classify_both``, which solves
+each distinct system once for the two; the race below checks it against the
+two one-question classifiers on the same draws, and on ``example_e1``'s arcs
+at their positive tolerance, where the tolerance twins run.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
 
-from immobilize2d import cli, fixtures
+from immobilize2d import classify, cli, fixtures, oracle
 from immobilize2d.body import boundary_point
 from immobilize2d.classify import INDETERMINATE, NOT_ALMOST_FIX, NOT_WEAKLY_FIX, POSITIVE
 
@@ -77,3 +82,26 @@ def test_fuzz_checks_hold_on_corner_and_sliding_draws(monkeypatch):
     assert corners[NOT_WEAKLY_FIX, POSITIVE] >= 10, corners
     assert corners[POSITIVE, POSITIVE] >= 10 and corners[NOT_WEAKLY_FIX, NOT_ALMOST_FIX] >= 10, corners
     assert sum(n for (fix, almost), n in sliding.items() if INDETERMINATE in (fix, almost)) >= 10, sliding
+
+
+def test_both_questions_in_one_pass_race_the_two_classifiers(monkeypatch):
+    both, seen = classify.classify_both, Counter()
+
+    def racing(body, pts, tol=None):
+        got = both(body, pts, tol)
+        assert got == (classify.classify_fix(body, pts, tol), classify.classify_almost_fix(body, pts, tol)), pts
+        seen[got[0].status, got[1].status] += 1
+        return got
+
+    monkeypatch.setattr(classify, "classify_both", racing)
+    # The race needs only the draws: the oracle checks are the other test's.
+    monkeypatch.setattr(oracle, "validate_rotation_witness", lambda body, pts, point, sense: True)
+    monkeypatch.setattr(oracle, "escape_search", lambda body, pts, samples, seed: None)
+    joint_outcomes(monkeypatch, 5, CORNER_TRIALS, corner_points)
+    joint_outcomes(monkeypatch, 5, RECTANGLE_TRIALS, sliding_points, rectangle)
+    assert seen[NOT_WEAKLY_FIX, POSITIVE] and seen[INDETERMINATE, INDETERMINATE], seen
+    for n in range(2, 7):
+        fx = fixtures.example_e1(n)
+        assert fx.body.tolerance() > 0
+        verdicts = racing(fx.body, fx.points)
+        assert all(v.near_degenerate for v in verdicts), n

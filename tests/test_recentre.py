@@ -75,7 +75,8 @@ def test_recentred_witnesses_race_the_reference_on_fuzz_contact_sets(monkeypatch
         return got
 
     monkeypatch.setattr(feasibility, "_improve_witness", racing)
-    for index in range(40):
+    # Each distinct system is re-centred once per trial: 40 trials reach 90 re-centrings, 60 reach 132.
+    for index in range(60):
         cli._fuzz_trial(5, index, 8)
     assert len(calls) > 100 and sum(calls) > 50, (len(calls), sum(calls))
 
