@@ -368,7 +368,10 @@ def element_point(el: BoundaryElement, param: Fraction) -> Vec:
     if param == 1:
         return el.end()
     if isinstance(el, Segment):
-        return el.a + el.direction().scaled(param)
+        # a + (b - a) param with a, b over one denominator d and param = n / q: two Fractions built
+        (ax, ay, bx, by), d = over_one_denominator(el.a.x, el.a.y, el.b.x, el.b.y)
+        n, q = param.numerator, param.denominator
+        return Vec(Fraction(ax * q + (bx - ax) * n, d * q), Fraction(ay * q + (by - ay) * n, d * q))
     a0 = math.atan2(float(el.from_dir.y), float(el.from_dir.x))
     ang = a0 + float(param) * _arc_sweep(el)
     r = float(el.radius)

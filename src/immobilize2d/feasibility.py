@@ -6,13 +6,17 @@ y (pairing each lower bound on y with each upper bound in ints), which yields
 an interval witness for free.  Every bound, on x in the solve and on y in the
 read-out, stays an integer pair ``(N, B)``, ``B > 0``, and one picker
 (``_inside``) compares them by cross-multiplication.  One elimination and one
-y read-out serve the feasibility solve and witness re-centring.  Re-centring
-puts the witness, anchor and scale over one denominator once, pairs its margin
-rows once per witness, adds per box only the box's x rows and the pairs of
-its y rows, runs a bounded Newton search on ints, and carries each candidate
-as ``(X, Y, W)`` ints; the margins that score and snap witnesses are integer
-comparisons.  A ``Fraction`` is built only for a coordinate of a point
-returned (and for the snapping floor), never per bound, row or candidate.
+y read-out serve the feasibility solve and witness re-centring.  A point is
+``(X, Y, W)`` ints, ``W > 0``, from the solve through snapping and
+re-centring: re-centring measures from the anchor and scale ``(AX, AY, S,
+D)`` that ``_anchor`` puts over one denominator once, pairs its margin rows
+once per witness, adds per box only the box's x rows and the pairs of its y
+rows, and runs a bounded Newton search on ints; the margins that score and
+snap witnesses are integer comparisons.  A ``Fraction`` is built only for a
+coordinate of a returned ``Vec`` (``_result``), never per bound, row or
+candidate.  ``linear_feasible`` is the one entry for rows from outside: it
+reads each term through ``geom.read_scalar`` and normalises the row with
+``_coprime_row`` before solving.
 
 Sector systems add one twist: a large sector at a corner is a union of two
 half-planes, so the system is a union of branches, one of each sector's
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstraintLimitError, SolverStepLimitError
-from .geom import LinearConstraint, Vec, _coprime_row, norm1, over_one_denominator
+from .geom import LinearConstraint, Vec, _coprime_row, norm1, over_one_denominator, read_scalar
 from .sectors import CircArc, Sector, first_common_direction, grow_arc, shrink_arc
 
 MAX_CONSTRAINTS = 64
@@ -50,6 +54,14 @@ class FeasibilityResult:
     feasible: bool
     witness: Vec | None
     near_degenerate: bool = False
+
+
+def _result(point: tuple[int, int, int] | None, flagged: bool = False) -> FeasibilityResult:
+    """The result for a point ``(X, Y, W)`` or None: the one place a witness becomes a ``Vec``."""
+    if point is None:
+        return FeasibilityResult(False, None, flagged)
+    x, y, w = point
+    return FeasibilityResult(True, Vec(Fraction(x, w), Fraction(y, w)), flagged)
 
 
 def _inside(lowers: list[tuple], uppers: list[tuple]) -> tuple[int, int] | None:
@@ -86,7 +98,7 @@ def _pair(lowers: list[tuple], uppers: list[tuple]):
     y-upper row, lowers outermost, lazily."""
     for la, lb, lc, lw, ls in lowers:
         for ua, ub, uc, uw, us in uppers:
-            w = lb * uw - ub * lw if uw or lw else 0  # no Fraction products for w = 0 rows
+            w = lb * uw - ub * lw if uw or lw else 0  # an exact solve's rows all have w = 0: skip both products
             yield ua * lb - la * ub, lb * uc - ub * lc, w, ls or us
 
 
@@ -115,8 +127,9 @@ def _point_at(rows: list[tuple], x: int, t: int, den: int) -> tuple[int, int, in
     return None if y is None else (x * y[1], y[0] * den, den * y[1])
 
 
-def _feasible_exact(constraints: list[LinearConstraint]) -> tuple[bool, Vec | None]:
-    """Eliminate y, solve for x, read y off.  Exact, no tolerance."""
+def _feasible_exact(constraints: list[LinearConstraint]) -> tuple[int, int, int] | None:
+    """Eliminate y, solve for x, read y off: a point ``(X, Y, W)`` of the int
+    rows, ``W > 0``, or None when they hold nowhere.  Exact, no tolerance."""
     rows = [(lc.nx, lc.ny, lc.c, 0, lc.strict) for lc in constraints]
     x_lowers, x_uppers = [], []
     for a, c, _, strict in _eliminate_y(rows):
@@ -125,12 +138,11 @@ def _feasible_exact(constraints: list[LinearConstraint]) -> tuple[bool, Vec | No
         elif a < 0:
             x_uppers.append((-c, -a, strict))
         elif c > 0 or (strict and c == 0):
-            return False, None
+            return None
     x = _inside(x_lowers, x_uppers)
     if x is None:
-        return False, None
-    px, py, pw = _point_at(rows, x[0], 0, x[1])  # the pairing makes x exact, so y's interval is nonempty
-    return True, Vec(Fraction(px, pw), Fraction(py, pw))
+        return None
+    return _point_at(rows, x[0], 0, x[1])  # the pairing makes x exact, so y's interval is nonempty
 
 
 def _round_half_even(n: int, d: int) -> int:
@@ -139,35 +151,39 @@ def _round_half_even(n: int, d: int) -> int:
     return q + 1 if 2 * r > d or (2 * r == d and q & 1) else q
 
 
-def _snap_witness(w: Vec, constraints: list[LinearConstraint], floor: Fraction | None) -> Vec:
-    """Round to the coarsest dyadic grid that still satisfies everything.
+def _snap_witness(p: tuple[int, int, int], constraints: list[LinearConstraint], floor: tuple[int, int] | None) -> tuple[int, int, int]:
+    """Round the point ``(X, Y, W)`` to the coarsest dyadic grid that still satisfies everything.
 
     Exact witnesses from elimination can carry huge denominators and sit
     close to strict boundaries; snapping picks a nearby point with small
-    terms and fatter margins.  With a ``floor`` the snapped point must also
-    keep a smallest normalized margin of at least ``floor``.  Falls back to
-    the exact witness when the point is pinned to a non-dyadic equality.
+    terms and fatter margins.  With a ``floor`` ``(m, q)``, ``q > 0``, the
+    snapped point must also keep a smallest normalized margin of at least
+    ``m / q``.  Falls back to the exact point when it is pinned to a
+    non-dyadic equality.
     """
-    xn, xd, yn, yd = w.x.numerator, w.x.denominator, w.y.numerator, w.y.denominator
+    px, py, pw = p
     for k in range(_SNAP_BITS + 1):
-        x, y, den = _round_half_even(xn << k, xd), _round_half_even(yn << k, yd), 1 << k
+        x, y, den = _round_half_even(px << k, pw), _round_half_even(py << k, pw), 1 << k
         if not all((m := lc.nx * x + lc.ny * y - lc.c * den) > 0 or (m == 0 and not lc.strict) for lc in constraints):
             continue
         if floor is not None:
             m, n = _least_margin(constraints, x, y, den)
-            if m * floor.denominator < floor.numerator * n * den:
+            if m * floor[1] < floor[0] * n * den:
                 continue
-        return Vec(Fraction(x, den), Fraction(y, den))
-    return w
+        return x, y, den
+    return p
 
 
 def linear_feasible(constraints: list[LinearConstraint]) -> FeasibilityResult:
+    """Is the system of rows from outside nonempty, and where?  Each term is
+    read through ``read_scalar`` (a float at its exact value; nan, inf and
+    booleans raise ``OutOfRangeError``) and each row is normalised to coprime
+    ints before the solve; the witness is snapped."""
     if len(constraints) > MAX_CONSTRAINTS:
         raise ConstraintLimitError(f"{len(constraints)} constraints exceed the cap of {MAX_CONSTRAINTS}")
-    ok, w = _feasible_exact(constraints)
-    if ok:
-        w = _snap_witness(w, constraints, None)
-    return FeasibilityResult(ok, w)
+    rows = [_coprime_row(*(read_scalar(v, "row term") for v in (lc.nx, lc.ny, lc.c)), lc.strict) for lc in constraints]
+    point = _feasible_exact(rows)
+    return _result(None if point is None else _snap_witness(point, rows, None))
 
 
 # -- sector systems ----------------------------------------------------------
@@ -218,7 +234,7 @@ def first_branch(alternatives: list[tuple[tuple[LinearConstraint, ...], ...]]) -
     return None if best is None else [lc for alts, j in zip(alternatives, best) for lc in alts[j]]
 
 
-_QUALITY_GOOD = Fraction(1, 64)
+_QUALITY_GOOD = 64  # a witness whose quality is at least 1 / 64 is kept
 _IMPROVE_BOXES = (8, 128, 2048)
 
 
@@ -362,28 +378,26 @@ def _newton(lowers: list, uppers: list, caps: list) -> tuple[int, int, int] | No
     return None
 
 
-def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, scale: Fraction) -> Vec:
-    """Re-center a feasibility witness when it hugs a constraint boundary.
+def _improve_witness(constraints: list[LinearConstraint], p: tuple[int, int, int], anchor: tuple) -> tuple[int, int, int]:
+    """Re-center the feasibility witness ``p``, ``(X, Y, W)``, when it hugs a constraint boundary.
 
     Witnesses straight out of elimination can sit a hair away from one of the
     bounding lines, far from the contact region.  Such points are terrible
     certificates: the rotation family they describe clears the body only in a
     vanishing window of magnitudes.  When the original witness has a poor
-    margin-to-distance ratio, this pairs the margin rows once, takes, in each
-    of a few boxes around the anchor, the deepest point ``_deepest_point``
-    finds, and keeps whichever candidate scores best.  A box whose best
-    margin is 0 is skipped: none of its points can beat the original,
-    feasible witness.  The result is snapped to a coarse dyadic point that
-    keeps at least half its margin, and always satisfies the original
-    constraints.
+    margin-to-distance ratio from the anchor ``(AX, AY, S, D)``, this pairs
+    the margin rows once, takes, in each of a few boxes around the anchor,
+    the deepest point ``_deepest_point`` finds, and keeps whichever candidate
+    scores best.  A box whose best margin is 0 is skipped: none of its points
+    can beat the original, feasible witness.  The result is snapped to a
+    coarse dyadic point that keeps at least half its margin, and always
+    satisfies the original constraints.
     """
     if not constraints:
-        return w
-    (wx, wy, ax, ay, s), d = over_one_denominator(w.x, w.y, anchor.x, anchor.y, scale)
-    anchor = ax, ay, s, d
-    best, (bm, bn) = None, _witness_quality(constraints, (wx, wy, d), anchor)
-    if bm * _QUALITY_GOOD.denominator >= _QUALITY_GOOD.numerator * bn:
-        return w
+        return p
+    best, (bm, bn) = None, _witness_quality(constraints, p, anchor)
+    if bm * _QUALITY_GOOD >= bn:
+        return p
     system = _margin_system(constraints)
     for factor in _IMPROVE_BOXES:
         point = _deepest_point(system, anchor, factor)
@@ -393,38 +407,36 @@ def _improve_witness(constraints: list[LinearConstraint], w: Vec, anchor: Vec, s
         if m * bn > bm * n:
             best, bm, bn = point, m, n
     if best is None:
-        return w
+        return p
     x, y, d = best
     m, n = _least_margin(constraints, x, y, d)
-    return _snap_witness(Vec(Fraction(x, d), Fraction(y, d)), constraints, Fraction(m, 2 * n * d))
+    return _snap_witness(best, constraints, (m, 2 * n * d))
 
 
-def _anchor(sectors: list[Sector]) -> tuple[Vec, Fraction]:
+def _anchor(sectors: list[Sector]) -> tuple[int, int, int, int]:
     """The mean of the sectors' apexes and 1 plus their largest L1 distance from
-    it, over the apexes' one denominator: the anchor and scale re-centring measures from."""
+    it, over the apexes' one denominator: the anchor and scale ``(AX, AY, S, D)``
+    re-centring measures from, ``(0, 0, 1, 1)`` when there are no sectors."""
     n = len(sectors)
     if not n:
-        return Vec(Fraction(0), Fraction(0)), Fraction(1)
+        return 0, 0, 1, 1
     coords, den = over_one_denominator(*(v for s in sectors for v in (s.apex.x, s.apex.y)))
     xs, ys = coords[0::2], coords[1::2]
     sx, sy, nd = sum(xs), sum(ys), n * den
     spread = max(abs(n * x - sx) + abs(n * y - sy) for x, y in zip(xs, ys))
-    return Vec(Fraction(sx, nd), Fraction(sy, nd)), Fraction(nd + spread, nd)
+    return sx, sy, nd + spread, nd
 
 
 def sectors_intersection(sectors: list[Sector], tol: Fraction = Fraction(0)) -> FeasibilityResult:
-    """Is the intersection of the sectors nonempty, and where?"""
-    feasible = False
-    witness = None
+    """Is the intersection of the sectors nonempty, and where?  ``first_branch``
+    enforces ``MAX_CONSTRAINTS``; the rows are the sectors' own coprime ints."""
     branch = first_branch([s.alternatives for s in sectors])
-    if branch is not None:
-        res = linear_feasible(branch)
-        if res.feasible:
-            feasible = True
-            witness = _improve_witness(branch, res.witness, *_anchor(sectors))
+    point = None if branch is None else _feasible_exact(branch)
+    if point is not None:
+        point = _improve_witness(branch, _snap_witness(point, branch, None), _anchor(sectors))
     # Relaxing only adds points and tightening only removes them: one twin can flip the answer.
-    flagged = tol > 0 and _twin_any(sectors, -tol if feasible else tol) != feasible
-    return FeasibilityResult(feasible, witness, flagged)
+    feasible = point is not None
+    return _result(point, tol > 0 and _twin_any(sectors, -tol if feasible else tol) != feasible)
 
 
 def _twin_any(sectors: list[Sector], slack: Fraction) -> bool:
@@ -439,7 +451,7 @@ def _twin_any(sectors: list[Sector], slack: Fraction) -> bool:
             alts.append([_coprime_row(q * lc.nx, q * lc.ny, q * lc.c - p * (abs(lc.nx) + abs(lc.ny)), lc.strict) for lc in group])
         shifted.append(alts)
     branch = first_branch(shifted)
-    return branch is not None and _feasible_exact(branch)[0]
+    return branch is not None and _feasible_exact(branch) is not None
 
 
 # -- direction systems -------------------------------------------------------

@@ -133,7 +133,9 @@ def norm1(v: Vec) -> Fraction:
 @dataclass(frozen=True)
 class LinearConstraint:
     """``nx * x + ny * y >= c`` (``> c`` when strict): coprime ints as
-    ``halfplane_constraint`` builds it; Fraction rows solve just as exactly."""
+    ``halfplane_constraint`` builds it, the only rows the exact solver reads.
+    ``feasibility.linear_feasible`` takes rows from outside with any terms
+    ``read_scalar`` reads, and normalises each with ``_coprime_row`` first."""
 
     nx: int | Fraction
     ny: int | Fraction

@@ -45,14 +45,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .body import Containment, ConvexBody, contains_interior, contains_over, is_full_disc
+from .body import Containment, ConvexBody, contains_over, is_full_disc
 from .errors import InexactModeUnsupportedError, NearDegenerateError, OutOfRangeError
 from .geom import (
     Identity,
     RigidMotion,
     Translation,
     Vec,
-    apply_motion,
     half_angle_unit,
     invert_motion,
     motion_map,
@@ -351,19 +350,22 @@ def simulate_path(body: ConvexBody, pts, path: MotionPath, steps: int = 100):
 
     None is only "no penetration among the samples", never a certificate.
     ``steps`` must be an int (not a bool) of at least 1, else OutOfRangeError.
+    The points are put over one denominator once, and each sample time builds
+    one integer map of the inverse motion and hands every moved point to
+    ``contains_over`` as ints; a near-degenerate point is not inside.
     """
     if _read_count(steps, "step count") < 1:
         raise OutOfRangeError("a path simulation needs at least one step")
-    pts = list(pts)
+    pts = _homogeneous(pts)
     if path.kind == "samples":
         timeline = path.samples
     else:
         timeline = [(Fraction(j, steps), path.motion_at(Fraction(j, steps))) for j in range(steps + 1)]
     for t, motion in timeline:
-        inv = invert_motion(motion)
-        for i, bp in enumerate(pts):
+        a, b, e, f, g = motion_map(invert_motion(motion))
+        for i, (x, y, w) in enumerate(pts):
             try:
-                inside = contains_interior(body, apply_motion(inv, bp.coords)) is Containment.INTERIOR
+                inside = contains_over(body, a * x - b * y + e * w, b * x + a * y + f * w, g * w) is Containment.INTERIOR
             except NearDegenerateError:
                 inside = False
             if inside:

@@ -50,7 +50,6 @@ from .geom import (
     cross,
     dot,
     halfplane_constraint,
-    norm1,
     over_one_denominator,
     read_scalar,
     rotation_unit,
@@ -103,19 +102,23 @@ def make_sector(kind: str, closed: bool, apex: Vec, t: TangentData) -> Sector:
 def sector_contains(s: Sector, p: Vec, tol: Fraction = Fraction(0)) -> str:
     """"IN", "ON_BOUNDARY" (closed sectors only) or "OUT".
 
-    Raises NearDegenerateError when tol > 0 and a deciding margin is within
-    tol of zero without being exactly zero; a tol that is no finite number or
-    is negative raises OutOfRangeError.
+    The point's coordinates are read through ``read_scalar``, so a float is
+    decided at its exact value.  Raises NearDegenerateError when tol > 0 and
+    a deciding margin is within ``tol (|nx| + |ny|) norm1(p - apex)`` of zero
+    without being exactly zero; a tol that is no finite number or is negative
+    raises OutOfRangeError.
     """
     tol = read_scalar(tol, "tolerance")
     if tol.numerator < 0:
         raise OutOfRangeError(f"tolerance {tol} is negative")
+    px, py = read_scalar(p.x, "coordinate"), read_scalar(p.y, "coordinate")
+    reach = tol * (abs(px - s.apex.x) + abs(py - s.apex.y))
     degenerate = False
     agg = -1
     for rows in s.alternatives:
         lowest = 1
         for lc in rows:
-            sign, flagged = _snap_sign(lc.margin(p), tol * (abs(lc.nx) + abs(lc.ny)) * norm1(p - s.apex))
+            sign, flagged = _snap_sign(lc.nx * px + lc.ny * py - lc.c, reach * (abs(lc.nx) + abs(lc.ny)))
             degenerate = degenerate or flagged
             lowest = min(lowest, sign)
         agg = max(agg, lowest)

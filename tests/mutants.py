@@ -66,9 +66,9 @@ MUTANTS = [
     # the interval picker merges the strict flags of tied bounds
     (FEASIBILITY, "elif strict and n * lo[1] == lo[0] * b:", "elif False:", READOUT, None),
     # witness re-centring and snapping
-    (FEASIBILITY, "Fraction(m, 2 * n * d))", "Fraction(m, 4 * n * d))", RECENTRE, None),
+    (FEASIBILITY, "(m, 2 * n * d))", "(m, 4 * n * d))", RECENTRE, None),
     (FEASIBILITY, "n * (s * w + abs(", "n * (s * d + abs(", (*READOUT, *RECENTRE), None),
-    (FEASIBILITY, "_QUALITY_GOOD = Fraction(1, 64)", "_QUALITY_GOOD = Fraction(1, 128)", RECENTRE, None),
+    (FEASIBILITY, "_QUALITY_GOOD = 64", "_QUALITY_GOOD = 128", RECENTRE, None),
     (FEASIBILITY, "(2 * r == d and q & 1)", "(2 * r == d)", (*READOUT, *RECENTRE), None),
     (FEASIBILITY, "d == 0 and w * la < lw * a", "d == 0 and w * la <= lw * a", RECENTRE, NEWTON_TIE),
     (FEASIBILITY, "d == 0 and w * ua > uw * a", "d == 0 and w * ua >= uw * a", RECENTRE, NEWTON_TIE),
@@ -98,7 +98,14 @@ MUTANTS = [
     (GEOM, "c * ow, s * ow, ox * (d - c) + s * oy,", "c * ow, s * ow, -(ox * (d - c) + s * oy),", MOTIONS, None),
     (GEOM, "return c, -s if sense == \"CW\" else s, d", "return c, -s if sense == \"CCW\" else s, d", MOTIONS, None),
     (GEOM, "return vw, 0, vx, vy, vw", "return vw, 1, vx, vy, vw", MOTIONS, None),
-    (ORACLE, "b * x + a * y + f * w", "-b * x + a * y + f * w", MOTIONS, None),
+    (ORACLE, "if contains_over(body, a * x - b * y + e * w, b * x", "if contains_over(body, a * x - b * y + e * w, -b * x", MOTIONS, None),
+    (
+        ORACLE,
+        "inside = contains_over(body, a * x - b * y + e * w, b * x",
+        "inside = contains_over(body, a * x - b * y + e * w, -b * x",
+        ("tests/test_escape_race.py::test_simulate_path_matches_the_fraction_loop",),
+        None,
+    ),
     (ORACLE, "_clear(body, pts, (vw, 0, vx, vy, vw))", "_clear(body, pts, (vw, 1, vx, vy, vw))", MOTIONS, None),
     (
         ORACLE,
@@ -110,6 +117,21 @@ MUTANTS = [
     # the one number reader refuses a boolean and a decimal exponent past MAX_DIGITS
     (GEOM, "if isinstance(value, bool):", "if False:", READ_SCALAR, None),
     (GEOM, "if e and abs(int(exponent)) > MAX_DIGITS:", "if False:", READ_SCALAR, None),
+    # rows from outside and a membership probe's point are read through it too
+    (
+        FEASIBILITY,
+        "_coprime_row(*(read_scalar(v, \"row term\") for v in (lc.nx, lc.ny, lc.c)), lc.strict)",
+        "_coprime_row(lc.nx, lc.ny, lc.c, lc.strict)",
+        ("tests/test_feasibility.py::test_non_finite_and_boolean_row_terms_raise_out_of_range",),
+        None,
+    ),
+    (
+        SECTORS,
+        "px, py = read_scalar(p.x, \"coordinate\"), read_scalar(p.y, \"coordinate\")",
+        "px, py = p.x, p.y",
+        ("tests/test_sectors.py::test_sector_membership_decides_a_float_point_at_its_exact_value",),
+        None,
+    ),
     # sampled motion paths keep their times in order
     (ORACLE, "any(s >= t for s, t in zip(times, times[1:]))", "False", ("tests/test_oracle.py",), None),
 ]

@@ -6,18 +6,38 @@ box, x bounds held as ``Fraction`` slopes and intercepts, and a Newton loop
 stepping on ``Fraction`` t.  It is kept as an oracle to race the integer
 version against, so it imports nothing of the re-centring code: elimination,
 the exact solve, the y read-out, margins and snapping are copied here as they
-stood, every bound an exact ``Fraction``.
+stood, every bound an exact ``Fraction``.  Its points are ``Vec``s and its
+anchor a ``Vec`` and a scale; ``to_point``, ``to_anchor`` and ``to_vec``
+convert at the edge to and from the ``(X, Y, W)`` and ``(AX, AY, S, D)``
+ints the library carries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from immobilize2d.geom import LinearConstraint, Vec, halfplane_constraint, norm1, vec
+from immobilize2d.geom import LinearConstraint, Vec, halfplane_constraint, norm1, over_one_denominator, vec
 
 QUALITY_GOOD = Fraction(1, 64)
 IMPROVE_BOXES = (Fraction(8), Fraction(128), Fraction(2048))
 SNAP_BITS = 60
+
+
+def to_point(p):
+    """The ``Vec`` ``p`` as ``(X, Y, W)`` ints over one denominator."""
+    (x, y), w = over_one_denominator(p.x, p.y)
+    return x, y, w
+
+
+def to_anchor(anchor, scale):
+    """The anchor ``Vec`` and the scale as ``(AX, AY, S, D)`` ints over one denominator."""
+    (ax, ay, s), d = over_one_denominator(anchor.x, anchor.y, scale)
+    return ax, ay, s, d
+
+
+def to_vec(p):
+    """The point ``(X, Y, W)`` as a ``Vec``; None stays None."""
+    return None if p is None else Vec(Fraction(p[0], p[2]), Fraction(p[1], p[2]))
 
 
 def merge_bound(best, candidate, is_lower):

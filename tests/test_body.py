@@ -33,7 +33,7 @@ from immobilize2d.errors import (
 )
 from immobilize2d import body as body_module
 from immobilize2d.fixtures import example_e1, example_e2, random_convex_polygon, unit_disc, unit_square
-from immobilize2d.geom import over_one_denominator, vec
+from immobilize2d.geom import Vec, over_one_denominator, vec
 
 
 def test_validate_accepts_square_and_triangle():
@@ -151,6 +151,19 @@ def test_boundary_point_coords_interpolate_segments():
     sq = unit_square()
     bp = boundary_point(sq, 0, Fraction(1, 4))
     assert bp.coords == vec(Fraction(-1, 2), -1)
+    # element_point builds a segment's inner point from ints: it must equal
+    # a + (b - a) param, coordinate for coordinate.
+    rng = random.Random(1501)
+
+    def rational():
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+
+    for _ in range(500):
+        a, b = Vec(rational(), rational()), Vec(rational(), rational())
+        param = Fraction(rng.randint(1, 99), 100) if rng.random() < 0.5 else Fraction(rng.random())
+        got = body_module.element_point(Segment(a, b), param)
+        assert got == a + (b - a).scaled(param), (a, b, param)
+        assert (type(got.x), type(got.y)) == (Fraction, Fraction)
 
 
 def test_tangents_smooth_versus_corner():

@@ -15,6 +15,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from bruteforce import bruteforce_feasible  # noqa: E402
 from immobilize2d.feasibility import LinearConstraint, _feasible_exact, linear_feasible  # noqa: E402
+from recentre_reference import to_vec  # noqa: E402
 
 small = st.integers(-4, 4)
 
@@ -51,7 +52,7 @@ def test_elimination_races_the_bruteforce(rows):
     cons = [LinearConstraint(Fraction(nx), Fraction(ny), Fraction(c), strict) for nx, ny, c, strict in rows]
     res = linear_feasible(cons)
     assert res.feasible == bruteforce_feasible(rows)
-    ok, exact = _feasible_exact(cons)
-    assert ok == res.feasible
-    for witness in (res.witness, exact) if ok else ():
+    exact = to_vec(_feasible_exact([LinearConstraint(*row) for row in rows]))
+    assert (exact is not None) == res.feasible
+    for witness in (res.witness, exact) if res.feasible else ():
         assert all(lc.holds(witness) for lc in cons), witness

@@ -13,10 +13,11 @@ from bruteforce import bruteforce_feasible, random_system
 from immobilize2d import feasibility
 from immobilize2d.body import TangentData, boundary_point, offset_along_boundary
 from immobilize2d.classify import POSITIVE, classify_almost_fix, classify_fix
-from immobilize2d.errors import ConstraintLimitError
+from immobilize2d.errors import ConstraintLimitError, OutOfRangeError
 from immobilize2d.feasibility import (
     MAX_CONSTRAINTS,
     LinearConstraint,
+    _anchor,
     _deepest_point,
     _feasible_exact,
     _improve_witness,
@@ -27,7 +28,8 @@ from immobilize2d.feasibility import (
     sectors_intersection,
 )
 from immobilize2d.fixtures import regular_polygon
-from immobilize2d.geom import Vec, over_one_denominator, rational_rotation, vec
+from immobilize2d.geom import Vec, _coprime_row, rational_rotation, vec
+from recentre_reference import to_anchor, to_point, to_vec
 from immobilize2d.sectors import (
     SECTOR_KINDS,
     CircArc,
@@ -118,6 +120,51 @@ def test_adding_a_constraint_never_creates_solutions():
             assert not after
 
 
+def test_outside_rows_solve_as_their_coprime_int_rows():
+    # Float and Fraction terms are read at their exact values and each row is
+    # normalised: a row times a positive factor exact in binary (as floats) or
+    # any positive rational (as Fractions) gives the coprime row's witness.
+    rng = random.Random(303)
+    for _ in range(600):
+        rows = random_system(rng)
+        ints = [_coprime_row(nx, ny, c, strict) for nx, ny, c, strict in rows]
+        want = linear_feasible(ints)
+        floats, fractions = [], []
+        for nx, ny, c, strict in rows:
+            k, q = rng.choice((0.25, 0.5, 1.5, 3.0, 1024.0)), Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            floats.append(LinearConstraint(k * nx, k * ny, k * c, strict))
+            fractions.append(LinearConstraint(q * nx, q * ny, q * c, strict))
+        for outside in (floats, fractions):
+            got = linear_feasible(outside)
+            assert (got.feasible, got.witness) == (want.feasible, want.witness), rows
+            assert got.witness is None or (type(got.witness.x), type(got.witness.y)) == (Fraction, Fraction)
+    # 0.3 is read at its exact value, a little below 3/10: a float row mixed with
+    # int rows decides as its exact value does, not as the decimal 3/10 would.
+    pinned = linear_feasible([LinearConstraint(1.0, 0, 0.3), LinearConstraint(-10, 0, -3)])
+    assert pinned == linear_feasible([_coprime_row(Fraction(1), 0, Fraction(0.3), False), LinearConstraint(-10, 0, -3)])
+    assert pinned.feasible and Fraction(0.3) <= pinned.witness.x <= Fraction(3, 10)
+    assert linear_feasible([LinearConstraint(1.0, 0, 0.3, strict=True), LinearConstraint(-10, 0, -3)]).feasible
+    assert not linear_feasible([LinearConstraint(10, 0, 3), LinearConstraint(-1.0, 0, -0.3)]).feasible
+
+
+@pytest.mark.parametrize("term", [math.nan, math.inf, -math.inf, True, False, "x", None])
+def test_non_finite_and_boolean_row_terms_raise_out_of_range(term):
+    for at in range(3):
+        terms = [1, 0, 0]
+        terms[at] = term
+        with pytest.raises(OutOfRangeError):
+            linear_feasible([LinearConstraint(0, 1, 0), LinearConstraint(*terms)])
+
+
+def test_anchor_ints_equal_the_reference_anchor():
+    assert _anchor([]) == (0, 0, 1, 1)
+    rng = random.Random(808)
+    for _ in range(300):
+        sectors = random_sectors(rng, rng.choice((small_apex, float_sized_apex)))
+        ax, ay, s, d = _anchor(sectors)
+        assert d > 0 and (Vec(Fraction(ax, d), Fraction(ay, d)), Fraction(s, d)) == branch_reference.anchor(sectors)
+
+
 def integer_row(c, strict):
     """The row of ``c`` scaled to integers, as ``bruteforce_feasible`` takes it."""
     m = math.lcm(c.nx.denominator, c.ny.denominator, c.c.denominator)
@@ -141,12 +188,11 @@ def test_max_margin_is_the_exact_optimum():
         rows = random_system(rng)
         if not rows:
             continue
-        cons = [lc(*row) for row in rows]
+        cons = [LinearConstraint(*row) for row in rows]
         anchor, size = vec(rng.randint(-4, 4), rng.randint(-4, 4)), Fraction(rng.randint(1, 6))
         box = recentre_reference.box_around(anchor, size)
         box_rows = [integer_row(b, False) for b in box]
-        (ax, ay, s), d = over_one_denominator(anchor.x, anchor.y, size)
-        p = _deepest_point(_margin_system(cons), (ax, ay, s, d), 1)
+        p = _deepest_point(_margin_system(cons), to_anchor(anchor, size), 1)
         if p is None:
             closed = bruteforce_feasible([integer_row(c, False) for c in cons] + box_rows)
             seen["zero" if closed else "infeasible"] += 1
@@ -154,12 +200,12 @@ def test_max_margin_is_the_exact_optimum():
             continue
         seen["point"] += 1
         m, n = _least_margin(cons, *p)
-        t, p = Fraction(m, n * p[2]), Vec(Fraction(p[0], p[2]), Fraction(p[1], p[2]))
+        t, p = Fraction(m, n * p[2]), to_vec(p)
         assert t == recentre_reference.min_margin(cons, p), (rows, p)
         assert t > 0 and all(b.holds(p) for b in box), (rows, p)
         tight = tightened(cons, t)
         assert not bruteforce_feasible([integer_row(c, True) for c in tight] + box_rows), (rows, t)
-        assert _feasible_exact(tight + box) == (True, p), (rows, t)
+        assert to_vec(_feasible_exact([_coprime_row(c.nx, c.ny, c.c, c.strict) for c in tight] + box)) == p, (rows, t)
     assert min(seen.values()) > 0, seen
 
 
@@ -181,14 +227,14 @@ def test_recentring_makes_no_exact_solve(monkeypatch):
     searched = 0
     for _ in range(300):
         rows = random_system(rng)
-        cons = [lc(*row) for row in rows]
+        cons = [LinearConstraint(*row) for row in rows]
         res = linear_feasible(cons)
         if not res.feasible:
             continue
-        anchor = vec(rng.randint(-6, 6), rng.randint(-6, 6))
+        anchor = (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(1, 3), 1)
         solves.clear()
         deepest.clear()
-        w = _improve_witness(cons, res.witness, anchor, Fraction(rng.randint(1, 3)))
+        w = to_vec(_improve_witness(cons, to_point(res.witness), anchor))
         assert solves == [], rows
         assert len(deepest) in (0, len(feasibility._IMPROVE_BOXES)), rows
         searched += bool(deepest)

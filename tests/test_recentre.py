@@ -5,6 +5,8 @@ moved to ints: four box rows through ``halfplane_constraint``, every row
 paired again per box, and a ``Fraction`` Newton loop.  The integer version
 must give the same deepest point for every system and box, and the same
 re-centred witness for every sector branch that fuzz contact sets reach.
+The library carries points as ``(X, Y, W)`` ints and the anchor as ``(AX,
+AY, S, D)`` ints; ``recentre_reference``'s converters meet it at the edge.
 Its Newton loop is bounded: lines that break the loop's invariant end in
 ``SolverStepLimitError`` (``error[SOLVER_STEP_LIMIT]``, exit 1), not a hang.
 """
@@ -20,6 +22,7 @@ from immobilize2d import cli, feasibility
 from immobilize2d.errors import SolverStepLimitError
 from immobilize2d.feasibility import _deepest_point, _improve_witness, _least_margin, _margin_system, linear_feasible
 from immobilize2d.geom import LinearConstraint, Vec, over_one_denominator
+from recentre_reference import to_anchor, to_point, to_vec
 
 
 def random_rational(rng, span, den):
@@ -28,9 +31,7 @@ def random_rational(rng, span, den):
 
 def deepest_point(system, anchor, size):
     """``_deepest_point`` in the box of half-width ``size`` around ``anchor``, as a ``Vec``."""
-    (ax, ay, s), d = over_one_denominator(anchor.x, anchor.y, size)
-    p = _deepest_point(system, (ax, ay, s, d), 1)
-    return None if p is None else Vec(Fraction(p[0], p[2]), Fraction(p[1], p[2]))
+    return to_vec(_deepest_point(system, to_anchor(anchor, size), 1))
 
 
 def min_margin(cons, p):
@@ -58,7 +59,7 @@ def test_deepest_points_race_the_reference_on_random_systems_and_boxes():
         if res.feasible:
             assert min_margin(cons, res.witness) == recentre_reference.min_margin(cons, res.witness)
             anchor, scale = Vec(random_rational(rng, 6, 3), random_rational(rng, 6, 3)), Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            w = _improve_witness(cons, res.witness, anchor, scale)
+            w = to_vec(_improve_witness(cons, to_point(res.witness), to_anchor(anchor, scale)))
             assert w == recentre_reference.improve_witness(cons, res.witness, anchor, scale), rows
             seen["recentred"] += w != res.witness
     assert min(seen.values()) > 20, seen
@@ -68,10 +69,12 @@ def test_recentred_witnesses_race_the_reference_on_fuzz_contact_sets(monkeypatch
     calls = []
     improve = feasibility._improve_witness
 
-    def racing(constraints, w, anchor, scale):
-        got = improve(constraints, w, anchor, scale)
-        assert got == recentre_reference.improve_witness(constraints, w, anchor, scale), constraints
-        calls.append(got != w)
+    def racing(constraints, p, anchor):
+        got = improve(constraints, p, anchor)
+        ax, ay, s, d = anchor
+        want = recentre_reference.improve_witness(constraints, to_vec(p), Vec(Fraction(ax, d), Fraction(ay, d)), Fraction(s, d))
+        assert to_vec(got) == want, constraints
+        calls.append(to_vec(got) != to_vec(p))
         return got
 
     monkeypatch.setattr(feasibility, "_improve_witness", racing)

@@ -10,9 +10,10 @@ form ``n . p >= n . apex``, for any positive multiple ``n`` of the row's
 normal, moved by ``slack norm1(n) (1 + norm1(apex))``.  Then every row of a
 random sector system is multiplied by its own positive rational, which
 leaves Fraction rows: ``first_branch`` must pick the same alternatives,
-``linear_feasible`` and ``_improve_witness`` must return the same witness,
-whose coordinates are ``Fraction``s, never floats, and both twins must give
-the same answer.
+``linear_feasible`` must return the same witness, whose coordinates are
+``Fraction``s, never floats, ``_improve_witness``, which reads int rows only,
+must re-centre it to the same point, as ints, on the rows cleared of their
+denominators, and both twins must give the same answer.
 
 The integer builders are raced against ``Fraction`` references too: a row
 must equal ``_coprime_row`` on the rational terms, every ``(kind, closed)``
@@ -46,6 +47,7 @@ from immobilize2d.feasibility import (  # noqa: E402
     linear_feasible,
 )
 from immobilize2d.geom import LinearConstraint, Vec, _coprime_row, cross, dot, halfplane_constraint, norm1, rot90_ccw  # noqa: E402
+from recentre_reference import to_anchor, to_point, to_vec  # noqa: E402
 from immobilize2d.sectors import (  # noqa: E402
     SECTOR_KINDS,
     CircArc,
@@ -219,6 +221,12 @@ def picks(alternatives, branch):
     return out
 
 
+def cleared(lc):
+    """The row times the least positive integer that clears its denominators."""
+    k = lcm(lc.nx.denominator, lc.ny.denominator, lc.c.denominator)
+    return LinearConstraint(int(lc.nx * k), int(lc.ny * k), int(lc.c * k), lc.strict)
+
+
 def assert_fractions(p):
     assert type(p.x) is Fraction and type(p.y) is Fraction, p
 
@@ -241,7 +249,8 @@ def test_row_factors_change_no_pick_and_no_witness(system):
         return
     assert_fractions(res.witness)
     assert_fractions(res_other.witness)
-    better = _improve_witness(branch, res.witness, anchor, spread)
-    assert better == _improve_witness(other, res_other.witness, anchor, spread)
-    assert_fractions(better)
-    assert all(lc.holds(better) for lc in branch)
+    point, anchor = to_point(res.witness), to_anchor(anchor, spread)
+    better = _improve_witness(branch, point, anchor)
+    assert to_vec(better) == to_vec(_improve_witness([cleared(lc) for lc in other], point, anchor))
+    assert all(type(v) is int for v in better)
+    assert all(lc.holds(to_vec(better)) for lc in branch)

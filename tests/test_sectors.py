@@ -70,6 +70,18 @@ def test_sector_membership_refuses_a_negative_or_non_numeric_tolerance(tol):
     assert sector_contains(closed_left, apex + vec(-1, -1), "1/100") == "IN"
 
 
+def test_sector_membership_decides_a_float_point_at_its_exact_value():
+    # The row is 10 x >= 3; the float 0.3 lies a little below 3/10, so it is
+    # OUT, although 10 * 0.3 - 3 rounds to 0.0 in float arithmetic.
+    t = TangentData(u_left=vec(1, 0), u_right=vec(1, 0))
+    s = make_sector("small_r", closed=True, apex=vec(Fraction(3, 10), 0), t=t)
+    assert sector_contains(s, Vec(0.3, 0.0)) == "OUT"
+    assert sector_contains(s, Vec(Fraction(3, 10), 0.0)) == "ON_BOUNDARY"
+    assert sector_contains(s, Vec(0.30000000000000004, 0.0)) == "IN"
+    with pytest.raises(OutOfRangeError):
+        sector_contains(s, Vec(float("nan"), 0.0))
+
+
 def test_small_sector_is_intersection():
     apex, t = corner_tangents()
     small = make_sector("small_l", closed=False, apex=apex, t=t)

@@ -6,10 +6,13 @@ witnesses on integer pairs compared by cross-multiplication.
 ``solve_interval`` with ``merge_bound``, and ``round`` of a ``Fraction``.
 The draws aim at what the integer code must get right bit for bit: bounds
 tied with mixed strict flags, one-sided and unbounded y intervals, exact
-halves on the dyadic snapping grid, and the fallback past 60 bits.  Every
-system is raced as integer rows and again as ``Fraction``-valued rows.  The
-integer helpers read and return points as ints over one denominator; the
-adapters below put ``Fraction`` inputs over one and rebuild ``Vec``s.
+halves on the dyadic snapping grid, and the fallback past 60 bits.  The y
+read-out, margins and scores are raced on integer rows and again on
+``Fraction``-valued rows; the exact solve and the snap, which run on int rows
+only, on coprime rows and again on each row times its own positive integer,
+which must give the same point.  The integer helpers read and return points
+as ``(X, Y, W)`` ints; the adapters below and ``recentre_reference``'s
+converters put ``Fraction`` inputs over one denominator and rebuild ``Vec``s.
 """
 
 import math
@@ -18,6 +21,7 @@ from fractions import Fraction
 
 import recentre_reference as ref
 from bruteforce import random_system
+from recentre_reference import to_point, to_vec
 from immobilize2d.feasibility import _feasible_exact, _least_margin, _point_at, _snap_witness, _witness_quality
 from immobilize2d.geom import LinearConstraint, Vec, over_one_denominator
 
@@ -29,6 +33,26 @@ def rational(rng, span=12, den=8):
 def as_fractions(cons):
     """The same rows with ``Fraction`` entries, as callers may pass them."""
     return [LinearConstraint(Fraction(lc.nx), Fraction(lc.ny), Fraction(lc.c), lc.strict) for lc in cons]
+
+
+def multiplied(rng, cons):
+    """The same rows, each times its own positive integer."""
+    out = []
+    for lc in cons:
+        k = rng.randint(1, 5)
+        out.append(LinearConstraint(k * lc.nx, k * lc.ny, k * lc.c, lc.strict))
+    return out
+
+
+def feasible_exact(cons):
+    """``_feasible_exact`` as the reference returns it: ``(feasible, Vec or None)``."""
+    p = _feasible_exact(cons)
+    return p is not None, to_vec(p)
+
+
+def snap_witness(w, cons, floor):
+    """``_snap_witness`` at a ``Vec`` and a ``Fraction`` floor, as a ``Vec``."""
+    return to_vec(_snap_witness(to_point(w), cons, None if floor is None else (floor.numerator, floor.denominator)))
 
 
 def point_at(rows, x, t):
@@ -96,8 +120,8 @@ def test_exact_solve_races_the_reference():
             stricts.add(strict)
         rng.shuffle(rows)
         cons = [LinearConstraint(*row) for row in rows]
-        got = _feasible_exact(cons)
-        assert got == ref.feasible_exact(cons) == _feasible_exact(as_fractions(cons)), rows
+        got = feasible_exact(cons)
+        assert got == ref.feasible_exact(cons) == feasible_exact(multiplied(rng, cons)), rows
         seen["feasible" if got[0] else "infeasible"] += 1
         seen["pinned, mixed strict"] += len(signs) == 2 and len(stricts) == 2
     assert min(seen.values()) > 100, seen
@@ -135,10 +159,12 @@ def test_snapping_races_the_reference():
         cons = rows_holding_at(rng, w)
         kind = rng.choice(("no floor", "half margin", "fixed floor"))
         floor = {"no floor": None, "half margin": ref.min_margin(cons, w) / 2, "fixed floor": Fraction(1, rng.randint(1, 40))}[kind]
-        got = _snap_witness(w, cons, floor)
-        assert got == ref.snap_witness(w, cons, floor) == _snap_witness(w, as_fractions(cons), floor), (w, cons, floor)
+        point = to_point(w)
+        snapped = _snap_witness(point, cons, None if floor is None else (floor.numerator, floor.denominator))
+        got = to_vec(snapped)
+        assert got == ref.snap_witness(w, cons, floor) == snap_witness(w, multiplied(rng, cons), floor), (w, cons, floor)
         seen[kind] += 1
-        seen["fell back"] += got is w
+        seen["fell back"] += snapped is point
         seen["halves decide"] += got != snap_half_up(w, cons, floor)
     assert min(seen.values()) > 20, seen
 
@@ -148,10 +174,12 @@ def test_snapping_falls_back_past_60_bits():
         # x pinned by two rows, y free above 0
         cons = [LinearConstraint(x.denominator, 0, x.numerator), LinearConstraint(-x.denominator, 0, -x.numerator), LinearConstraint(0, 1, 0)]
         w = Vec(x, Fraction(1, 3))
-        for floor in (None, Fraction(0)):
-            got = _snap_witness(w, cons, floor)
-            assert got == ref.snap_witness(w, cons, floor)
-            assert (got.x, got.y != w.y) == (x, True) if snaps else got is w
+        point = to_point(w)
+        for floor in (None, (0, 1)):
+            snapped = _snap_witness(point, cons, floor)
+            got = to_vec(snapped)
+            assert got == ref.snap_witness(w, cons, None if floor is None else Fraction(*floor))
+            assert (got.x, got.y != w.y) == (x, True) if snaps else snapped is point
 
 
 def test_witness_quality_races_the_reference():
