@@ -484,7 +484,7 @@ def _locate_on_segment(el: Segment, p: Vec, tol: Fraction) -> Fraction | None:
     d = el.direction()
     if abs(cross(d, p - el.a)) > tol * norm1(d):
         return None
-    t = dot(p - el.a, d) / dot(d, d)
+    t = Fraction(dot(p - el.a, d), dot(d, d))  # int coordinates would divide as floats
     if 0 <= t <= 1:
         return t
     return None

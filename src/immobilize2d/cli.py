@@ -254,15 +254,13 @@ def cmd_render(args) -> int:
         parts = args.window.split(",")
         if len(parts) != 4:
             raise OutOfRangeError("window must be x0,y0,x1,y1")
-        try:
-            x0, y0, x1, y1 = (float(p) for p in parts)
-        except ValueError:
-            raise OutOfRangeError(f"window coordinates must be numbers, got {args.window!r}") from None
-        if not all(map(math.isfinite, (x0, y0, x1, y1, x1 - x0, y1 - y0))):
-            raise OutOfRangeError(f"window corners and extent must be finite, got {args.window!r}")
+        x0, y0, x1, y1 = (read_scalar(p, "window coordinate") for p in parts)
         if not (x0 < x1 and y0 < y1):
             raise OutOfRangeError("window must have positive extent")
-        window = (x0, y0, x1, y1)
+        # floats only for drawing: a corner past float range raises OverflowError, OUT_OF_RANGE in main
+        window = tuple(map(float, (x0, y0, x1, y1)))
+        if not all(map(math.isfinite, (window[2] - window[0], window[3] - window[1]))):
+            raise OutOfRangeError(f"window extent must be finite in floating point, got {args.window!r}")
     Path(args.svg).write_text(render_svg(body, tuple(pts), verdict_doc, window))
     return 0
 

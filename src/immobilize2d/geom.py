@@ -1,10 +1,10 @@
 """Exact planar primitives: rational vectors, half-planes, rigid motions.
 
-All coordinates are ``fractions.Fraction``.  Floats are accepted at the
-boundary of the API and converted to their exact binary value, so every
-predicate downstream is decided by integer arithmetic.  ``read_scalar`` is
-the one reader of a number from outside, for library arguments, JSON
-documents and command-line flags alike.
+All coordinates are ints or ``fractions.Fraction``s: a ``Vec`` reads any
+other coordinate through ``read_scalar`` when it is made, so a float is
+decided at its exact binary value by every predicate downstream.
+``read_scalar`` is the one reader of a number from outside, for library
+arguments, JSON documents and command-line flags alike.
 
 A half-plane is one ``LinearConstraint`` row, ``n . p >= c`` (strict when
 open); contact sectors are built from these rows and the exact solver
@@ -65,13 +65,26 @@ def read_scalar(value: ScalarLike, what: str = "scalar") -> Fraction:
 
 to_scalar = read_scalar
 
+_EXACT = (int, Fraction)  # coordinate types a Vec keeps as they are
+
 
 @dataclass(frozen=True)
 class Vec:
-    """A point or a (non-normalized) direction in the plane."""
+    """A point or a (non-normalized) direction in the plane.  An int or a
+    ``Fraction`` coordinate is kept as it is; any other is read through
+    ``read_scalar``, so a float becomes its exact ``Fraction`` and a value that
+    is no finite number (nan, inf, a boolean, None, a malformed string) raises
+    ``OutOfRangeError`` where the ``Vec`` is made."""
 
-    x: Fraction
-    y: Fraction
+    x: int | Fraction
+    y: int | Fraction
+
+    def __post_init__(self):
+        # ints stay ints: sector rays and random polygon vertices rely on int arithmetic
+        if type(self.x) not in _EXACT:
+            object.__setattr__(self, "x", read_scalar(self.x, "coordinate"))
+        if type(self.y) not in _EXACT:
+            object.__setattr__(self, "y", read_scalar(self.y, "coordinate"))
 
     def __add__(self, other: "Vec") -> "Vec":
         return Vec(self.x + other.x, self.y + other.y)
@@ -90,8 +103,7 @@ class Vec:
         return self.x == 0 and self.y == 0
 
 
-def vec(x: ScalarLike, y: ScalarLike) -> Vec:
-    return Vec(read_scalar(x, "coordinate"), read_scalar(y, "coordinate"))
+vec = Vec
 
 
 def over_one_denominator(*values) -> tuple[list[int], int]:

@@ -17,12 +17,14 @@ escape builds no further candidates.  Each probe builds its motion's
 integer map (``geom.rotation_map``, or ``(vw, 0, vx, vy, vw)`` for the
 vector ``(vx, vy) / vw``) and runs the one loop ``_clear``, which hands each
 moved point to ``body.contains_over``, so a probe builds no ``Fraction``.
-The radius, a witness center, a witness direction, and a motion path's
-center, vector, half-angle and sample times are read through
+A ``Vec`` reads its own coordinates when it is made, so a witness center
+or direction and a motion path's center or vector need only be a ``Vec``.
+The radius and a motion path's half-angle and sample times are read through
 ``geom.read_scalar``, so a value that is no finite number raises
-``OutOfRangeError``; so does a sample budget or a path's step count that is
-not an int, a path sense other than CW and CCW, and a sampled motion that is
-no ``Rotation``, ``Translation`` or ``Identity``.
+``OutOfRangeError``; so does a point or vector that is no ``Vec``, a sample
+budget or a path's step count that is not an int, a path sense other than CW
+and CCW, and a sampled motion that is no ``Rotation``, ``Translation`` or
+``Identity``.
 
 A validator accepts a witness when the three smallest magnitudes of its
 family's default schedule (the last three of ``DEFAULT_ROTATION_SCHEDULE``
@@ -126,7 +128,7 @@ def validate_rotation_witness(body: ConvexBody, pts, center: Vec, sense: str) ->
     """Exactly check that rotating the points about the center by each of the
     last three half-angles of ``DEFAULT_ROTATION_SCHEDULE`` stays penetration-free."""
     _require_exact(body)
-    center = _read_vec(center, "rotation center")
+    _require_vec(center, "rotation center")
     (ox, oy), ow = over_one_denominator(center.x, center.y)
     pts = _homogeneous(pts)
     return all(_rotation_clear(body, pts, (ox, oy, ow), sense, t) for t in DEFAULT_ROTATION_SCHEDULE[-3:])
@@ -136,19 +138,17 @@ def validate_translation_witness(body: ConvexBody, pts, direction: Vec) -> bool:
     """Exactly check moving the points by each of the last three multiples of
     the direction in ``DEFAULT_TRANSLATION_SCHEDULE``."""
     _require_exact(body)
-    direction = _read_vec(direction, "direction")
+    _require_vec(direction, "direction")
     if direction.is_zero():
         raise OutOfRangeError("a translation witness needs a nonzero direction")
     pts = _homogeneous(pts)
     return all(_translation_clear(body, pts, direction.scaled(m)) for m in DEFAULT_TRANSLATION_SCHEDULE[-3:])
 
 
-def _read_vec(v, what: str) -> Vec:
-    """``v`` with both coordinates read through ``read_scalar``; anything but a
-    ``Vec`` raises ``OutOfRangeError`` too."""
+def _require_vec(v, what: str) -> None:
+    """Anything but a ``Vec`` (whose coordinates are exact) raises ``OutOfRangeError``."""
     if not isinstance(v, Vec):
         raise OutOfRangeError(f"{what} {v!r} is not a Vec")
-    return Vec(read_scalar(v.x, what), read_scalar(v.y, what))
 
 
 def _read_count(value, what: str) -> int:
@@ -226,7 +226,7 @@ def escape_search(
     if not 0 <= _read_count(samples, "sample budget") <= 10**6:
         raise OutOfRangeError("sample budget must be between 0 and 10**6")
     lo, hi = body.bounding_box()
-    center0 = Vec((lo.x + hi.x) / 2, (lo.y + hi.y) / 2)
+    center0 = Vec(Fraction(lo.x + hi.x, 2), Fraction(lo.y + hi.y, 2))
     if radius is None:
         radius = 4 * ((hi.x - lo.x) + (hi.y - lo.y))
     radius = read_scalar(radius, "search radius")
@@ -282,8 +282,8 @@ class MotionPath:
     """Parametric motion family on [0, 1] starting at the identity.
 
     Every path, however built, is checked and read once here: a rotation
-    needs a sense and reads its center and half-angle, a translation reads
-    its vector, and sampled motions ``(t, motion)`` need each t a finite
+    needs a sense and a ``Vec`` center and reads its half-angle, a translation
+    needs a ``Vec``, and sampled motions ``(t, motion)`` need each t a finite
     number in [0, 1], strictly increasing, each motion a ``Rotation``,
     ``Translation`` or ``Identity``, the first one the identity at 0.
     Anything else raises ``OutOfRangeError``.
@@ -300,10 +300,10 @@ class MotionPath:
         if self.kind == "rotation":
             if self.sense not in (CW, CCW):
                 raise OutOfRangeError(f"unknown sense {self.sense!r}")
-            object.__setattr__(self, "center", _read_vec(self.center, "rotation center"))
+            _require_vec(self.center, "rotation center")
             object.__setattr__(self, "max_half_angle", read_scalar(self.max_half_angle, "half-angle"))
         elif self.kind == "translation":
-            object.__setattr__(self, "vector", _read_vec(self.vector, "translation vector"))
+            _require_vec(self.vector, "translation vector")
         elif self.kind == "samples":
             try:
                 samples = tuple((read_scalar(t, "sample time"), m) for t, m in self.samples or ())

@@ -102,8 +102,8 @@ def make_sector(kind: str, closed: bool, apex: Vec, t: TangentData) -> Sector:
 def sector_contains(s: Sector, p: Vec, tol: Fraction = Fraction(0)) -> str:
     """"IN", "ON_BOUNDARY" (closed sectors only) or "OUT".
 
-    The point's coordinates are read through ``read_scalar``, so a float is
-    decided at its exact value.  Raises NearDegenerateError when tol > 0 and
+    A ``Vec`` holds exact coordinates, so a float is decided at its exact
+    value.  Raises NearDegenerateError when tol > 0 and
     a deciding margin is within ``tol (|nx| + |ny|) norm1(p - apex)`` of zero
     without being exactly zero; a tol that is no finite number or is negative
     raises OutOfRangeError.
@@ -111,7 +111,7 @@ def sector_contains(s: Sector, p: Vec, tol: Fraction = Fraction(0)) -> str:
     tol = read_scalar(tol, "tolerance")
     if tol.numerator < 0:
         raise OutOfRangeError(f"tolerance {tol} is negative")
-    px, py = read_scalar(p.x, "coordinate"), read_scalar(p.y, "coordinate")
+    px, py = p.x, p.y
     reach = tol * (abs(px - s.apex.x) + abs(py - s.apex.y))
     degenerate = False
     agg = -1

@@ -117,7 +117,7 @@ MUTANTS = [
     # the one number reader refuses a boolean and a decimal exponent past MAX_DIGITS
     (GEOM, "if isinstance(value, bool):", "if False:", READ_SCALAR, None),
     (GEOM, "if e and abs(int(exponent)) > MAX_DIGITS:", "if False:", READ_SCALAR, None),
-    # rows from outside and a membership probe's point are read through it too
+    # rows from outside are read through it too, and a Vec reads its own coordinates
     (
         FEASIBILITY,
         "_coprime_row(*(read_scalar(v, \"row term\") for v in (lc.nx, lc.ny, lc.c)), lc.strict)",
@@ -126,12 +126,17 @@ MUTANTS = [
         None,
     ),
     (
-        SECTORS,
-        "px, py = read_scalar(p.x, \"coordinate\"), read_scalar(p.y, \"coordinate\")",
-        "px, py = p.x, p.y",
-        ("tests/test_sectors.py::test_sector_membership_decides_a_float_point_at_its_exact_value",),
+        GEOM,
+        "_EXACT = (int, Fraction)",
+        "_EXACT = (int, Fraction, float)",
+        (
+            "tests/test_sectors.py::test_sector_membership_decides_a_float_point_at_its_exact_value",
+            "tests/test_body.py::test_a_body_of_float_vecs_decides_as_its_tuple_twin",
+        ),
         None,
     ),
+    # the row normaliser divides by the terms' gcd
+    (GEOM, "g = gcd(a, b, k) or 1", "g = 1", ("tests/test_row_property.py::test_rows_are_coprime_ints_with_the_rational_rows_terms",), None),
     # sampled motion paths keep their times in order
     (ORACLE, "any(s >= t for s, t in zip(times, times[1:]))", "False", ("tests/test_oracle.py",), None),
 ]

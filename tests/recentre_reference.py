@@ -91,7 +91,8 @@ def point_at(rows, x, t):
     for a, b, c, w, strict in rows:
         if b:
             (lowers if b > 0 else uppers).append(((c + w * t - a * x) / b, strict))
-    return Vec(x, solve_interval(lowers, uppers)[1])
+    y = solve_interval(lowers, uppers)[1]
+    return None if y is None else Vec(x, y)
 
 
 def feasible_exact(constraints):

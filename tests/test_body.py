@@ -32,6 +32,7 @@ from immobilize2d.errors import (
     OutOfRangeError,
 )
 from immobilize2d import body as body_module
+from immobilize2d.classify import classify_both
 from immobilize2d.fixtures import example_e1, example_e2, random_convex_polygon, unit_disc, unit_square
 from immobilize2d.geom import Vec, over_one_denominator, vec
 
@@ -122,6 +123,32 @@ def test_polygon_reads_tuple_vertices_through_read_scalar():
         with pytest.raises(OutOfRangeError):
             polygon([(0, 0), (1, bad), (0, 1)])
     assert polygon([(0, 0), ("1", 0), (0, "1/1")]) == polygon([vec(0, 0), vec(1, 0), vec(0, 1)])
+
+
+def test_a_body_of_float_vecs_decides_as_its_tuple_twin():
+    # A Vec reads a float coordinate at its exact value, so the body polygon builds
+    # from float Vecs is the one it builds from the same floats as tuples: its own
+    # vertices read BOUNDARY, and containment and both classifications agree.
+    rng = random.Random(3030)
+    shapes = [[(0.0, 0.0), (0.2, 0.1), (0.1, 1.1)]]
+    for _ in range(120):
+        th, a, b = rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 3), rng.uniform(0.1, 3)
+        cx, cy, c, s = rng.uniform(-5, 5), rng.uniform(-5, 5), math.cos(th), math.sin(th)
+        shapes.append([(cx + c * x - s * y, cy + s * x + c * y) for x, y in ((-a, -b), (a, -b), (a, b), (-a, b))])
+    for pts in shapes:
+        body, twin = polygon([Vec(x, y) for x, y in pts]), polygon(pts)
+        validate(body)
+        assert body == twin
+        for v in body.vertices():
+            assert contains_interior(body, v) is Containment.BOUNDARY, (pts, v)
+        mids = [boundary_point(body, i, Fraction(1, 2)).coords for i in range(len(pts))]
+        inner = Vec(sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts))
+        for p in mids + [inner] + [Vec(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(6)]:
+            assert contains_interior(body, p) is contains_interior(twin, p), (pts, p)
+        picks = rng.sample(range(2 * len(pts)), rng.randint(2, 4))
+        contacts = [(i % len(pts), Fraction(i // len(pts), 2)) for i in picks]
+        verdicts = [classify_both(b, [boundary_point(b, i, t) for i, t in contacts]) for b in (body, twin)]
+        assert verdicts[0] == verdicts[1], pts
 
 
 def test_validate_accepts_disc_in_mixed_mode():
@@ -216,6 +243,9 @@ def test_locate_recovers_canonical_addresses():
     assert (mid.element_index, mid.param) == (1, Fraction(1, 2))
     with pytest.raises(NotOnBoundaryError):
         locate(sq, vec(0, 0))
+    # int vertices stay ints in a Vec, and the param is still exact, not int / int
+    third = locate(polygon([(0, 0), (3, 0), (0, 3)]), vec(1, 0))
+    assert (third.element_index, third.param) == (0, Fraction(1, 3)) and type(third.param) is Fraction
 
 
 def test_element_length_exact_and_inexact():

@@ -325,6 +325,10 @@ def test_render_window_validation(square_files, tmp_path):
     assert r.returncode == 1 and "OUT_OF_RANGE" in r.stderr
     r = run_cli("render", "--body", str(sq), "--svg", str(svg), "--window", "2,0,1,1")
     assert r.returncode == 1 and "positive extent" in r.stderr
+    # each corner is read by the one number reader, which refuses digit separators
+    r = run_cli("render", "--body", str(sq), "--svg", str(svg), "--window", "1_0,0,20,10")
+    assert r.returncode == 1 and "error[OUT_OF_RANGE]" in r.stderr and "window coordinate" in r.stderr
+    assert not svg.exists()
 
 
 def test_missing_input_file_is_a_plain_error(square_files, tmp_path):

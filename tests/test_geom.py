@@ -53,11 +53,20 @@ def test_vec_reads_its_coordinates_through_read_scalar():
     with pytest.raises(OutOfRangeError, match="exponent"):
         vec("1e-10000000", 0)
     assert time.perf_counter() - started < 1
-    for x in (True, "nan", float("inf"), None, "1/0"):
+    for x in (True, False, "nan", float("nan"), float("inf"), None, "1/0", "x", "1_0"):
         with pytest.raises(OutOfRangeError):
             vec(x, 0)
+        with pytest.raises(OutOfRangeError):
+            Vec(x, 0)
+        with pytest.raises(OutOfRangeError):
+            Vec(Fraction(0), x)
     assert vec("3/4", 0.5) == Vec(Fraction(3, 4), Fraction(1, 2))
-    assert to_scalar is read_scalar
+    assert vec is Vec and to_scalar is read_scalar
+    # a float is kept at its exact value, an int as the int, a Fraction as it is
+    assert Vec(0.1, 0).x == Fraction(0.1) and type(Vec(0.1, 0).x) is Fraction
+    assert type(Vec(1, 0).x) is int and Vec(1, 0).x == 1
+    half = Fraction(1, 2)
+    assert Vec(half, -3).x is half and type(Vec(half, -3).y) is int
 
 
 def rand_fraction(rng, span=6, den=64):

@@ -98,11 +98,14 @@ def test_validators_refuse_a_non_finite_argument(monkeypatch):
     probes = []
     monkeypatch.setattr(oracle, "_rotation_clear", lambda *args: probes.append(args) or True)
     monkeypatch.setattr(oracle, "_translation_clear", lambda *args: probes.append(args) or True)
-    nan = float("nan")
-    for bad in (Vec(nan, Fraction(0)), Vec(Fraction(1), float("inf")), Vec("x", Fraction(0)), Vec(True, Fraction(0))):
+    # a Vec reads its coordinates when it is made, so a non-finite one never reaches a validator
+    for x, y in ((float("nan"), Fraction(0)), (Fraction(1), float("inf")), ("x", Fraction(0)), (True, Fraction(0))):
         with pytest.raises(OutOfRangeError):
+            Vec(x, y)
+    for bad in (None, (Fraction(1), Fraction(0))):
+        with pytest.raises(OutOfRangeError, match="is not a Vec"):
             oracle.validate_translation_witness(sq, mids, bad)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError, match="is not a Vec"):
             oracle.validate_rotation_witness(sq, mids, bad, oracle.CW)
     assert probes == []
 

@@ -10,7 +10,7 @@ import arc_reference
 from immobilize2d.body import TangentData, boundary_point, tangents_at
 from immobilize2d.errors import NearDegenerateError, OutOfRangeError
 from immobilize2d.fixtures import unit_square
-from immobilize2d.geom import Vec, cross, dot, rational_rotation, vec
+from immobilize2d.geom import LinearConstraint, Vec, cross, dot, rational_rotation, vec
 from immobilize2d.sectors import (
     SECTOR_KINDS,
     CircArc,
@@ -80,6 +80,12 @@ def test_sector_membership_decides_a_float_point_at_its_exact_value():
     assert sector_contains(s, Vec(0.30000000000000004, 0.0)) == "IN"
     with pytest.raises(OutOfRangeError):
         sector_contains(s, Vec(float("nan"), 0.0))
+    # the row alone and the direction arc decide the same floats exactly: the ray
+    # (1.0, 0.3) is not (10, 3)'s, though 10 * 0.3 - 3 is 0.0 in floats
+    assert LinearConstraint(10, 0, 3).holds(Vec(0.3, 0.0)) is False
+    assert LinearConstraint(10, 0, 3).margin(Vec(0.3, 0.0)) == 10 * Fraction(0.3) - 3 < 0
+    assert arc_contains(CircArc(Vec(10, 3), Vec(10, 3)), Vec(1.0, 0.3)) is False
+    assert arc_contains(CircArc(Vec(10, 3), Vec(10, 3)), Vec(1.0, Fraction(3, 10))) is True
 
 
 def test_small_sector_is_intersection():

@@ -56,10 +56,10 @@ def snap_witness(w, cons, floor):
 
 
 def point_at(rows, x, t):
-    """``_point_at`` at ``Fraction`` x and t, as a ``Vec`` whose y is None when empty."""
+    """``_point_at`` at ``Fraction`` x and t, as a ``Vec``, or None when empty."""
     (xn, tn), den = over_one_denominator(x, t)
     p = _point_at(rows, xn, tn, den)
-    return Vec(x, None) if p is None else Vec(Fraction(p[0], p[2]), Fraction(p[1], p[2]))
+    return None if p is None else Vec(Fraction(p[0], p[2]), Fraction(p[1], p[2]))
 
 
 def min_margin(cons, p):
@@ -103,7 +103,7 @@ def test_y_read_out_races_the_reference():
         assert p == ref.point_at(rows, x, t), (rows, x, t)
         fraction_rows = [(Fraction(a), Fraction(b), Fraction(c), Fraction(w), s) for a, b, c, w, s in rows]
         assert point_at(fraction_rows, x, t) == p, (rows, x, t)
-        seen["empty" if p.y is None else shape] += 1
+        seen["empty" if p is None else shape] += 1
     assert min(seen.values()) > 20, seen
 
 
