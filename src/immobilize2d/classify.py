@@ -35,6 +35,10 @@ Within a call sector i always comes from contact i and the tolerance is
 fixed, so the rows decide the result.  At a smooth contact the large and
 small sectors are one sector, so on an all-smooth contact set the ALMOST_FIX
 tests reuse every FIX solve; at corners their systems differ and are solved.
+Witness re-centring is shared one level down: an open test's rows are its
+closed test's made strict, so the call sets ``feasibility.RECENTRE_MEMO`` and
+each distinct row set's re-centring boxes are searched once (the memo ends
+with the call, also when it raises).
 ``classify_fix`` and ``classify_almost_fix`` are the one-question calls.
 """
 
@@ -54,7 +58,7 @@ from .body import (
     tangents_at,
 )
 from .errors import InvalidPointError, NotAlmostPositiveError, OutOfRangeError, RefinementExhaustedError
-from .feasibility import FeasibilityResult, directions_intersection, sectors_intersection
+from .feasibility import RECENTRE_MEMO, FeasibilityResult, directions_intersection, sectors_intersection
 from .geom import Vec, read_scalar, rot90_ccw
 from .sectors import Sector, contact_rows, sector_directions, sector_of
 
@@ -174,16 +178,20 @@ def _classify(body: ConvexBody, pts: list[BoundaryPoint], questions: tuple[str, 
         return [sector_of(c, kind, closed) for c in contacts]
 
     verdicts = []
-    for question in questions:
-        kind_left, kind_right = _QUESTION_KINDS[question]
-        closed_left = sectors(kind_left, True)
-        closed_l = run("closedL", closed_left)
-        closed_r = run("closedR", sectors(kind_right, True))
-        # With tol > 0 the open test still runs: its tolerance twin may flag.
-        open_l = run("openL", sectors(kind_left, False)) if closed_l.nonempty or tol > 0 else TestResult("openL", "EMPTY", None)
-        open_r = run("openR", sectors(kind_right, False)) if closed_r.nonempty or tol > 0 else TestResult("openR", "EMPTY", None)
-        directions = run("directions", closed_left, _directions)
-        verdicts.append(_verdict(question, body.mode, (open_l, open_r, closed_l, closed_r, directions)))
+    token = RECENTRE_MEMO.set({})  # an open test re-centres in its closed test's boxes
+    try:
+        for question in questions:
+            kind_left, kind_right = _QUESTION_KINDS[question]
+            closed_left = sectors(kind_left, True)
+            closed_l = run("closedL", closed_left)
+            closed_r = run("closedR", sectors(kind_right, True))
+            # With tol > 0 the open test still runs: its tolerance twin may flag.
+            open_l = run("openL", sectors(kind_left, False)) if closed_l.nonempty or tol > 0 else TestResult("openL", "EMPTY", None)
+            open_r = run("openR", sectors(kind_right, False)) if closed_r.nonempty or tol > 0 else TestResult("openR", "EMPTY", None)
+            directions = run("directions", closed_left, _directions)
+            verdicts.append(_verdict(question, body.mode, (open_l, open_r, closed_l, closed_r, directions)))
+    finally:
+        RECENTRE_MEMO.reset(token)
     return tuple(verdicts)
 
 

@@ -12,18 +12,23 @@ re-centring: re-centring measures from the anchor and scale ``(AX, AY, S,
 D)`` that ``_anchor`` puts over one denominator once, pairs its margin rows
 once per witness, adds per box only the box's x rows and the pairs of its y
 rows, and runs a bounded Newton search on ints; the margins that score and
-snap witnesses are integer comparisons.  A ``Fraction`` is built only for a
-coordinate of a returned ``Vec`` (``_result``), never per bound, row or
-candidate.  ``linear_feasible`` is the one entry for rows from outside: it
-reads each term through ``geom.read_scalar`` and normalises the row with
-``_coprime_row`` before solving.
+snap witnesses are integer comparisons.  A box's deepest point depends only
+on the rows' terms and the anchor, so within one ``classify`` call (the
+``RECENTRE_MEMO`` context variable it sets) each distinct row set's boxes are
+searched once and shared by its closed and open tests.  A ``Fraction`` is
+built only for a coordinate of a returned ``Vec`` (``_result``), never per
+bound, row or candidate.  ``linear_feasible`` is the one entry for rows from
+outside: it reads each term through ``geom.read_scalar`` and normalises the
+row with ``_coprime_row`` before solving.
 
 Sector systems add one twist: a large sector at a corner is a union of two
 half-planes, so the system is a union of branches, one of each sector's
 ``alternatives`` (its rows, read off its contact's ``ContactRows``);
 ``first_branch`` finds the first nonempty one from the integer vertices of
 the boundary lines' arrangement, read off the rows as they are, never
-enumerating.
+enumerating.  Every branch holds the rows of the sectors with one
+alternative (smooth contacts), so when those fixed rows are empty by
+themselves one exact solve rules the union out before the scan.
 
 With a positive tolerance, sector and direction systems run one "twin" pass,
 relaxed by a tolerance-scaled slack if the system is empty and tightened if
@@ -38,6 +43,7 @@ an arc shrunk away leaves the twin empty.  Plain systems have no twin.
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +53,10 @@ from .sectors import CircArc, Sector, first_common_direction, grow_arc, shrink_a
 
 MAX_CONSTRAINTS = 64
 _SNAP_BITS = 60
+
+# The box candidates of each re-centring, keyed by its rows' terms and anchor;
+# ``classify`` sets a fresh dict for one call, and None (the default) shares nothing.
+RECENTRE_MEMO: ContextVar[dict | None] = ContextVar("RECENTRE_MEMO", default=None)
 
 
 @dataclass(frozen=True)
@@ -192,7 +202,9 @@ def linear_feasible(constraints: list[LinearConstraint]) -> FeasibilityResult:
 def first_branch(alternatives: list[tuple[tuple[LinearConstraint, ...], ...]]) -> list[LinearConstraint] | None:
     """The first nonempty branch, picking one of each sector's ``alternatives``
     in ``itertools.product`` order; None when there is none.  A sole branch
-    is returned undecided.  Each candidate ``(x0 + eps x1, y0 +
+    is returned undecided, and when the rows of the one-alternative sectors,
+    which every branch holds, are empty by themselves, None is returned
+    without a scan.  Each candidate ``(x0 + eps x1, y0 +
     eps y1) / w`` is the crossing of two boundary lines, strict ones pushed
     inward by a symbolic eps, or of the first line and one across it.  Every
     nonempty branch holds a candidate, and the first alternative of each sector
@@ -203,6 +215,9 @@ def first_branch(alternatives: list[tuple[tuple[LinearConstraint, ...], ...]]) -
         raise ConstraintLimitError(f"{n_rows} constraints exceed the cap of {MAX_CONSTRAINTS}")
     if all(len(alts) == 1 for alts in alternatives):
         return [lc for alts in alternatives for lc in alts[0]]
+    fixed = [lc for alts in alternatives if len(alts) == 1 for lc in alts[0]]
+    if fixed and _feasible_exact(fixed) is None:
+        return None  # every branch holds the fixed rows
     lines = [lc for alts in alternatives for group in alts for lc in group]
     lines.append(LinearConstraint(-lines[0].ny, lines[0].nx, 0))
     best = None
@@ -378,6 +393,19 @@ def _newton(lowers: list, uppers: list, caps: list) -> tuple[int, int, int] | No
     return None
 
 
+def _box_candidates(constraints: list[LinearConstraint], anchor: tuple) -> list[tuple]:
+    """``(point, m, n)`` for each box of ``_IMPROVE_BOXES`` whose deepest point
+    exists, with its quality ``(m, n)``: read off the rows' terms and the
+    anchor alone, never their strictness or the witness being re-centred."""
+    system = _margin_system(constraints)
+    out = []
+    for factor in _IMPROVE_BOXES:
+        point = _deepest_point(system, anchor, factor)
+        if point is not None:
+            out.append((point, *_witness_quality(constraints, point, anchor)))
+    return out
+
+
 def _improve_witness(constraints: list[LinearConstraint], p: tuple[int, int, int], anchor: tuple) -> tuple[int, int, int]:
     """Re-center the feasibility witness ``p``, ``(X, Y, W)``, when it hugs a constraint boundary.
 
@@ -389,21 +417,24 @@ def _improve_witness(constraints: list[LinearConstraint], p: tuple[int, int, int
     the margin rows once, takes, in each of a few boxes around the anchor,
     the deepest point ``_deepest_point`` finds, and keeps whichever candidate
     scores best.  A box whose best margin is 0 is skipped: none of its points
-    can beat the original, feasible witness.  The result is snapped to a
-    coarse dyadic point that keeps at least half its margin, and always
-    satisfies the original constraints.
+    can beat the original, feasible witness.  The candidates depend only on
+    the rows' terms and the anchor, so within one ``RECENTRE_MEMO`` they are
+    found once and each call scores them against its own witness.  The
+    result is snapped to a coarse dyadic point that keeps at least half its
+    margin, and always satisfies the original constraints.
     """
     if not constraints:
         return p
     best, (bm, bn) = None, _witness_quality(constraints, p, anchor)
     if bm * _QUALITY_GOOD >= bn:
         return p
-    system = _margin_system(constraints)
-    for factor in _IMPROVE_BOXES:
-        point = _deepest_point(system, anchor, factor)
-        if point is None:
-            continue
-        m, n = _witness_quality(constraints, point, anchor)
+    memo = RECENTRE_MEMO.get()
+    if memo is None:
+        memo = {}
+    key = (tuple((lc.nx, lc.ny, lc.c) for lc in constraints), anchor)
+    if key not in memo:
+        memo[key] = _box_candidates(constraints, anchor)
+    for point, m, n in memo[key]:
         if m * bn > bm * n:
             best, bm, bn = point, m, n
     if best is None:

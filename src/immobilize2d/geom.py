@@ -147,7 +147,9 @@ class LinearConstraint:
     """``nx * x + ny * y >= c`` (``> c`` when strict): coprime ints as
     ``halfplane_constraint`` builds it, the only rows the exact solver reads.
     ``feasibility.linear_feasible`` takes rows from outside with any terms
-    ``read_scalar`` reads, and normalises each with ``_coprime_row`` first."""
+    ``read_scalar`` reads, and normalises each with ``_coprime_row`` first;
+    ``margin`` (and so ``holds``) reads a term that is not an int or a
+    ``Fraction`` the same way, so a float row is decided at its exact value."""
 
     nx: int | Fraction
     ny: int | Fraction
@@ -155,7 +157,8 @@ class LinearConstraint:
     strict: bool = False
 
     def margin(self, p: Vec) -> Fraction:
-        return self.nx * p.x + self.ny * p.y - self.c
+        nx, ny, c = (v if type(v) in _EXACT else read_scalar(v, "row term") for v in (self.nx, self.ny, self.c))
+        return nx * p.x + ny * p.y - c
 
     def holds(self, p: Vec) -> bool:
         m = self.margin(p)

@@ -86,14 +86,23 @@ MUTANTS = [
     (BODY, "bisect.bisect_right(starts, pos) - 1", "bisect.bisect_left(starts, pos) - 1", VALIDATE, None),
     # exact mode sums the area only for a chain that does not wind once
     (BODY, "elif twice_area <= 0:", "elif False:", ("tests/test_body.py::test_validation_counts_winding_without_floats",), None),
-    # a smooth contact is one row
+    # a smooth contact is one row, and so is a corner whose tangents point the same way
+    (
+        SECTORS,
+        "return ContactRows(apex, (left,))",
+        "return ContactRows(apex, (left, left))",
+        ("tests/test_classify.py::test_almost_fix_at_smooth_contacts_solves_one_row_per_contact",),
+        None,
+    ),
     (
         SECTORS,
         "(left,) if left == right else (left, right)",
         "(left, right)",
-        ("tests/test_classify.py::test_almost_fix_at_smooth_contacts_solves_one_row_per_contact",),
+        ("tests/test_row_property.py::test_sectors_read_off_contact_rows_are_the_fraction_sectors",),
         None,
     ),
+    # the fixed rows rule a union out only when they are empty
+    (FEASIBILITY, "if fixed and _feasible_exact(fixed) is None:", "if fixed and _feasible_exact(fixed) is not None:", ("tests/test_feasibility.py",), None),
     # the one integer map of a rigid motion and the one probe loop
     (GEOM, "c * ow, s * ow, ox * (d - c) + s * oy,", "c * ow, s * ow, -(ox * (d - c) + s * oy),", MOTIONS, None),
     (GEOM, "return c, -s if sense == \"CW\" else s, d", "return c, -s if sense == \"CCW\" else s, d", MOTIONS, None),

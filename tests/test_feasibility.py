@@ -11,7 +11,7 @@ import branch_reference
 import recentre_reference
 from bruteforce import bruteforce_feasible, random_system
 from immobilize2d import feasibility
-from immobilize2d.body import TangentData, boundary_point, offset_along_boundary
+from immobilize2d.body import TangentData, boundary_point, offset_along_boundary, tangents_at
 from immobilize2d.classify import POSITIVE, classify_almost_fix, classify_fix
 from immobilize2d.errors import ConstraintLimitError, OutOfRangeError
 from immobilize2d.feasibility import (
@@ -33,10 +33,12 @@ from recentre_reference import to_anchor, to_point, to_vec
 from immobilize2d.sectors import (
     SECTOR_KINDS,
     CircArc,
+    contact_rows,
     direction_set,
     first_common_direction,
     grow_arc,
     make_sector,
+    sector_of,
     shrink_arc,
 )
 
@@ -339,6 +341,65 @@ def test_first_branch_races_the_enumeration_at_float_sized_apexes():
         feasible += want.feasible
         flagged += want.near_degenerate
     assert 50 < feasible < 250 and flagged > 10, (feasible, flagged)
+
+
+def mixed_sectors(rng):
+    """One-alternative sectors (a smooth contact's large sector or any small
+    one) next to union sectors (a large sector at a corner), so that every
+    branch holds the fixed rows of the former."""
+    dirs = [vec(1, 0), vec(0, 1), vec(1, 1), vec(-1, 0), vec(0, -1), vec(2, 1), vec(-1, 2), vec(1, -3), vec(-2, -1)]
+    closed = rng.random() < 0.5
+    sectors = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            u = rng.choice(dirs)
+            sectors.append(make_sector(rng.choice(("L", "R")), closed, small_apex(rng), TangentData(u, u)))
+        else:
+            sectors.append(make_sector(rng.choice(("small_l", "small_r")), closed, small_apex(rng), TangentData(rng.choice(dirs), rng.choice(dirs))))
+    for _ in range(rng.randint(1, 3)):
+        u_left, u_right = rng.sample(dirs, 2)
+        sectors.append(make_sector(rng.choice(("L", "R")), closed, small_apex(rng), TangentData(u_left, u_right)))
+    rng.shuffle(sectors)
+    return sectors
+
+
+def test_fixed_rows_race_the_enumeration():
+    # Empty fixed rows rule the union out before the scan; nonempty ones leave
+    # it to the scan, whether some branch is nonempty or none is.
+    rng = random.Random(7117)
+    seen = {"fixed empty": 0, "every branch empty": 0, "nonempty": 0}
+    for _ in range(2000):
+        sectors = mixed_sectors(rng)
+        alternatives = [s.alternatives for s in sectors]
+        want = next((b for b in branch_reference.sector_branches(alternatives) if linear_feasible(b).feasible), None)
+        assert feasibility.first_branch(alternatives) == want, sectors
+        tol = rng.choice([Fraction(0), Fraction(1, 1000), Fraction(1, 20)])
+        got, ref = sectors_intersection(sectors, tol), branch_reference.sectors_intersection(sectors, tol)
+        assert (got.feasible, got.witness, got.near_degenerate) == (ref.feasible, ref.witness, ref.near_degenerate)
+        fixed = [lc for alts in alternatives if len(alts) == 1 for lc in alts[0]]
+        if not linear_feasible(fixed).feasible:
+            seen["fixed empty"] += 1
+        else:
+            seen["nonempty" if want else "every branch empty"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_empty_fixed_rows_skip_the_crossing_scan(monkeypatch):
+    # The POSITIVE corner draw: the straddling points' smooth sectors are
+    # empty together, so no line crossing is visited.
+    def refusing(*args):
+        raise AssertionError("the crossing scan ran")
+
+    body, pts = straddled_polygon(5)
+    contacts = [contact_rows(bp.coords, tangents_at(body, bp)) for bp in pts]
+    for kind in ("L", "R"):
+        alternatives = [sector_of(c, kind, True).alternatives for c in contacts]
+        assert any(len(alts) > 1 for alts in alternatives)
+        monkeypatch.setattr(feasibility.itertools, "combinations", refusing)
+        assert feasibility.first_branch(alternatives) is None
+        monkeypatch.undo()
+        assert next(branch_reference.sector_branches(alternatives), None) is not None
+        assert not any(linear_feasible(b).feasible for b in branch_reference.sector_branches(alternatives))
 
 
 def rand_dir(rng):

@@ -9,6 +9,7 @@ import pytest
 from immobilize2d.errors import OutOfRangeError
 from immobilize2d.geom import (
     Identity,
+    LinearConstraint,
     Rotation,
     Translation,
     Vec,
@@ -127,6 +128,18 @@ def test_halfplane_constraint_rejects_zero_normal():
     row = halfplane_constraint(vec(1, 2), vec(-3, 1), closed=False)
     assert (row.nx, row.ny, row.c, row.strict) == (-3, 1, -1, True)
     assert not row.holds(vec(1, 2)) and row.holds(vec(0, 2))
+
+
+def test_a_row_with_float_terms_decides_at_their_exact_values():
+    # 1/10 lies below 0.1's exact value, so x >= 0.1 fails there; in float
+    # arithmetic the margin would read 0.0 and the row hold.
+    row = LinearConstraint(1.0, 0, 0.1)
+    assert row.margin(Vec(Fraction(1, 10), 0)) == Fraction(1, 10) - Fraction(0.1) < 0
+    assert not row.holds(Vec(Fraction(1, 10), 0)) and row.holds(Vec(0.1, 0))
+    assert not LinearConstraint(1.0, 0, 0.1, strict=True).holds(Vec(0.1, 0))
+    for term in (float("nan"), float("inf"), True, None):
+        with pytest.raises(OutOfRangeError):
+            LinearConstraint(term, 0, 0).margin(Vec(1, 0))
 
 
 def test_rational_rotation_lies_on_unit_circle():

@@ -9,6 +9,8 @@ The library carries points as ``(X, Y, W)`` ints and the anchor as ``(AX,
 AY, S, D)`` ints; ``recentre_reference``'s converters meet it at the edge.
 Its Newton loop is bounded: lines that break the loop's invariant end in
 ``SolverStepLimitError`` (``error[SOLVER_STEP_LIMIT]``, exit 1), not a hang.
+Within one classify call each distinct row set's boxes are searched once
+(``feasibility.RECENTRE_MEMO``), and the memo ends with the call.
 """
 
 import random
@@ -19,8 +21,11 @@ import pytest
 import recentre_reference
 from bruteforce import random_system
 from immobilize2d import cli, feasibility
+from immobilize2d.body import boundary_point
+from immobilize2d.classify import classify_both
 from immobilize2d.errors import SolverStepLimitError
 from immobilize2d.feasibility import _deepest_point, _improve_witness, _least_margin, _margin_system, linear_feasible
+from immobilize2d.fixtures import regular_polygon
 from immobilize2d.geom import LinearConstraint, Vec, over_one_denominator
 from recentre_reference import to_anchor, to_point, to_vec
 
@@ -104,3 +109,27 @@ def test_cli_reports_the_step_limit_as_a_coded_error(monkeypatch, capsys):
     monkeypatch.setattr(feasibility, "_margin_system", lambda constraints: ([], [], [], lowers, uppers, caps))
     assert cli.main(["fuzz", "--trials", "5", "--seed", "5"]) == cli.EXIT_ERROR
     assert capsys.readouterr().err.startswith("error[SOLVER_STEP_LIMIT]: ")
+
+
+def test_recentring_boxes_are_shared_within_one_classify_call_only(monkeypatch):
+    # An open test's rows are its closed test's made strict, so within one call
+    # each distinct row set's boxes are searched once; the memo ends with the call.
+    assert feasibility.RECENTRE_MEMO.get() is None
+    deepest, scoped = [], []
+    deepest_point, improve = feasibility._deepest_point, feasibility._improve_witness
+    monkeypatch.setattr(feasibility, "_deepest_point", lambda *args: deepest.append(1) or deepest_point(*args))
+    monkeypatch.setattr(feasibility, "_improve_witness", lambda *args: scoped.append(feasibility.RECENTRE_MEMO.get() is not None) or improve(*args))
+    for index in range(300):
+        cli._fuzz_trial(9001, index, 8)
+        assert feasibility.RECENTRE_MEMO.get() is None
+    assert len(deepest) == 948  # 1 896 when every call searched its own boxes
+    assert scoped and all(scoped)
+    body = regular_polygon(5, 3)
+    classify_both(body, [boundary_point(body, i, Fraction(1, 3)) for i in range(5)])
+    assert feasibility.RECENTRE_MEMO.get() is None
+    lowers, uppers, caps = CYCLING
+    monkeypatch.setattr(feasibility, "_margin_system", lambda constraints: ([], [], [], lowers, uppers, caps))
+    with pytest.raises(SolverStepLimitError):
+        for index in range(5):
+            cli._fuzz_trial(5, index, 5)
+    assert feasibility.RECENTRE_MEMO.get() is None
