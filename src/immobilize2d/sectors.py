@@ -80,11 +80,10 @@ class ContactRows:
 
 def contact_rows(apex: Vec, t: TangentData) -> ContactRows:
     left = halfplane_constraint(apex, t.u_left, True)
-    if t.u_left == t.u_right:  # a segment or an arc's inside: equal tangents give equal rows
-        return ContactRows(apex, (left,))
     # both rows are coprime and pass through apex, so they are equal exactly when the tangents point the same way
-    right = halfplane_constraint(apex, t.u_right, True)
-    return ContactRows(apex, (left,) if left == right else (left, right))
+    if same_ray(t.u_left, t.u_right):
+        return ContactRows(apex, (left,))
+    return ContactRows(apex, (left, halfplane_constraint(apex, t.u_right, True)))
 
 
 def sector_of(rows: ContactRows, kind: str, closed: bool) -> Sector:

@@ -89,16 +89,12 @@ MUTANTS = [
     # a smooth contact is one row, and so is a corner whose tangents point the same way
     (
         SECTORS,
-        "return ContactRows(apex, (left,))",
-        "return ContactRows(apex, (left, left))",
-        ("tests/test_classify.py::test_almost_fix_at_smooth_contacts_solves_one_row_per_contact",),
-        None,
-    ),
-    (
-        SECTORS,
-        "(left,) if left == right else (left, right)",
-        "(left, right)",
-        ("tests/test_row_property.py::test_sectors_read_off_contact_rows_are_the_fraction_sectors",),
+        "if same_ray(t.u_left, t.u_right):",
+        "if False:",
+        (
+            "tests/test_classify.py::test_almost_fix_at_smooth_contacts_solves_one_row_per_contact",
+            "tests/test_row_property.py::test_sectors_read_off_contact_rows_are_the_fraction_sectors",
+        ),
         None,
     ),
     # the fixed rows rule a union out only when they are empty
