@@ -26,11 +26,14 @@ Conventions
   over one denominator, ``(x, y, w)`` in ints, so each segment sign is a few
   integer products against a pre-scaled bound; arcs keep their ``Fraction``
   margin.
-* ``validate`` reads each element's tangents as ints over that element's own
-  denominator (``_turn_directions``), never over one denominator shared
-  across the chain, whose numerators would grow with every element's
-  denominator; turns and the winding are signs of integer products.  Rows
-  stay lazy: ``validate`` builds no table.
+* A body keeps its elements' tangents as ints, ``ConvexBody.tangents``,
+  built on first use (by ``validate`` when a body is loaded): each element's
+  start and end tangent over that element's own denominator, never over one
+  denominator shared across the chain, whose numerators would grow with
+  every element's denominator.  ``validate`` decides turns and the winding as
+  signs of integer products of these, and ``tangent_ints`` reads a contact's
+  two tangents off the same table for ``sectors.rows_from_tangents``.  The
+  containment rows stay lazy: ``validate`` builds no ``rows`` table.
 * ``ConvexBody.arclength`` is (start offsets, lengths, perimeter) by
   ``element_length``, built on first use by ``offset_along_boundary`` or
   ``perimeter``, not by ``polygon``, ``validate`` or loading.
@@ -154,6 +157,26 @@ class ConvexBody:
         return tuple(table)
 
     @functools.cached_property
+    def tangents(self) -> tuple[tuple[int, int], ...]:
+        """Each element's start and end tangent as an int pair, in chain order,
+        a positive multiple of ``start_tangent()`` / ``end_tangent()`` read off
+        that element's own coordinates: a segment puts its endpoints over one
+        denominator and gives ``(bx - ax, by - ay)`` for both, an arc turns
+        ``from_dir`` and ``to_dir``, each over its own denominator, a quarter.
+        Built on first use.  Not a field, so equality and hashing ignore it."""
+        dirs: list[tuple[int, int]] = []
+        for el in self.elements:
+            if isinstance(el, Segment):
+                (ax, ay, bx, by), _ = over_one_denominator(el.a.x, el.a.y, el.b.x, el.b.y)
+                d = (bx - ax, by - ay)
+                dirs += (d, d)
+            else:
+                (fx, fy), _ = over_one_denominator(el.from_dir.x, el.from_dir.y)
+                (tx, ty), _ = over_one_denominator(el.to_dir.x, el.to_dir.y)
+                dirs += ((-fy, fx), (-ty, tx))
+        return tuple(dirs)
+
+    @functools.cached_property
     def arclength(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction]:
         """(start offsets, lengths, perimeter) of the elements by
         ``element_length``, built on first use by ``offset_along_boundary`` or
@@ -224,26 +247,7 @@ def _snap_sign(value: Fraction, tol_scaled: Fraction) -> tuple[int, bool]:
 # -- validation --------------------------------------------------------------
 
 
-def _turn_directions(body: ConvexBody) -> list[tuple[int, int]]:
-    """Each element's start and end tangent as an int pair, a positive multiple
-    of ``start_tangent()`` / ``end_tangent()`` read off that element's own
-    coordinates: a segment puts its endpoints over one denominator and gives
-    ``(bx - ax, by - ay)`` for both, an arc turns ``from_dir`` and ``to_dir``,
-    each over its own denominator, a quarter."""
-    dirs: list[tuple[int, int]] = []
-    for el in body.elements:
-        if isinstance(el, Segment):
-            (ax, ay, bx, by), _ = over_one_denominator(el.a.x, el.a.y, el.b.x, el.b.y)
-            d = (bx - ax, by - ay)
-            dirs += (d, d)
-        else:
-            (fx, fy), _ = over_one_denominator(el.from_dir.x, el.from_dir.y)
-            (tx, ty), _ = over_one_denominator(el.to_dir.x, el.to_dir.y)
-            dirs += ((-fy, fx), (-ty, tx))
-    return dirs
-
-
-def _winding(dirs: list[tuple[int, int]]) -> int:
+def _winding(dirs: tuple[tuple[int, int], ...]) -> int:
     """How many full turns the closed direction sequence makes, counted exactly.
 
     Every step turns by less than a half turn, left when ``cross`` is
@@ -267,7 +271,7 @@ def _winding(dirs: list[tuple[int, int]]) -> int:
 def validate(body: ConvexBody) -> None:
     """Raise BodyValidationError (NOT_CLOSED, NOT_CONVEX, NOT_CCW, EMPTY_INTERIOR) if invalid.
 
-    Turns are decided on the int tangents of ``_turn_directions``: a junction
+    Turns are decided on the int tangents ``ConvexBody.tangents``: a junction
     from u to v snaps to straight when ``|cross(u, v)| <= tol norm1(u)
     norm1(v)``, read as ``td |cross| <= tn norm1 norm1`` for ``tol = tn / td``,
     which no positive rescaling of u or v changes.
@@ -303,7 +307,7 @@ def validate(body: ConvexBody) -> None:
 
     # junction turns: left or straight everywhere; track signs to tell
     # a clockwise chain apart from a genuinely non-convex one
-    dirs = _turn_directions(body)
+    dirs = body.tangents
     tn, td = tol.numerator, tol.denominator
     neg = pos = 0
     first_bad = -1
@@ -403,6 +407,23 @@ def tangents_at(body: ConvexBody, bp: BoundaryPoint) -> TangentData:
         return TangentData(d, d)
     t = rot90_ccw(bp.coords - el.center)
     return TangentData(t, t)
+
+
+def tangent_ints(body: ConvexBody, bp: BoundaryPoint) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``tangents_at(body, bp)`` as int pairs, positive multiples of ``u_left``
+    and ``u_right``: a vertex reads the previous element's end tangent and its
+    own start tangent off ``ConvexBody.tangents``, a segment point its
+    segment's tangent twice, and a point inside an arc turns ``coords -
+    center``, over one denominator, a quarter."""
+    i, dirs = bp.element_index, body.tangents
+    if bp.param == 0:
+        return dirs[2 * i - 1], dirs[2 * i]
+    el = body.elements[i]
+    if isinstance(el, Segment):
+        return dirs[2 * i], dirs[2 * i]
+    (px, py, cx, cy), _ = over_one_denominator(bp.coords.x, bp.coords.y, el.center.x, el.center.y)
+    t = (cy - py, px - cx)
+    return t, t
 
 
 # -- containment -------------------------------------------------------------

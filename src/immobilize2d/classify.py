@@ -21,8 +21,9 @@ condition holds but the non-strict sufficient one fails, and tangent data
 alone cannot decide.  The blocking certificate (first nonempty closed or
 direction test) is reported so callers can probe it dynamically.
 
-Each contact's rows are built once per call (``sectors.contact_rows``) and
-all four sector systems are read off them; the direction test reads its arcs
+Each contact's rows are built once per call from the body's int tangents
+(``body.tangent_ints``, ``sectors.rows_from_tangents``) and all four sector
+systems are read off them; the direction test reads its arcs
 off the same closed left sectors as test 3 (``sectors.sector_directions``).
 The closed tests run first: an open sector lies in its closed one, so at
 tolerance 0 an empty closed test makes its open test empty without solving
@@ -55,12 +56,12 @@ from .body import (
     ConvexBody,
     boundary_point,
     offset_along_boundary,
-    tangents_at,
+    tangent_ints,
 )
 from .errors import InvalidPointError, NotAlmostPositiveError, OutOfRangeError, RefinementExhaustedError
 from .feasibility import RECENTRE_MEMO, FeasibilityResult, directions_intersection, sectors_intersection
 from .geom import Vec, read_scalar, rot90_ccw
-from .sectors import Sector, contact_rows, sector_directions, sector_of
+from .sectors import Sector, rows_from_tangents, sector_directions, sector_of
 
 QUESTION_FIX = "FIX"
 QUESTION_ALMOST = "ALMOST_FIX"
@@ -163,7 +164,7 @@ def _classify(body: ConvexBody, pts: list[BoundaryPoint], questions: tuple[str, 
     if tol < 0:
         raise OutOfRangeError(f"tolerance {tol} is negative")
     pts = _dedupe_points(list(pts))
-    contacts = [contact_rows(bp.coords, tangents_at(body, bp)) for bp in pts]
+    contacts = [rows_from_tangents(bp.coords, *tangent_ints(body, bp)) for bp in pts]
     # Sector i always comes from contact i and tol is fixed: a system's rows decide its result.
     solved: dict[tuple, FeasibilityResult] = {}
 

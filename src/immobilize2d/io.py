@@ -12,6 +12,13 @@ stably, so identical data yields identical bytes.
 Arc endpoints are stored as ``from``/``to`` vectors pointing from the
 center to the endpoints (exactly the in-memory representation), keeping
 round-trips lossless.
+
+A body document writes every vertex twice, as one segment's ``b`` and the
+next one's ``a``; ``body_from_json`` reads each distinct vector once per
+document and hands the same ``Vec`` to both.  It keys a vector by its
+coordinates' types and values, so a ``true`` after a ``1`` is still read,
+and refused, and keeps only vectors that were read without error, so every
+malformed document raises as if each vector were read on its own.
 """
 
 from __future__ import annotations
@@ -82,6 +89,19 @@ def body_to_json(body: ConvexBody) -> dict:
 
 def body_from_json(doc) -> ConvexBody:
     """A missing field or a value of the wrong type is OUT_OF_RANGE."""
+    seen: dict[tuple, Vec] = {}
+
+    def vec_once(d) -> Vec:
+        # True == 1 and hash(True) == hash(1): the types keep a boolean from reusing a number
+        try:
+            key = (type(d["x"]), d["x"], type(d["y"]), d["y"])
+            v = seen.get(key)
+        except (KeyError, TypeError):  # not a vector, or an unhashable coordinate: read it to raise
+            return vec_from_json(d)
+        if v is None:
+            v = seen[key] = vec_from_json(d)
+        return v
+
     try:
         mode = doc["mode"]
         if mode not in (EXACT_POLYGON, MIXED_INEXACT):
@@ -89,14 +109,14 @@ def body_from_json(doc) -> ConvexBody:
         elements = []
         for entry in doc["elements"]:
             if entry["type"] == "segment":
-                elements.append(Segment(vec_from_json(entry["a"]), vec_from_json(entry["b"])))
+                elements.append(Segment(vec_once(entry["a"]), vec_once(entry["b"])))
             elif entry["type"] == "arc":
                 elements.append(
                     Arc(
-                        vec_from_json(entry["center"]),
+                        vec_once(entry["center"]),
                         _scalar(entry["radius"], "arc radius"),
-                        vec_from_json(entry["from"]),
-                        vec_from_json(entry["to"]),
+                        vec_once(entry["from"]),
+                        vec_once(entry["to"]),
                     )
                 )
             else:
@@ -237,9 +257,10 @@ def dumps(doc) -> str:
 
 
 def loads(text: str):
-    """Parsed JSON; text that is not JSON, or an integer literal past the
-    int-string digit limit, is OUT_OF_RANGE."""
+    """Parsed JSON; text that is not JSON, an integer literal past the
+    int-string digit limit, or arrays and objects nested past the interpreter's
+    recursion limit, is OUT_OF_RANGE."""
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise OutOfRangeError(f"malformed JSON ({exc})") from None

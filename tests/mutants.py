@@ -35,6 +35,7 @@ CLASSIFY = "src/immobilize2d/classify.py"
 FEASIBILITY = "src/immobilize2d/feasibility.py"
 BODY = "src/immobilize2d/body.py"
 GEOM = "src/immobilize2d/geom.py"
+IO = "src/immobilize2d/io.py"
 ORACLE = "src/immobilize2d/oracle.py"
 SECTORS = "src/immobilize2d/sectors.py"
 
@@ -89,12 +90,20 @@ MUTANTS = [
     # a smooth contact is one row, and so is a corner whose tangents point the same way
     (
         SECTORS,
-        "if same_ray(t.u_left, t.u_right):",
+        "if lx * ry == ly * rx and lx * rx + ly * ry > 0:",
         "if False:",
         (
             "tests/test_classify.py::test_almost_fix_at_smooth_contacts_solves_one_row_per_contact",
             "tests/test_row_property.py::test_sectors_read_off_contact_rows_are_the_fraction_sectors",
         ),
+        None,
+    ),
+    # the body reader keys each vector by its coordinates' types too: true == 1 and hash(true) == hash(1)
+    (
+        IO,
+        'key = (type(d["x"]), d["x"], type(d["y"]), d["y"])',
+        'key = (d["x"], d["y"])',
+        ("tests/test_io.py::test_a_boolean_after_a_number_is_still_refused",),
         None,
     ),
     # the fixed rows rule a union out only when they are empty

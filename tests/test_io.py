@@ -1,17 +1,20 @@
 """JSON round trips for bodies, contact points, witnesses, and reports."""
 
+import json
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
-from immobilize2d import io
-from immobilize2d.body import boundary_point
+from immobilize2d import cli, io
+from immobilize2d.body import boundary_point, polygon
 from immobilize2d.classify import classify_fix
 from immobilize2d.errors import InvalidPointError, OutOfRangeError
 from immobilize2d.fixtures import rectangle_remark, unit_disc, unit_square
 from immobilize2d.geom import read_scalar, vec
 from immobilize2d.oracle import escape_search
+from test_cli import BAD_BODIES, BAD_PARAMS, BAD_POINTS, BROKEN_JSON
 
 
 def test_scalar_forms_all_parse_exactly():
@@ -128,3 +131,86 @@ def test_dumps_is_stable_and_newline_terminated():
     assert a == b
     assert a.endswith("\n")
     assert io.loads(a) == io.body_to_json(sq)
+
+
+ONE_BY_ONE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+def square_doc(*coords):
+    """``ONE_BY_ONE``'s body document with its four vertices' coordinates as
+    given, each vertex written twice, as in ``body_to_json``."""
+    xy = [{"x": x, "y": y} for x, y in coords]
+    return {
+        "mode": "exact_polygon",
+        "elements": [{"type": "segment", "a": xy[i], "b": xy[(i + 1) % 4]} for i in range(4)],
+    }
+
+
+def test_each_distinct_vector_is_read_once_per_document():
+    body = io.body_from_json(square_doc((0, 0), (1, 0), (1, 1), (0, 1)))
+    assert body == ONE_BY_ONE
+    for el, nxt in zip(body.elements, body.elements[1:] + body.elements[:1]):
+        assert el.b is nxt.a
+    # 1, 1.0 and "1" read alike, each in its own entry
+    for one in (1, 1.0, "1", "1/1", "1.0"):
+        assert io.body_from_json(square_doc((0, 0), (one, 0), (one, one), (0, one))) == ONE_BY_ONE, one
+    mixed = square_doc((0, 0), (1, 0), (1.0, "1"), ("0", 1))
+    mixed["elements"][1]["a"] = {"x": "1", "y": 0.0}
+    assert io.body_from_json(mixed) == ONE_BY_ONE
+
+
+def run_main(argv, capsys) -> tuple[int, str]:
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_a_boolean_after_a_number_is_still_refused(tmp_path, capsys):
+    # true == 1 and hash(true) == hash(1): a vector read as (1, 0) must not stand in for (true, 0)
+    doc = square_doc((0, 0), (1, 0), (1, 1), (0, 1))
+    doc["elements"][1]["a"] = {"x": True, "y": 0}
+    with pytest.raises(OutOfRangeError, match="boolean"):
+        io.body_from_json(doc)
+    body, points = tmp_path / "body.json", tmp_path / "points.json"
+    body.write_text(json.dumps(doc))
+    points.write_text(json.dumps([{"element": 0, "param": "1/2"}]))
+    code, err = run_main(["classify", "--mode", "fix", "--body", str(body), "--points", str(points), "--exact"], capsys)
+    assert code == 1 and "error[OUT_OF_RANGE]" in err and "boolean" in err, err
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [(1, True), (0, False), (1, "1/0"), (1, None), (1, [1]), (1, {"x": 1}), (1, math.nan), (1, math.inf), (1, "1e99999"), ("1", " 1 / 1 ")],
+)
+def test_a_refusal_does_not_depend_on_what_was_read_before(good, bad):
+    # Only vectors read without error are kept, keyed by their coordinates' types:
+    # a bad vector raises as it does when nothing was read before it.
+    alone = square_doc((bad, 0), (1, 0), (1, 1), (0, 1))
+    after = square_doc((0, 0), (good, 0), (1, 1), (0, 1))
+    after["elements"][1]["a"] = {"x": bad, "y": 0}
+    with pytest.raises(OutOfRangeError) as first:
+        io.body_from_json(alone)
+    with pytest.raises(OutOfRangeError) as second:
+        io.body_from_json(after)
+    assert str(first.value) == str(second.value)
+
+
+def test_every_bad_document_keeps_its_exit_code_and_error_code(tmp_path, capsys):
+    square, corners, bad = tmp_path / "square.json", tmp_path / "corners.json", tmp_path / "bad.json"
+    square.write_text(io.dumps(io.body_to_json(unit_square())))
+    corners.write_text(json.dumps([{"element": 0, "param": "0"}, {"element": 2, "param": "0"}]))
+
+    def classify(body, points):
+        return ["classify", "--mode", "fix", "--body", str(body), "--points", str(points), "--exact"]
+
+    cases = [(doc, classify(square, bad), "INVALID_POINT") for doc in BAD_POINTS]
+    cases += [(doc, classify(bad, corners), "OUT_OF_RANGE") for doc in BAD_BODIES + (BROKEN_JSON,)]
+    cases += [(f'[{{"element": 0, "param": {param}}}]', classify(square, bad), "OUT_OF_RANGE") for param in BAD_PARAMS]
+    for coordinate in BAD_PARAMS:
+        doc = io.body_to_json(unit_square())
+        doc["elements"][2]["a"]["x"] = "@"  # the square's (1, 1) vertex, read fine as the b before it
+        cases.append((json.dumps(doc).replace('"@"', coordinate), classify(bad, corners), "OUT_OF_RANGE"))
+    for doc, argv, code in cases:
+        bad.write_text(doc)
+        status, err = run_main(argv, capsys)
+        assert status == 1, doc
+        assert err.startswith(f"error[{code}]"), (doc, err)

@@ -25,8 +25,18 @@ smooth contact, which has one row),
 and the primitive integer rays of ``direction_set`` must point along the
 ``Fraction`` rays ``rot90_ccw(u)``, contain the same probes, and give
 ``directions_intersection`` the same ``Fraction`` witness and flag.
+
+A contact's rows come from one integer builder, ``rows_from_tangents``, fed
+by ``classify`` from the body's int tangents (``tangent_ints``).  On every
+contact of seeded polygon, fuzz-style and fixture draws, arcs and a
+mixed-mode junction snapped to straight included, those tangents must point
+along ``tangents_at``'s, and the rows must be the ones ``halfplane_constraint``
+builds from ``tangents_at``; the rows each ``classify`` call builds must be
+``contact_rows`` on the same contacts.
 """
 
+import random
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from math import gcd, lcm
@@ -37,8 +47,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from immobilize2d import feasibility  # noqa: E402
-from immobilize2d.body import Segment, TangentData  # noqa: E402
+from immobilize2d import classify, cli, feasibility  # noqa: E402
+from immobilize2d.body import (  # noqa: E402
+    MIXED_INEXACT,
+    Segment,
+    TangentData,
+    boundary_point,
+    polygon,
+    tangent_ints,
+    tangents_at,
+    validate,
+)
+from immobilize2d.fixtures import example_e1, example_e2, random_convex_polygon, unit_disc  # noqa: E402
 from immobilize2d.feasibility import (  # noqa: E402
     _improve_witness,
     _twin_any,
@@ -56,6 +76,7 @@ from immobilize2d.sectors import (  # noqa: E402
     contact_rows,
     direction_set,
     make_sector,
+    rows_from_tangents,
     sector_of,
 )
 
@@ -254,3 +275,83 @@ def test_row_factors_change_no_pick_and_no_witness(system):
     assert to_vec(better) == to_vec(_improve_witness([cleared(lc) for lc in other], point, anchor))
     assert all(type(v) is int for v in better)
     assert all(lc.holds(to_vec(better)) for lc in branch)
+
+
+# -- contact rows from the body's int tangents ---------------------------------
+
+
+def halfplane_rows(apex: Vec, t: TangentData) -> tuple[LinearConstraint, ...]:
+    """The contact's rows from ``halfplane_constraint``: the left row, and the
+    right one unless the ``Fraction`` tangents point the same way."""
+    left = halfplane_constraint(apex, t.u_left, True)
+    if cross(t.u_left, t.u_right) == 0 and dot(t.u_left, t.u_right) > 0:
+        return (left,)
+    return (left, halfplane_constraint(apex, t.u_right, True))
+
+
+def contact_kind(body, bp) -> str:
+    el = body.elements[bp.element_index]
+    if bp.param == 0:
+        return "vertex"
+    return "segment" if isinstance(el, Segment) else "arc"
+
+
+def race_rows(body, pts, kinds: Counter) -> None:
+    """The integer rows of each contact against ``halfplane_constraint``, and
+    the rows one ``classify_both`` call builds against ``contact_rows``."""
+    for bp in pts:
+        t = tangents_at(body, bp)
+        left, right = tangent_ints(body, bp)
+        for ints, u in ((left, t.u_left), (right, t.u_right)):
+            assert all(type(v) is int for v in ints), ints
+            assert cross(Vec(*ints), u) == 0 and dot(Vec(*ints), u) > 0, (ints, u)
+        rows = rows_from_tangents(bp.coords, left, right)
+        assert rows.apex == bp.coords
+        assert rows.rows == halfplane_rows(bp.coords, t), bp
+        kinds[contact_kind(body, bp), len(rows.rows)] += 1
+    built = []
+
+    def recording(apex, left, right):
+        built.append(rows_from_tangents(apex, left, right))
+        return built[-1]
+
+    with mock.patch.object(classify, "rows_from_tangents", recording):
+        classify.classify_both(body, pts)
+    deduped = classify._dedupe_points(list(pts))
+    assert built == [contact_rows(bp.coords, tangents_at(body, bp)) for bp in deduped]
+
+
+def test_integer_contact_rows_race_the_halfplane_rows():
+    kinds: Counter = Counter()
+    rng = random.Random(32)
+    for seed in range(40):
+        body = random_convex_polygon(seed, 3 + seed % 8)
+        n = len(body.elements)
+        vertices = [boundary_point(body, i, 0) for i in range(n)]
+        inside = [boundary_point(body, i, Fraction(rng.randint(1, 2047), 2048)) for i in range(n)]
+        race_rows(body, vertices[: rng.randint(1, n)], kinds)
+        race_rows(body, inside[: rng.randint(1, n)], kinds)
+        race_rows(body, cli._fuzz_points(body, rng, 5), kinds)
+    fixtures = [(unit_disc(), ())]
+    fixtures += [(fx.body, fx.points) for fx in [example_e1(n) for n in range(2, 6)] + [example_e2(n) for n in range(2, 5)]]
+    for body, points in fixtures:
+        n = len(body.elements)
+        pts = [boundary_point(body, i, param) for i in range(n) for param in (0, Fraction(1, 3))]
+        race_rows(body, list(points) + pts[:4], kinds)
+        race_rows(body, pts, kinds)
+    # A clockwise junction within tolerance, which validate snaps to straight:
+    # its tangents differ, so the contact keeps two rows.
+    eps = Fraction(1, 10**12)
+    snapped = polygon([(0, 0), (1, eps), (2, 0), (2, 2), (0, 2)], mode=MIXED_INEXACT)
+    validate(snapped)
+    race_rows(snapped, [boundary_point(snapped, 1, 0), boundary_point(snapped, 1, Fraction(1, 2))], kinds)
+    race_rows(snapped, [boundary_point(snapped, 1, 0), boundary_point(snapped, 3, 0)], kinds)
+    assert kinds["vertex", 1] and kinds["vertex", 2] and kinds["segment", 1] and kinds["arc", 1], kinds
+
+
+def test_a_zero_tangent_has_no_row():
+    for left, right in (((0, 0), (1, 0)), ((1, 0), (0, 0))):
+        with pytest.raises(ValueError, match="nonzero normal"):
+            rows_from_tangents(Vec(1, 2), left, right)
+        with pytest.raises(ValueError, match="nonzero normal"):
+            contact_rows(Vec(1, 2), TangentData(Vec(*left), Vec(*right)))
