@@ -228,6 +228,11 @@ class Containment(enum.Enum):
     EXTERIOR = "EXTERIOR"
 
 
+# contains_over returns these module globals: each read of an enum member is a
+# class attribute lookup, many times slower, and the probes call it per point
+_INTERIOR, _BOUNDARY, _EXTERIOR = Containment.INTERIOR, Containment.BOUNDARY, Containment.EXTERIOR
+
+
 def polygon(points: list[tuple] | list[Vec], mode: str = EXACT_POLYGON) -> ConvexBody:
     """Build a body from a CCW list of vertices (validated separately)."""
     pts = [p if isinstance(p, Vec) else vec(p[0], p[1]) for p in points]
@@ -481,12 +486,12 @@ def contains_over(body: ConvexBody, x: int, y: int, w: int) -> Containment:
             continue
         if m < -bound:
             # certainly outside this element's region, hence outside the body
-            return Containment.EXTERIOR
+            return _EXTERIOR
         if m:
             degenerate = True
         else:
             on_boundary = True
-    status = Containment.BOUNDARY if on_boundary else Containment.INTERIOR
+    status = _BOUNDARY if on_boundary else _INTERIOR
     if degenerate:
         raise NearDegenerateError("containment margin below tolerance", guess=status)
     return status

@@ -50,17 +50,17 @@ def read_scalar(value: ScalarLike, what: str = "scalar") -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise OutOfRangeError(f"{what} {value!r} is a boolean, not a number")
+        raise OutOfRangeError(f"{what} {value!r:.40} is a boolean, not a number")
     try:
         if isinstance(value, str):
             _, e, exponent = value.lower().partition("e")
             if e and abs(int(exponent)) > MAX_DIGITS:
-                raise OutOfRangeError(f"{what} {value!r} has a decimal exponent beyond {MAX_DIGITS} in magnitude")
+                raise OutOfRangeError(f"{what} {value!r:.40} has a decimal exponent beyond {MAX_DIGITS} in magnitude")
             if "_" in value or len(value.split()) > 1:
-                raise OutOfRangeError(f"{what} {value!r} has a '_' or a space inside it")
+                raise OutOfRangeError(f"{what} {value!r:.40} has a '_' or a space inside it")
         return Fraction(value)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError):
-        raise OutOfRangeError(f"{what} {value!r} is not a finite number") from None
+        raise OutOfRangeError(f"{what} {value!r:.40} is not a finite number") from None
 
 
 to_scalar = read_scalar

@@ -53,7 +53,7 @@ def scalar_to_json(x: Fraction) -> str:
 def _scalar(v, what: str) -> Fraction:
     """``read_scalar(v, what)`` for a JSON value; a null, array or object raises ``TypeError``."""
     if v is None or isinstance(v, (list, dict)):
-        raise TypeError(f"{what} {v!r} is not a number or a string")
+        raise TypeError(f"{what} {v!r:.40} is not a number or a string")
     return read_scalar(v, what)
 
 
@@ -66,7 +66,7 @@ def vec_from_json(d) -> Vec:
     try:
         return Vec(_scalar(d["x"], "coordinate"), _scalar(d["y"], "coordinate"))
     except (KeyError, TypeError) as exc:
-        raise InvalidPointError(f"malformed vector {d!r}") from exc
+        raise InvalidPointError(f"malformed vector {d!r:.40}") from exc
 
 
 def body_to_json(body: ConvexBody) -> dict:
@@ -105,7 +105,7 @@ def body_from_json(doc) -> ConvexBody:
     try:
         mode = doc["mode"]
         if mode not in (EXACT_POLYGON, MIXED_INEXACT):
-            raise OutOfRangeError(f"unknown body mode {mode!r}; expected {EXACT_POLYGON!r} or {MIXED_INEXACT!r}")
+            raise OutOfRangeError(f"unknown body mode {mode!r:.40}; expected {EXACT_POLYGON!r} or {MIXED_INEXACT!r}")
         elements = []
         for entry in doc["elements"]:
             if entry["type"] == "segment":
@@ -120,7 +120,7 @@ def body_from_json(doc) -> ConvexBody:
                     )
                 )
             else:
-                raise OutOfRangeError(f"unknown element type {entry['type']!r}")
+                raise OutOfRangeError(f"unknown element type {entry['type']!r:.40}")
     except (KeyError, TypeError, InvalidPointError) as exc:
         raise OutOfRangeError(f"malformed body document ({type(exc).__name__}: {exc})") from None
     return ConvexBody(tuple(elements), mode)
@@ -132,7 +132,7 @@ def points_to_json(pts) -> list:
 
 def points_from_json(doc, body: ConvexBody) -> list[BoundaryPoint]:
     if not isinstance(doc, list):
-        raise InvalidPointError(f"points document must be a list of point entries, got {doc!r}")
+        raise InvalidPointError(f"points document must be a list of point entries, got {doc!r:.40}")
     out = []
     for entry in doc:
         if isinstance(entry, dict) and "coords" in entry:
@@ -145,7 +145,7 @@ def points_from_json(doc, body: ConvexBody) -> list[BoundaryPoint]:
                 raise ValueError(raw)
         except (KeyError, TypeError, ValueError, OverflowError):
             raise InvalidPointError(
-                f"point entry needs an integer 'element' and a 'param', or 'coords': {entry!r}"
+                f"point entry needs an integer 'element' and a 'param', or 'coords': {entry!r:.40}"
             ) from None
         out.append(boundary_point(body, element, param))
     return out

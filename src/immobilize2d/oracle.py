@@ -13,10 +13,15 @@ Every probe runs in integers.  A search or a validator puts the contact
 points over one denominator once (``geom.over_one_denominator``) and hands
 them to the probes as ``(x, y, w)`` ints.  The search builds its centers
 ``(X, Y, W)`` and translation units ``(c, s, d)`` one at a time, so an early
-escape builds no further candidates.  Each probe builds its motion's
+escape builds no further candidates.  The rotation steps' integer units
+``rotation_unit(t, sense)`` are built once, at import, for every t of
+``DEFAULT_ROTATION_SCHEDULE`` and both senses (``_ROTATION_UNITS``); the
+search hands each probe its unit from there.  Each probe builds its motion's
 integer map (``geom.rotation_map``, or ``(vw, 0, vx, vy, vw)`` for the
 vector ``(vx, vy) / vw``) and runs the one loop ``_clear``, which hands each
 moved point to ``body.contains_over``, so a probe builds no ``Fraction``.
+``_clear`` compares the result with ``Containment.INTERIOR`` bound once as a
+module global, as ``contains_over`` binds the members it returns.
 A ``Vec`` reads its own coordinates when it is made, so a witness center
 or direction and a motion path's center or vector need only be a ``Vec``.
 The radius and a motion path's half-angle and sample times are read through
@@ -72,7 +77,12 @@ CCW = "CCW"
 DEFAULT_ROTATION_SCHEDULE = tuple(Fraction(1, 10 ** (2 + i)) for i in range(7))
 DEFAULT_TRANSLATION_SCHEDULE = tuple(Fraction(1, 2 ** (1 + i)) for i in range(10))
 
+# Each rotation step's integer unit in each sense, built once: the search reads
+# its probes' units here instead of rebuilding them per probe.
+_ROTATION_UNITS = {sense: tuple((t, rotation_unit(t, sense)) for t in DEFAULT_ROTATION_SCHEDULE) for sense in (CW, CCW)}
+
 _RAND_DENOMINATOR = 1024
+_INTERIOR = Containment.INTERIOR  # a module global reads faster than the enum member
 
 
 def _homogeneous(pts) -> list[tuple[int, int, int]]:
@@ -89,16 +99,19 @@ def _clear(body: ConvexBody, pts, m) -> bool:
     a, b, e, f, g = m
     try:
         for x, y, w in pts:
-            if contains_over(body, a * x - b * y + e * w, b * x + a * y + f * w, g * w) is Containment.INTERIOR:
+            if contains_over(body, a * x - b * y + e * w, b * x + a * y + f * w, g * w) is _INTERIOR:
                 return False
     except NearDegenerateError:
         return False
     return True
 
 
-def _rotation_clear(body: ConvexBody, pts, center, sense: str, t: Fraction) -> bool:
-    """``_clear`` under the rotation about the ``(x, y, w)`` center by the half-angle t."""
-    return _clear(body, pts, rotation_map(center, *rotation_unit(t, sense)))
+def _rotation_clear(body: ConvexBody, pts, center, sense: str, t: Fraction, unit=None) -> bool:
+    """``_clear`` under the rotation about the ``(x, y, w)`` center by the half-angle t;
+    ``unit``, when given, is ``rotation_unit(t, sense)``, already built."""
+    if unit is None:
+        unit = rotation_unit(t, sense)
+    return _clear(body, pts, rotation_map(center, *unit))
 
 
 def _translation_clear(body: ConvexBody, pts, vector: Vec) -> bool:
@@ -246,7 +259,7 @@ def escape_search(
         if disc and _vec(*center) == disc_center:
             continue  # rotating a disc about its center does not move it
         for sense in (CW, CCW):
-            if all(_rotation_clear(body, pts, center, sense, t) for t in rot_schedule):
+            if all(_rotation_clear(body, pts, center, sense, t, unit) for t, unit in _ROTATION_UNITS[sense]):
                 return EscapeReport(
                     family="rotation",
                     center=_vec(*center),
@@ -365,7 +378,7 @@ def simulate_path(body: ConvexBody, pts, path: MotionPath, steps: int = 100):
         a, b, e, f, g = motion_map(invert_motion(motion))
         for i, (x, y, w) in enumerate(pts):
             try:
-                inside = contains_over(body, a * x - b * y + e * w, b * x + a * y + f * w, g * w) is Containment.INTERIOR
+                inside = contains_over(body, a * x - b * y + e * w, b * x + a * y + f * w, g * w) is _INTERIOR
             except NearDegenerateError:
                 inside = False
             if inside:

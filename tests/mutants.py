@@ -50,6 +50,7 @@ READ_SCALAR = (
     "tests/test_geom.py::test_vec_reads_its_coordinates_through_read_scalar",
     "tests/test_fixtures.py::test_parameter_bounds",
 )
+ROTATION_UNITS = "tests/test_oracle.py::test_a_rotation_escape_reads_its_units_from_the_table"
 NEWTON_TIE = "a tie in value and in slope is the same line, so either pick gives the same bound"
 
 MUTANTS = [
@@ -126,6 +127,21 @@ MUTANTS = [
         "                return False\n    except NearDegenerateError:\n        return False",
         "                return False\n    except NearDegenerateError:\n        return True",
         MOTIONS,
+        None,
+    ),
+    # the escape search reads each rotation step's unit, in its own sense, off the table built once
+    (
+        ORACLE,
+        "rotation_unit(t, sense)) for t in DEFAULT_ROTATION_SCHEDULE",
+        "rotation_unit(t, CCW)) for t in DEFAULT_ROTATION_SCHEDULE",
+        (ROTATION_UNITS, "tests/test_escape_bytes.py::test_escape_reports_are_pinned"),
+        None,
+    ),
+    (
+        ORACLE,
+        "_rotation_clear(body, pts, center, sense, t, unit) for t, unit",
+        "_rotation_clear(body, pts, center, sense, t) for t, unit",
+        (ROTATION_UNITS,),
         None,
     ),
     # the one number reader refuses a boolean and a decimal exponent past MAX_DIGITS

@@ -479,6 +479,22 @@ def test_malformed_documents_are_coded_errors(square_files, tmp_path):
         assert "Traceback" not in r.stderr, doc
 
 
+def test_an_oversized_value_is_echoed_in_one_short_line(square_files, tmp_path):
+    # an error message echoes at most 40 characters of the value it refuses
+    sq, _, _ = square_files
+    bad = tmp_path / "bad.json"
+    cases = (
+        (json.dumps([{"element": 0, "param": "1" * 1_000_000}]), "OUT_OF_RANGE"),
+        (json.dumps({"points": "x" * 4_986}), "INVALID_POINT"),
+    )
+    for doc, code in cases:
+        bad.write_text(doc)
+        r = run_cli("classify", "--mode", "fix", "--body", str(sq), "--points", str(bad), "--exact")
+        assert r.returncode == 1, code
+        assert r.stderr.startswith(f"error[{code}]") and "Traceback" not in r.stderr, r.stderr[:300]
+        assert r.stderr.count("\n") == 1 and len(r.stderr.encode()) < 300, r.stderr[:300]
+
+
 def test_repeated_runs_are_byte_identical(square_files, remark_files, tmp_path):
     sq, corners, _ = square_files
     remark_body, remark_points = remark_files

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from test_escape_bytes import escape_cases
 
-from immobilize2d import oracle
+from immobilize2d import geom, oracle
 from immobilize2d.body import boundary_point
 from immobilize2d.errors import InexactModeUnsupportedError, OutOfRangeError
 from immobilize2d.fixtures import rectangle_remark, unit_disc, unit_square
-from immobilize2d.geom import Vec, rational_rotation, vec
+from immobilize2d.geom import Vec, rational_rotation, rotation_unit, vec
 
 
 def square_opposite_corners():
@@ -173,6 +173,28 @@ def test_a_rotation_escape_builds_no_translation_direction(monkeypatch):
         calls.clear()
         report = oracle.escape_search(body, pts, radius=radius, samples=400, seed=3)
         assert (calls == []) == (report is not None and report.family == "rotation")
+
+
+def test_a_rotation_escape_reads_its_units_from_the_table(monkeypatch):
+    # the table holds each default step's unit in both senses, CW first
+    assert list(oracle._ROTATION_UNITS) == [oracle.CW, oracle.CCW]
+    for sense, steps in oracle._ROTATION_UNITS.items():
+        assert steps == tuple((t, rotation_unit(t, sense)) for t in oracle.DEFAULT_ROTATION_SCHEDULE)
+    # so a search that reports a rotation builds no half-angle unit, here or in rotation_unit
+    calls = []
+    for module in (oracle, geom):
+        monkeypatch.setattr(module, "half_angle_unit", lambda t, unit=module.half_angle_unit: calls.append(t) or unit(t))
+    sq, oc = square_opposite_corners()
+    assert oracle.escape_search(sq, oc, samples=400, seed=0).family == "rotation"
+    assert calls == []
+    rotations = 0
+    for body, pts, radius in escape_cases():
+        report = oracle.escape_search(body, pts, radius=radius, samples=400, seed=3)
+        if report is not None and report.family == "rotation":
+            rotations += 1
+            assert calls == []
+        calls.clear()
+    assert rotations
 
 
 def test_escape_search_exhausts_on_pinned_midpoints():
