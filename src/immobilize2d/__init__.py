@@ -32,12 +32,10 @@ from .classify import (
     TestResult,
     Verdict,
     Witness,
-    boundary_grid,
     classify_almost_fix,
     classify_both,
     classify_fix,
     refine_almost_to_fix,
-    search_almost_fixing,
 )
 from .errors import (
     BodyValidationError,
@@ -57,9 +55,7 @@ from .feasibility import linear_feasible
 from .geom import LinearConstraint, Scalar, Vec, halfplane_constraint, to_scalar, vec
 from .oracle import (
     EscapeReport,
-    MotionPath,
     escape_search,
-    simulate_path,
     validate_rotation_witness,
     validate_translation_witness,
 )
@@ -82,7 +78,6 @@ __all__ = [
     "InexactModeUnsupportedError",
     "InvalidPointError",
     "LinearConstraint",
-    "MotionPath",
     "NOT_ALMOST_FIX",
     "NOT_WEAKLY_FIX",
     "NearDegenerateError",
@@ -101,7 +96,6 @@ __all__ = [
     "Verdict",
     "Vec",
     "Witness",
-    "boundary_grid",
     "boundary_point",
     "classify_almost_fix",
     "classify_both",
@@ -116,9 +110,7 @@ __all__ = [
     "perimeter",
     "polygon",
     "refine_almost_to_fix",
-    "search_almost_fixing",
     "sector_contains",
-    "simulate_path",
     "tangents_at",
     "to_scalar",
     "validate",

@@ -41,20 +41,19 @@ closed test's made strict, so the call sets ``feasibility.RECENTRE_MEMO`` and
 each distinct row set's re-centring boxes are searched once (the memo ends
 with the call, also when it raises).
 ``classify_fix`` and ``classify_almost_fix`` are the one-question calls.
+``refine_almost_to_fix`` doubles an ALMOST_FIX POSITIVE contact set into
+nearby pairs and returns the first placement that classifies FIX POSITIVE.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .body import (
     BoundaryPoint,
     ConvexBody,
-    boundary_point,
     offset_along_boundary,
     tangent_ints,
 )
@@ -322,66 +321,3 @@ def refine_almost_to_fix(
     raise RefinementExhaustedError(
         f"no fixing placement found down to radius {eps}/2**{max_halvings}"
     )
-
-
-# -- grid search for almost-fixing tuples -------------------------------------
-
-
-def boundary_grid(body: ConvexBody, resolution: int) -> list[BoundaryPoint]:
-    """Element start vertices plus ``resolution`` interior subdivisions each."""
-    if not 0 <= resolution <= 64:
-        raise InvalidPointError("resolution must be between 0 and 64")
-    pts = []
-    for i in range(len(body.elements)):
-        for j in range(resolution + 1):
-            pts.append(boundary_point(body, i, Fraction(j, resolution + 1)))
-    return pts
-
-
-def _combination_at(rank: int, m: int, n: int) -> list[int]:
-    """The ``rank``-th n-subset of ``range(m)`` in ``itertools.combinations``
-    order, read off the combinatorial number system: ``comb(m - c - 1, k - 1)``
-    subsets of the k places left start at c."""
-    out, c = [], 0
-    for k in range(n, 0, -1):
-        while rank >= (count := math.comb(m - c - 1, k - 1)):
-            rank -= count
-            c += 1
-        out.append(c)
-        c += 1
-    return out
-
-
-def search_almost_fixing(
-    body: ConvexBody,
-    n: int,
-    resolution: int = 1,
-    seed: int = 0,
-    candidates: list[BoundaryPoint] | None = None,
-    max_tuples: int = 20000,
-) -> list[tuple[tuple[BoundaryPoint, ...], Verdict]]:
-    """All n-tuples of grid (or given) candidates that classify ALMOST_FIX POSITIVE.
-
-    Deterministic: candidates in boundary order, tuples in combination order.
-    When the combination count exceeds ``max_tuples`` a seeded sample of that
-    size is examined instead (ranks drawn without replacement, sorted and
-    unranked directly), so large grids stay bounded but reproducible.  A
-    negative ``max_tuples`` raises OutOfRangeError.
-    """
-    if n not in (2, 3):
-        raise InvalidPointError("tuple size must be 2 or 3")
-    if max_tuples < 0:
-        raise OutOfRangeError("max_tuples must not be negative")
-    cands = candidates if candidates is not None else boundary_grid(body, resolution)
-    m = len(cands)
-    total = math.comb(m, n)
-    combos = itertools.combinations(cands, n)
-    if total > max_tuples:
-        ranks = sorted(random.Random(seed).sample(range(total), max_tuples))
-        combos = (tuple(cands[i] for i in _combination_at(rank, m, n)) for rank in ranks)
-    out = []
-    for combo in combos:
-        verdict = classify_almost_fix(body, list(combo))
-        if verdict.status == POSITIVE:
-            out.append((combo, verdict))
-    return out

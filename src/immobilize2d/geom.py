@@ -1,4 +1,4 @@
-"""Exact planar primitives: rational vectors, half-planes, rigid motions.
+"""Exact planar primitives: rational vectors, half-planes, rational rotations.
 
 All coordinates are ints or ``fractions.Fraction``s: a ``Vec`` reads any
 other coordinate through ``read_scalar`` when it is made, so a float is
@@ -12,8 +12,9 @@ eliminates them, so both read the same side convention.  A row is its four
 terms as coprime ints, the one primitive positive multiple of the row;
 ``_coprime_row`` is its one normaliser, for int and ``Fraction`` terms alike,
 through ``over_one_denominator``, the one place a common denominator is built.
-Every rational rotation takes its unit from ``half_angle_unit``, and every
-rigid motion moves points as one integer map (``motion_map``).
+Every rational rotation takes its unit from ``half_angle_unit`` (turned CW or
+CCW by ``rotation_unit``) and moves points as one integer map
+(``rotation_map``); the escape probes in ``oracle`` are the only callers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 from typing import Union
 
 from .errors import OutOfRangeError
@@ -184,37 +184,7 @@ def halfplane_constraint(base: Vec, normal: Vec, closed: bool) -> LinearConstrai
     return _coprime_row(a * db, b * db, a * x + b * y, not closed)
 
 
-# -- rigid motions ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """Rotation about ``center`` by the angle with rational cosine c and sine s
-    (c*c + s*s == 1); any other unit raises ValueError."""
-
-    center: Vec
-    c: Fraction
-    s: Fraction
-
-    def __post_init__(self):
-        # reduced rationals on the unit circle share their denominator
-        c, s = self.c, self.s
-        rational = isinstance(c, Rational) and isinstance(s, Rational)
-        if not rational or s.denominator != c.denominator or c.numerator**2 + s.numerator**2 != c.denominator**2:
-            raise ValueError("rotation unit must be rational with c^2 + s^2 = 1")
-
-
-@dataclass(frozen=True)
-class Translation:
-    v: Vec
-
-
-@dataclass(frozen=True)
-class Identity:
-    pass
-
-
-RigidMotion = Union[Rotation, Translation, Identity]
+# -- rotations ---------------------------------------------------------------
 
 
 def half_angle_unit(t: ScalarLike) -> tuple[int, int, int]:
@@ -229,11 +199,6 @@ def half_angle_unit(t: ScalarLike) -> tuple[int, int, int]:
     return q * q - p * p, 2 * p * q, q * q + p * p
 
 
-def rational_rotation(t: ScalarLike) -> tuple[Fraction, Fraction]:
-    c, s, d = half_angle_unit(t)
-    return Fraction(c, d), Fraction(s, d)
-
-
 def rotation_unit(t: ScalarLike, sense: str) -> tuple[int, int, int]:
     """``half_angle_unit(t)`` turning in the given sense: CW negates the sine."""
     c, s, d = half_angle_unit(t)
@@ -242,44 +207,11 @@ def rotation_unit(t: ScalarLike, sense: str) -> tuple[int, int, int]:
     return c, -s if sense == "CW" else s, d
 
 
-def rotation_about(center: Vec, t: ScalarLike, sense: str = "CCW") -> Rotation:
-    """Rotation about ``center`` with half-angle parameter t >= 0 in the given sense."""
-    c, s, d = rotation_unit(t, sense)
-    return Rotation(center, Fraction(c, d), Fraction(s, d))
-
-
 def rotation_map(center: tuple[int, int, int], c: int, s: int, d: int) -> tuple[int, int, int, int, int]:
-    """The map of the rotation by the unit ``(c, s) / d`` about ``(ox, oy) / ow``; it
-    sends ``(px, py) / pw`` to ``(ox pw d + c dx - s dy, oy pw d + s dx + c dy) /
-    (ow pw d)``, ``(dx, dy) = (px ow - ox pw, py ow - oy pw)``."""
+    """The integer map ``(A, B, E, F, G)`` of the rotation by the unit ``(c, s) / d``
+    about ``(ox, oy) / ow``: a map sends ``(x, y) / w`` to ``(A x - B y + E w,
+    B x + A y + F w) / (G w)``, and this one sends ``(px, py) / pw`` to
+    ``(ox pw d + c dx - s dy, oy pw d + s dx + c dy) / (ow pw d)``, ``(dx, dy) =
+    (px ow - ox pw, py ow - oy pw)``."""
     ox, oy, ow = center
     return c * ow, s * ow, ox * (d - c) + s * oy, oy * (d - c) - s * ox, ow * d
-
-
-def motion_map(m: RigidMotion) -> tuple[int, int, int, int, int]:
-    """The integer map ``(A, B, E, F, G)`` of a motion: it sends ``(x, y) / w`` to
-    ``(A x - B y + E w, B x + A y + F w) / (G w)``.  Anything that is no
-    ``Rotation``, ``Translation`` or ``Identity`` raises ``OutOfRangeError``."""
-    if isinstance(m, Identity):
-        return 1, 0, 0, 0, 1
-    if isinstance(m, Translation):
-        (vx, vy), vw = over_one_denominator(m.v.x, m.v.y)
-        return vw, 0, vx, vy, vw
-    if isinstance(m, Rotation):
-        (ox, oy), ow = over_one_denominator(m.center.x, m.center.y)
-        return rotation_map((ox, oy, ow), m.c.numerator, m.s.numerator, m.c.denominator)
-    raise OutOfRangeError(f"{m!r} is not a rigid motion")
-
-
-def apply_motion(m: RigidMotion, p: Vec) -> Vec:
-    a, b, e, f, g = motion_map(m)
-    (x, y), w = over_one_denominator(p.x, p.y)
-    return Vec(Fraction(a * x - b * y + e * w, g * w), Fraction(b * x + a * y + f * w, g * w))
-
-
-def invert_motion(m: RigidMotion) -> RigidMotion:
-    if isinstance(m, Identity):
-        return m
-    if isinstance(m, Translation):
-        return Translation(-m.v)
-    return Rotation(m.center, m.c, -m.s)

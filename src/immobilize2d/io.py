@@ -36,7 +36,7 @@ from .body import (
     boundary_point,
     locate,
 )
-from .classify import QUESTION_ALMOST, QUESTION_FIX, PlacementDescriptor, Verdict, Witness
+from .classify import CCW, CW, QUESTION_ALMOST, QUESTION_FIX, PlacementDescriptor, Verdict, Witness
 from .errors import InvalidPointError, OutOfRangeError
 from .geom import MAX_DIGITS, Vec, read_scalar
 from .oracle import EscapeReport
@@ -164,12 +164,20 @@ def _witness_to_json(w: Witness | None):
 
 
 def witness_from_json(d) -> Witness | None:
-    """A missing field or a value of the wrong type is OUT_OF_RANGE."""
+    """A missing field, a value of the wrong type, a ``kind`` other than
+    ``rotation_center`` and ``direction`` and a ``sense`` other than CW and
+    CCW are OUT_OF_RANGE."""
     if d is None:
         return None
     try:
-        if d["kind"] == "rotation_center":
-            return Witness(kind="rotation_center", point=vec_from_json(d["point"]), sense=d["sense"])
+        kind = d["kind"]
+        if kind == "rotation_center":
+            point, sense = vec_from_json(d["point"]), d["sense"]
+            if sense not in (CW, CCW):
+                raise OutOfRangeError(f"witness sense must be {CW!r} or {CCW!r}, got {sense!r:.40}")
+            return Witness(kind="rotation_center", point=point, sense=sense)
+        if kind != "direction":
+            raise OutOfRangeError(f"witness kind must be 'rotation_center' or 'direction', got {kind!r:.40}")
         return Witness(
             kind="direction",
             direction=vec_from_json(d["direction"]),

@@ -6,8 +6,7 @@ interior to the static body.  Escape reports and witness validators name a
 candidate family by that inverse action on the points: ``sense`` is the
 sense of the rotation applied to the points (the escaping body motion has
 the opposite sense), and a translation witness moves the points along the
-reported direction.  Motion paths, by contrast, are explicit motions of
-the body, so path simulation applies the inverse motion to each point.
+reported direction.
 
 Every probe runs in integers.  A search or a validator puts the contact
 points over one denominator once (``geom.over_one_denominator``) and hands
@@ -23,13 +22,10 @@ moved point to ``body.contains_over``, so a probe builds no ``Fraction``.
 ``_clear`` compares the result with ``Containment.INTERIOR`` bound once as a
 module global, as ``contains_over`` binds the members it returns.
 A ``Vec`` reads its own coordinates when it is made, so a witness center
-or direction and a motion path's center or vector need only be a ``Vec``.
-The radius and a motion path's half-angle and sample times are read through
+or direction need only be a ``Vec``.  The radius is read through
 ``geom.read_scalar``, so a value that is no finite number raises
-``OutOfRangeError``; so does a point or vector that is no ``Vec``, a sample
-budget or a path's step count that is not an int, a path sense other than CW
-and CCW, and a sampled motion that is no ``Rotation``, ``Translation`` or
-``Identity``.
+``OutOfRangeError``; so does a center or direction that is no ``Vec`` and a
+sample budget that is not an int.
 
 A validator accepts a witness when the three smallest magnitudes of its
 family's default schedule (the last three of ``DEFAULT_ROTATION_SCHEDULE``
@@ -54,20 +50,7 @@ from math import isqrt
 
 from .body import Containment, ConvexBody, contains_over, is_full_disc
 from .errors import InexactModeUnsupportedError, NearDegenerateError, OutOfRangeError
-from .geom import (
-    Identity,
-    RigidMotion,
-    Translation,
-    Vec,
-    half_angle_unit,
-    invert_motion,
-    motion_map,
-    over_one_denominator,
-    read_scalar,
-    rotation_about,
-    rotation_map,
-    rotation_unit,
-)
+from .geom import Vec, half_angle_unit, over_one_denominator, read_scalar, rotation_map, rotation_unit
 
 CW = "CW"
 CCW = "CCW"
@@ -284,103 +267,4 @@ def escape_search(
                 magnitudes=tr_schedule,
                 penetration_free=(True,) * len(tr_schedule),
             )
-    return None
-
-
-# -- motion paths ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MotionPath:
-    """Parametric motion family on [0, 1] starting at the identity.
-
-    Every path, however built, is checked and read once here: a rotation
-    needs a sense and a ``Vec`` center and reads its half-angle, a translation
-    needs a ``Vec``, and sampled motions ``(t, motion)`` need each t a finite
-    number in [0, 1], strictly increasing, each motion a ``Rotation``,
-    ``Translation`` or ``Identity``, the first one the identity at 0.
-    Anything else raises ``OutOfRangeError``.
-    """
-
-    kind: str  # rotation | translation | samples
-    center: Vec | None = None
-    sense: str | None = None
-    max_half_angle: Fraction | None = None
-    vector: Vec | None = None
-    samples: tuple[tuple[Fraction, RigidMotion], ...] | None = None
-
-    def __post_init__(self):
-        if self.kind == "rotation":
-            if self.sense not in (CW, CCW):
-                raise OutOfRangeError(f"unknown sense {self.sense!r}")
-            _require_vec(self.center, "rotation center")
-            object.__setattr__(self, "max_half_angle", read_scalar(self.max_half_angle, "half-angle"))
-        elif self.kind == "translation":
-            _require_vec(self.vector, "translation vector")
-        elif self.kind == "samples":
-            try:
-                samples = tuple((read_scalar(t, "sample time"), m) for t, m in self.samples or ())
-            except (TypeError, ValueError):  # not iterable, or an item that is no pair
-                raise OutOfRangeError(f"samples {self.samples!r} are not (t, motion) pairs") from None
-            if not samples:
-                raise OutOfRangeError("a motion path needs at least one sample")
-            maps = [motion_map(m) for _, m in samples]  # refuses anything but a rigid motion
-            a, b, e, f, g = maps[0]
-            if samples[0][0] != 0 or (a, b, e, f) != (g, 0, 0, 0):
-                raise OutOfRangeError("a motion path must start at the identity")
-            times = [t for t, _ in samples]
-            if times[-1] > 1 or any(s >= t for s, t in zip(times, times[1:])):
-                raise OutOfRangeError("sample times must increase strictly within [0, 1]")
-            object.__setattr__(self, "samples", samples)
-        else:
-            raise OutOfRangeError(f"unknown motion path kind {self.kind!r}")
-
-    @staticmethod
-    def rotation(center: Vec, sense: str, max_half_angle) -> "MotionPath":
-        return MotionPath(kind="rotation", center=center, sense=sense, max_half_angle=max_half_angle)
-
-    @staticmethod
-    def translation(vector: Vec) -> "MotionPath":
-        return MotionPath(kind="translation", vector=vector)
-
-    @staticmethod
-    def from_samples(samples) -> "MotionPath":
-        """Sampled motions ``(t, motion)``, checked as the class says."""
-        return MotionPath(kind="samples", samples=samples)
-
-    def motion_at(self, t: Fraction) -> RigidMotion:
-        if self.kind == "rotation":
-            if t == 0:
-                return Identity()
-            return rotation_about(self.center, t * self.max_half_angle, self.sense)
-        if self.kind == "translation":
-            return Translation(self.vector.scaled(t))
-        raise OutOfRangeError("sampled paths carry their own motions")
-
-
-def simulate_path(body: ConvexBody, pts, path: MotionPath, steps: int = 100):
-    """First sampled (t, point index) with a point interior to the moved body.
-
-    None is only "no penetration among the samples", never a certificate.
-    ``steps`` must be an int (not a bool) of at least 1, else OutOfRangeError.
-    The points are put over one denominator once, and each sample time builds
-    one integer map of the inverse motion and hands every moved point to
-    ``contains_over`` as ints; a near-degenerate point is not inside.
-    """
-    if _read_count(steps, "step count") < 1:
-        raise OutOfRangeError("a path simulation needs at least one step")
-    pts = _homogeneous(pts)
-    if path.kind == "samples":
-        timeline = path.samples
-    else:
-        timeline = [(Fraction(j, steps), path.motion_at(Fraction(j, steps))) for j in range(steps + 1)]
-    for t, motion in timeline:
-        a, b, e, f, g = motion_map(invert_motion(motion))
-        for i, (x, y, w) in enumerate(pts):
-            try:
-                inside = contains_over(body, a * x - b * y + e * w, b * x + a * y + f * w, g * w) is _INTERIOR
-            except NearDegenerateError:
-                inside = False
-            if inside:
-                return t, i
     return None

@@ -1,23 +1,24 @@
 """Reference direction-twin arcs, written out in ``Fraction``s.
 
 Independent of the production integer rays: an end ray is turned by the
-unit ``rational_rotation(t)`` as a ``Fraction`` vector, and an arc is grown
-or shrunk exactly as ``sectors.grow_arc`` and ``sectors.shrink_arc`` do,
-from those ``Fraction`` rays.  ``near_degenerate`` is the direction twin's
-flag: the twin on the exact answer's side, grown when no direction is common
-and shrunk when one is, disagrees with it.
+unit ``containment_reference.reference_rotation(t)`` as a ``Fraction``
+vector, and an arc is grown or shrunk exactly as ``sectors.grow_arc`` and
+``sectors.shrink_arc`` do, from those ``Fraction`` rays.  ``near_degenerate``
+is the direction twin's flag: the twin on the exact answer's side, grown when
+no direction is common and shrunk when one is, disagrees with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from immobilize2d.geom import Vec, rational_rotation
+from containment_reference import reference_rotation
+from immobilize2d.geom import Vec
 from immobilize2d.sectors import CircArc, arc_contains, first_common_direction
 
 
 def rotate_dir(d: Vec, t: Fraction, ccw: bool) -> Vec:
-    c, s = rational_rotation(t)
+    c, s = reference_rotation(t)
     if not ccw:
         s = -s
     return Vec(c * d.x - s * d.y, s * d.x + c * d.y)

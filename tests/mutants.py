@@ -109,18 +109,10 @@ MUTANTS = [
     ),
     # the fixed rows rule a union out only when they are empty
     (FEASIBILITY, "if fixed and _feasible_exact(fixed) is None:", "if fixed and _feasible_exact(fixed) is not None:", ("tests/test_feasibility.py",), None),
-    # the one integer map of a rigid motion and the one probe loop
+    # the one integer map of a rotation, the translation map and the one probe loop
     (GEOM, "c * ow, s * ow, ox * (d - c) + s * oy,", "c * ow, s * ow, -(ox * (d - c) + s * oy),", MOTIONS, None),
     (GEOM, "return c, -s if sense == \"CW\" else s, d", "return c, -s if sense == \"CCW\" else s, d", MOTIONS, None),
-    (GEOM, "return vw, 0, vx, vy, vw", "return vw, 1, vx, vy, vw", MOTIONS, None),
     (ORACLE, "if contains_over(body, a * x - b * y + e * w, b * x", "if contains_over(body, a * x - b * y + e * w, -b * x", MOTIONS, None),
-    (
-        ORACLE,
-        "inside = contains_over(body, a * x - b * y + e * w, b * x",
-        "inside = contains_over(body, a * x - b * y + e * w, -b * x",
-        ("tests/test_escape_race.py::test_simulate_path_matches_the_fraction_loop",),
-        None,
-    ),
     (ORACLE, "_clear(body, pts, (vw, 0, vx, vy, vw))", "_clear(body, pts, (vw, 1, vx, vy, vw))", MOTIONS, None),
     (
         ORACLE,
@@ -167,8 +159,6 @@ MUTANTS = [
     ),
     # the row normaliser divides by the terms' gcd
     (GEOM, "g = gcd(a, b, k) or 1", "g = 1", ("tests/test_row_property.py::test_rows_are_coprime_ints_with_the_rational_rows_terms",), None),
-    # sampled motion paths keep their times in order
-    (ORACLE, "any(s >= t for s, t in zip(times, times[1:]))", "False", ("tests/test_oracle.py",), None),
 ]
 
 

@@ -1,13 +1,13 @@
-"""First-order fixing and almost-fixing verdicts, refinement, search."""
+"""First-order fixing and almost-fixing verdicts, and refinement."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from containment_reference import reference_rotate, reference_rotation
 from immobilize2d import classify, feasibility
 from immobilize2d.body import BoundaryPoint, boundary_point, offset_along_boundary, polygon
 from immobilize2d.classify import (
@@ -18,12 +18,9 @@ from immobilize2d.classify import (
     NOT_WEAKLY_FIX,
     POSITIVE,
     TEST_NAMES,
-    _combination_at,
-    boundary_grid,
     classify_almost_fix,
     classify_fix,
     refine_almost_to_fix,
-    search_almost_fixing,
 )
 from immobilize2d.errors import (
     InvalidPointError,
@@ -37,7 +34,7 @@ from immobilize2d.fixtures import (
     regular_polygon,
     unit_square,
 )
-from immobilize2d.geom import Translation, apply_motion, rotation_about, vec
+from immobilize2d.geom import vec
 
 
 def square_opposite_corners():
@@ -248,14 +245,15 @@ def rigid_motion_cases():
 def test_statuses_are_invariant_under_rigid_motions():
     # Turns of about 53 and 143 degrees, so every contact normal changes
     # quadrant under at least one of them.
-    rotations = [rotation_about(vec(0, 0), t, "CCW") for t in (Fraction(1, 2), 3)]
-    shift = Translation(vec(Fraction(7, 3), -2))
+    units = [reference_rotation(t) for t in (Fraction(1, 2), Fraction(3))]
+    sx, sy = Fraction(7, 3), Fraction(-2)
     seen = set()
     for body, pts in rigid_motion_cases():
         statuses = [ask(body, pts).status for ask in (classify_fix, classify_almost_fix)]
         seen.update(statuses)
-        for rotation in rotations:
-            moved_body = polygon([apply_motion(shift, apply_motion(rotation, q)) for q in body.vertices()])
+        for c, s in units:
+            turned = (reference_rotate((0, 0), c, s, (q.x, q.y)) for q in body.vertices())
+            moved_body = polygon([(x + sx, y + sy) for x, y in turned])
             moved_pts = [boundary_point(moved_body, p.element_index, p.param) for p in pts]
             assert [ask(moved_body, moved_pts).status for ask in (classify_fix, classify_almost_fix)] == statuses
     assert {POSITIVE, INDETERMINATE, NOT_WEAKLY_FIX, NOT_ALMOST_FIX} <= seen, seen
@@ -380,72 +378,6 @@ def test_refine_reports_exhaustion():
         refine_almost_to_fix(sq, oc, Fraction(1, 5), max_halvings=0)
 
 
-def test_boundary_grid_density_and_bounds():
-    sq = unit_square()
-    assert len(boundary_grid(sq, 0)) == 4
-    grid = boundary_grid(sq, 1)
-    assert [(bp.element_index, bp.param) for bp in grid] == [
-        (0, Fraction(0)), (0, Fraction(1, 2)),
-        (1, Fraction(0)), (1, Fraction(1, 2)),
-        (2, Fraction(0)), (2, Fraction(1, 2)),
-        (3, Fraction(0)), (3, Fraction(1, 2)),
-    ]
-    assert len(boundary_grid(sq, 2)) == 12
-    with pytest.raises(InvalidPointError):
-        boundary_grid(sq, 65)
-    with pytest.raises(InvalidPointError):
-        boundary_grid(sq, -1)
-
-
-def test_search_finds_the_diagonal_pairs():
-    sq = unit_square()
-    hits = search_almost_fixing(sq, 2, resolution=1, seed=3)
-    assert len(hits) == 2
-    addresses = [tuple((bp.element_index, bp.param) for bp in tup) for tup, _ in hits]
-    assert ((0, Fraction(0)), (2, Fraction(0))) in addresses
-    assert ((1, Fraction(0)), (3, Fraction(0))) in addresses
-    for _, verdict in hits:
-        assert verdict.status == POSITIVE
-    # Deterministic across calls with the same seed.
-    again = search_almost_fixing(sq, 2, resolution=1, seed=3)
-    assert [tuple(t) for t, _ in again] == [tuple(t) for t, _ in hits]
-
-
-def test_combination_at_unranks_combination_order():
-    for m in range(9):
-        for n in (1, 2, 3):
-            unranked = [tuple(_combination_at(r, m, n)) for r in range(math.comb(m, n))]
-            assert unranked == list(itertools.combinations(range(m), n)), (m, n)
-
-
-def test_search_examines_the_sampled_ranks_in_combination_order(monkeypatch):
-    # Stub classifier: records each tuple, and calls a tuple POSITIVE when it
-    # starts at the first candidate, so the returned hits are checked too.
-    sq = unit_square()
-    cands = boundary_grid(sq, 2)
-    seen = []
-
-    def record(body, pts):
-        seen.append(tuple(pts))
-        return SimpleNamespace(status=POSITIVE if pts[0] == cands[0] else INDETERMINATE)
-
-    monkeypatch.setattr(classify, "classify_almost_fix", record)
-    for n, max_tuples in ((2, 5), (3, 40), (2, 10**6), (3, 10**6)):
-        seen.clear()
-        hits = search_almost_fixing(sq, n, seed=4, candidates=cands, max_tuples=max_tuples)
-        total = math.comb(len(cands), n)
-        keep = set(random.Random(4).sample(range(total), max_tuples)) if total > max_tuples else set(range(total))
-        expected = [c for r, c in enumerate(itertools.combinations(cands, n)) if r in keep]
-        assert len(expected) == min(total, max_tuples)
-        assert seen == expected, (n, max_tuples)
-        assert [c for c, _ in hits] == [c for c in expected if c[0] == cands[0]]
-
-
-def test_search_rejects_unsupported_tuple_size():
-    with pytest.raises(InvalidPointError):
-        search_almost_fixing(unit_square(), 4)
-
-
 def test_closed_tests_run_first_and_decide_empty_open_tests_at_tol_zero(monkeypatch):
     # Each call is recorded by its rows, strictness dropped: an open test
     # reads its closed test's rows, only strict.
@@ -482,10 +414,3 @@ def test_closed_tests_run_first_and_decide_empty_open_tests_at_tol_zero(monkeypa
                     if not v.test("closed" + name[4:]).nonempty:
                         assert v.test(name) == classify.TestResult(name, "EMPTY", None)
     assert opened[0] and opened[1]  # both an all-skipped and a run open test were seen
-
-
-def test_negative_tuple_budget_is_refused():
-    sq = unit_square()
-    with pytest.raises(OutOfRangeError):
-        search_almost_fixing(sq, 2, resolution=1, max_tuples=-1)
-    assert search_almost_fixing(sq, 2, resolution=1, max_tuples=0) == []

@@ -2,9 +2,9 @@
 
 ``contains_interior`` decides segments from the body's integer row table
 (``ConvexBody.rows``, each ``Segment.row`` with the tolerance applied),
-``contains_over`` takes the point over one denominator, and
-``apply_motion`` and the oracle's escape probes rotate and translate by one
-integer map (``geom.motion_map``, ``geom.rotation_map``);
+``contains_over`` takes the point over one denominator, and the oracle's
+escape probes rotate by the integer map ``geom.rotation_map`` builds and
+translate by the map ``(vw, 0, vx, vy, vw)``;
 ``tests/containment_reference.py`` writes all of them out in ``Fraction``s.
 Bodies are ``random_convex_polygon`` under a rational scale and shift, so
 rows carry denominators.  Points are drawn at random, on vertices, on edges
@@ -36,17 +36,7 @@ from immobilize2d.body import (  # noqa: E402
 )
 from immobilize2d.errors import NearDegenerateError  # noqa: E402
 from immobilize2d.fixtures import random_convex_polygon, unit_disc  # noqa: E402
-from immobilize2d.geom import (  # noqa: E402
-    Identity,
-    Rotation,
-    Translation,
-    Vec,
-    apply_motion,
-    invert_motion,
-    over_one_denominator,
-    rational_rotation,
-    rotation_about,
-)
+from immobilize2d.geom import Vec, over_one_denominator, rotation_map, rotation_unit  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -224,55 +214,31 @@ def test_a_built_table_leaves_equality_and_hash_alone():
     assert body.rows == body.elements  # an arc is its own entry
 
 
+def moved(m, p):
+    """The point ``p = (x, y)`` sent by the integer map ``m = (A, B, E, F, G)``
+    over one denominator, in the form the escape probes' ``_clear`` uses."""
+    a, b, e, f, g = m
+    (x, y), w = over_one_denominator(*p)
+    return Fraction(a * x - b * y + e * w, g * w), Fraction(b * x + a * y + f * w, g * w)
+
+
 @SETTINGS
 @hypothesis.given(st.integers(-10**12, 10**12), st.integers(1, 10**12), rationals, rationals, rationals, rationals)
 def test_rotations_match_the_fraction_formulas(p, q, cx, cy, x, y):
     t = Fraction(p, q)
-    c, s = rational_rotation(t)
-    assert (c, s) == reference_rotation(t)
-    center, point = Vec(cx, cy), Vec(x, y)
-    for sense, sign in (("CCW", 1), ("CW", -1)):
-        m = rotation_about(center, t, sense)
-        for motion, unit in ((m, (c, sign * s)), (invert_motion(m), (c, -sign * s))):
-            moved = apply_motion(motion, point)
-            assert (moved.x, moved.y) == reference_rotate((cx, cy), *unit, (x, y))
+    c, s = reference_rotation(t)
+    (ox, oy), ow = over_one_denominator(cx, cy)
+    for sense, unit in (("CCW", (c, s)), ("CW", (c, -s))):
+        uc, us, ud = rotation_unit(t, sense)
+        assert (Fraction(uc, ud), Fraction(us, ud)) == unit
+        m = rotation_map((ox, oy, ow), uc, us, ud)
+        assert moved(m, (x, y)) == reference_rotate((cx, cy), *unit, (x, y))
 
 
 @SETTINGS
 @hypothesis.given(rationals, rationals, rationals, rationals)
 def test_translations_and_the_identity_match_fraction_addition(vx, vy, x, y):
-    point, shift = Vec(x, y), Translation(Vec(vx, vy))
-    for motion, (dx, dy) in ((shift, (vx, vy)), (invert_motion(shift), (-vx, -vy)), (Identity(), (0, 0)), (invert_motion(Identity()), (0, 0))):
-        moved = apply_motion(motion, point)
-        assert (moved.x, moved.y) == (x + dx, y + dy)
-
-
-units = st.builds(reference_rotation, rationals)
-candidate_units = st.one_of(
-    st.tuples(rationals, rationals),
-    units,
-    units.map(lambda u: (u[1], -u[0])),
-    st.tuples(units, rationals).map(lambda ur: (ur[0][0], ur[1])),
-)
-
-
-@SETTINGS
-@hypothesis.given(candidate_units)
-def test_rotation_accepts_exactly_the_unit_circle(unit):
-    c, s = unit
-    on_circle = c * c + s * s == 1
-    try:
-        Rotation(Vec(Fraction(0), Fraction(0)), c, s)
-    except ValueError:
-        assert not on_circle
-    else:
-        assert on_circle
-
-
-def test_rotation_refuses_units_off_the_circle():
-    o = Vec(Fraction(0), Fraction(0))
-    for c, s in ((Fraction(3, 5), Fraction(3, 5)), (Fraction(1), Fraction(1)), (Fraction(3, 5), Fraction(4, 7))):
-        with pytest.raises(ValueError):
-            Rotation(o, c, s)
-    for c, s in ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))):
-        assert Rotation(o, c, s).c == c
+    # the zero vector's map is the identity
+    for dx, dy in ((vx, vy), (-vx, -vy), (Fraction(0), Fraction(0))):
+        (ux, uy), uw = over_one_denominator(dx, dy)
+        assert moved((uw, 0, ux, uy, uw), (x, y)) == (x + dx, y + dy)

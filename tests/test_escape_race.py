@@ -2,17 +2,14 @@
 
 The probes take the points and the center as ``(x, y, w)`` ints, put over
 one denominator once per search; the reference moves ``Fraction`` points
-with the library's motions.  Bodies are seeded random polygons (exact) and
-``example_e1``, ``example_e2`` and ``unit_disc`` (mixed mode, with arcs,
-where a near-degenerate point counts as not clear).  Each case probes its
+with the ``Fraction`` formulas of ``tests/containment_reference.py``.
+Bodies are seeded random polygons (exact) and ``example_e1``,
+``example_e2`` and ``unit_disc`` (mixed mode, with arcs, where a near-degenerate point counts as not clear).  Each case probes its
 contact points together and each one alone.  Rotations cover both senses,
 centers on every contact point, on every vertex and off the body, and each
 half-angle of the default schedule plus 1/3; translations cover seven
 directions at each default magnitude.  A spy on ``contains_over`` pins the
-ints each probe hands it, not only their ratios.  ``simulate_path``, which
-moves its points as ints too, is raced against the ``Fraction`` loop it
-replaced (``apply_motion``, then ``contains_interior``) on rotation,
-translation and sampled paths.
+ints each probe hands it, not only their ratios.
 """
 
 from fractions import Fraction
@@ -20,13 +17,13 @@ from math import lcm
 
 import escape_reference as ref
 import pytest
+from containment_reference import reference_rotation
 from immobilize2d import fixtures, oracle
-from immobilize2d.body import Containment, boundary_point, contains_interior
-from immobilize2d.errors import NearDegenerateError
-from immobilize2d.geom import Identity, Translation, Vec, apply_motion, invert_motion, over_one_denominator, rational_rotation, rotation_about
+from immobilize2d.body import boundary_point
+from immobilize2d.geom import Vec, over_one_denominator
 
 HALF_ANGLES = oracle.DEFAULT_ROTATION_SCHEDULE + (Fraction(1, 3),)
-DIRECTIONS = [Vec(Fraction(1), Fraction(0)), Vec(Fraction(0), Fraction(1)), Vec(*rational_rotation(Fraction(1, 2)))]
+DIRECTIONS = [Vec(Fraction(1), Fraction(0)), Vec(Fraction(0), Fraction(1)), Vec(*reference_rotation(Fraction(1, 2)))]
 DIRECTIONS += [-d for d in DIRECTIONS] + [Vec(Fraction(5, 7), Fraction(-2, 3))]
 
 
@@ -118,52 +115,3 @@ def test_probes_hand_contains_over_the_same_ints(monkeypatch, name, body, pts):
             vx, vy = v.x.numerator * (vw // v.x.denominator), v.y.numerator * (vw // v.y.denominator)
             expected = [(px * vw + vx * pw, py * vw + vy * pw, pw * vw) for px, py, pw in over_one]
             check(oracle._translation_clear(body, over_one, v), expected)
-
-
-def simulate_path_reference(body, pts, path, steps):
-    """``simulate_path`` as it ran on ``Fraction`` points: each point moved by
-    ``apply_motion`` and read back through ``contains_interior``."""
-    if path.kind == "samples":
-        timeline = path.samples
-    else:
-        timeline = [(Fraction(j, steps), path.motion_at(Fraction(j, steps))) for j in range(steps + 1)]
-    for t, motion in timeline:
-        inv = invert_motion(motion)
-        for i, bp in enumerate(pts):
-            try:
-                inside = contains_interior(body, apply_motion(inv, bp.coords)) is Containment.INTERIOR
-            except NearDegenerateError:
-                inside = False
-            if inside:
-                return t, i
-    return None
-
-
-def paths(body, pts):
-    """Rotation paths about every center in both senses, translation paths
-    along every direction, and one sampled path mixing both kinds."""
-    cs = centers(body, pts)
-    for center in cs:
-        for sense in (oracle.CW, oracle.CCW):
-            yield oracle.MotionPath.rotation(center, sense, Fraction(1, 3))
-    for d in DIRECTIONS:
-        yield oracle.MotionPath.translation(d.scaled(Fraction(1, 2)))
-    yield oracle.MotionPath.from_samples([
-        (Fraction(0), Identity()),
-        (Fraction(1, 4), Translation(DIRECTIONS[0].scaled(Fraction(1, 8)))),
-        (Fraction(1, 2), rotation_about(cs[0], Fraction(1, 20), oracle.CW)),
-        (Fraction(3, 4), rotation_about(cs[-1], Fraction(1, 10), oracle.CCW)),
-        (Fraction(1), Translation(DIRECTIONS[-1].scaled(Fraction(1, 2)))),
-    ])
-
-
-def test_simulate_path_matches_the_fraction_loop():
-    seen = {}
-    for name, body, pts in CASES[::2] + [case for case in CASES if case[1].tolerance() > 0]:
-        for subset in point_sets(pts)[:2]:
-            for path in paths(body, subset):
-                got = oracle.simulate_path(body, subset, path, steps=6)
-                assert got == simulate_path_reference(body, subset, path, 6), (name, subset, path)
-                seen.setdefault(body.tolerance() > 0, set()).add(got is None)
-    assert seen == {False: {True, False}, True: {True, False}}, seen
-

@@ -10,6 +10,7 @@ import arc_reference
 import branch_reference
 import recentre_reference
 from bruteforce import bruteforce_feasible, random_system
+from containment_reference import reference_rotation
 from immobilize2d import feasibility
 from immobilize2d.body import TangentData, boundary_point, offset_along_boundary, tangents_at
 from immobilize2d.classify import POSITIVE, classify_almost_fix, classify_fix
@@ -28,7 +29,7 @@ from immobilize2d.feasibility import (
     sectors_intersection,
 )
 from immobilize2d.fixtures import regular_polygon
-from immobilize2d.geom import Vec, _coprime_row, rational_rotation, vec
+from immobilize2d.geom import Vec, _coprime_row, vec
 from recentre_reference import to_anchor, to_point, to_vec
 from immobilize2d.sectors import (
     SECTOR_KINDS,
@@ -403,7 +404,7 @@ def test_empty_fixed_rows_skip_the_crossing_scan(monkeypatch):
 
 
 def rand_dir(rng):
-    c, s = rational_rotation(Fraction(rng.randint(-400, 400), 101))
+    c, s = reference_rotation(Fraction(rng.randint(-400, 400), 101))
     return Vec(-c, -s) if rng.random() < 0.5 else Vec(c, s)
 
 
@@ -414,7 +415,7 @@ def rand_direction_set(rng, t):
     if r < 0.6:
         # A sweep close to twice the perturbation angle, or that far short of a full turn.
         a = rand_dir(rng)
-        c, s = rational_rotation(t * Fraction(rng.randint(95, 105), 100))
+        c, s = reference_rotation(t * Fraction(rng.randint(95, 105), 100))
         b = Vec(c * a.x - s * a.y, s * a.x + c * a.y)
         b = Vec(c * b.x - s * b.y, s * b.x + c * b.y)
         return CircArc(a, b) if rng.random() < 0.5 else CircArc(b, a)

@@ -1,4 +1,4 @@
-"""Exact-arithmetic geometry kernel: vectors, half-planes, rational rigid motions."""
+"""Exact-arithmetic geometry kernel: vectors, half-planes, rational rotations."""
 
 import random
 import time
@@ -6,24 +6,21 @@ from fractions import Fraction
 
 import pytest
 
+from containment_reference import reference_rotation
 from immobilize2d.errors import OutOfRangeError
 from immobilize2d.geom import (
-    Identity,
     LinearConstraint,
-    Rotation,
-    Translation,
     Vec,
-    apply_motion,
     cross,
     dot,
     half_angle_unit,
     halfplane_constraint,
-    invert_motion,
     norm1,
-    rational_rotation,
+    over_one_denominator,
     read_scalar,
     rot90_ccw,
-    rotation_about,
+    rotation_map,
+    rotation_unit,
     same_ray,
     to_scalar,
     vec,
@@ -146,10 +143,10 @@ def test_rational_rotation_lies_on_unit_circle():
     rng = random.Random(7)
     for _ in range(300):
         t = rand_fraction(rng, span=40, den=97)
-        c, s = rational_rotation(t)
-        assert c * c + s * s == 1
-    assert rational_rotation(Fraction(0)) == (Fraction(1), Fraction(0))
-    assert rational_rotation(Fraction(1)) == (Fraction(0), Fraction(1))
+        c, s, d = half_angle_unit(t)
+        assert c * c + s * s == d * d
+    assert half_angle_unit(Fraction(0)) == (1, 0, 1)
+    assert half_angle_unit(Fraction(1)) == (0, 2, 2)
 
 
 def test_half_angle_unit_over_its_denominator_is_the_rational_rotation():
@@ -158,60 +155,39 @@ def test_half_angle_unit_over_its_denominator_is_the_rational_rotation():
         t = rand_fraction(rng, span=40, den=97)
         c, s, d = half_angle_unit(t)
         assert all(type(v) is int for v in (c, s, d)) and d > 0
-        assert (Fraction(c, d), Fraction(s, d)) == rational_rotation(t) == ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+        assert (Fraction(c, d), Fraction(s, d)) == reference_rotation(t) == ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
 
 
-def test_rotation_constructor_enforces_unit_norm():
-    Rotation(center=vec(0, 0), c=Fraction(3, 5), s=Fraction(4, 5))
-    with pytest.raises(ValueError):
-        Rotation(center=vec(0, 0), c=Fraction(1, 2), s=Fraction(1, 2))
-    for c, s in ((0.6, 0.8), (1.0, 0.0), (Fraction(3, 5), 0.8)):  # not rational: a ValueError, not AttributeError
-        with pytest.raises(ValueError):
-            Rotation(center=vec(0, 0), c=c, s=s)
+def rotated(center, t, sense, p):
+    """``p`` rotated about ``center`` by the half-angle t: the integer map of
+    ``rotation_map`` applied to ``p`` over one denominator, as the escape probes apply it."""
+    (ox, oy), ow = over_one_denominator(center.x, center.y)
+    a, b, e, f, g = rotation_map((ox, oy, ow), *rotation_unit(t, sense))
+    (x, y), w = over_one_denominator(p.x, p.y)
+    return Vec(Fraction(a * x - b * y + e * w, g * w), Fraction(b * x + a * y + f * w, g * w))
 
 
-def test_rotation_about_fixes_its_center():
+def test_rotation_map_fixes_its_center():
     rng = random.Random(31)
     for _ in range(50):
         center = rand_vec(rng)
         t = rand_fraction(rng, span=2, den=9)
         for sense in ("CW", "CCW"):
-            m = rotation_about(center, t, sense)
-            assert apply_motion(m, center) == center
+            assert rotated(center, t, sense, center) == center
 
 
 def test_rotation_senses_are_inverse():
     center = vec(1, 2)
     t = Fraction(1, 3)
-    ccw = rotation_about(center, t, "CCW")
-    cw = rotation_about(center, t, "CW")
     rng = random.Random(5)
     for _ in range(20):
         p = rand_vec(rng)
-        assert apply_motion(cw, apply_motion(ccw, p)) == p
+        assert rotated(center, t, "CW", rotated(center, t, "CCW", p)) == p
 
 
 def test_ccw_sense_turns_counterclockwise():
-    m = rotation_about(vec(0, 0), Fraction(1), "CCW")
-    assert apply_motion(m, vec(1, 0)) == vec(0, 1)
-    m = rotation_about(vec(0, 0), Fraction(1), "CW")
-    assert apply_motion(m, vec(1, 0)) == vec(0, -1)
-
-
-def test_compose_and_invert_round_trip():
-    rng = random.Random(19)
-    motions = [
-        Identity(),
-        Translation(vec(Fraction(1, 2), -3)),
-        rotation_about(vec(1, 1), Fraction(2, 5), "CCW"),
-        Rotation(center=vec(Fraction(-1, 2), Fraction(-7, 2)), c=Fraction(24, 25), s=Fraction(-7, 25)),
-    ]
-    probes = [rand_vec(rng) for _ in range(10)]
-    for m in motions:
-        inv = invert_motion(m)
-        for p in probes:
-            assert apply_motion(inv, apply_motion(m, p)) == p
-            assert apply_motion(m, apply_motion(inv, p)) == p
+    assert rotated(vec(0, 0), Fraction(1), "CCW", vec(1, 0)) == vec(0, 1)
+    assert rotated(vec(0, 0), Fraction(1), "CW", vec(1, 0)) == vec(0, -1)
 
 
 def test_to_scalar_accepts_common_forms():

@@ -214,3 +214,36 @@ def test_every_bad_document_keeps_its_exit_code_and_error_code(tmp_path, capsys)
         status, err = run_main(argv, capsys)
         assert status == 1, doc
         assert err.startswith(f"error[{code}]"), (doc, err)
+
+
+def test_a_witness_of_unknown_kind_or_sense_is_out_of_range():
+    center = {"kind": "rotation_center", "point": {"x": "1/2", "y": "1/2"}, "sense": "CW"}
+    direction = {"kind": "direction", "direction": {"x": "1", "y": "0"}, "translation": {"x": "0", "y": "1"}}
+    assert io.witness_from_json(center).sense == "CW"
+    assert io.witness_from_json({**center, "sense": "CCW"}).sense == "CCW"
+    assert io.witness_from_json(direction).kind == "direction"
+    bad = [{**center, "sense": sense} for sense in ("<script>alert(1)</script>", 5, None, "cw", "", ["CW"])]
+    bad += [{**w, "kind": kind} for w in (center, direction) for kind in ("bogus", None, 5, "", ["direction"])]
+    for d in bad:
+        with pytest.raises(OutOfRangeError, match="witness (sense|kind) must be"):
+            io.witness_from_json(d)
+
+
+def test_render_refuses_a_verdict_whose_witness_sense_or_kind_is_unknown(tmp_path, capsys):
+    # a square held at the midpoints of edges 0 and 2 is indeterminate, blocked about its center
+    square, mids, verdict, svg = (tmp_path / name for name in ("square.json", "mids.json", "v.json", "scene.svg"))
+    square.write_text(io.dumps(io.body_to_json(unit_square())))
+    mids.write_text(json.dumps([{"element": 0, "param": "1/2"}, {"element": 2, "param": "1/2"}]))
+    assert cli.main(["classify", "--mode", "fix", "--body", str(square), "--points", str(mids), "--out", str(verdict)]) == 20
+    capsys.readouterr()
+    doc = json.loads(verdict.read_text())
+    assert doc["witness"]["kind"] == "rotation_center"
+    render = ["render", "--body", str(square), "--points", str(mids), "--verdict", str(verdict), "--svg", str(svg)]
+    assert run_main(render, capsys) == (0, "")
+    assert "center (CW)" in svg.read_text()
+    svg.unlink()
+    for key, value in (("sense", "<script>alert(1)</script>"), ("sense", 5), ("sense", None), ("kind", "bogus")):
+        verdict.write_text(json.dumps({**doc, "witness": {**doc["witness"], key: value}}))
+        status, err = run_main(render, capsys)
+        assert status == 1 and err.startswith("error[OUT_OF_RANGE]") and "Traceback" not in err, (key, value, err)
+        assert not svg.exists(), (key, value)

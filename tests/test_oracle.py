@@ -1,16 +1,17 @@
-"""Numeric escape-motion oracle: witness validation, sampling search, paths."""
+"""Numeric escape-motion oracle: witness validation and the sampling search."""
 
 import sys
 from fractions import Fraction
 
 import pytest
+from containment_reference import reference_rotation
 from test_escape_bytes import escape_cases
 
 from immobilize2d import geom, oracle
 from immobilize2d.body import boundary_point
 from immobilize2d.errors import InexactModeUnsupportedError, OutOfRangeError
 from immobilize2d.fixtures import rectangle_remark, unit_disc, unit_square
-from immobilize2d.geom import Vec, rational_rotation, rotation_unit, vec
+from immobilize2d.geom import Vec, rotation_unit, vec
 
 
 def square_opposite_corners():
@@ -144,7 +145,7 @@ def test_translation_directions_are_the_eager_net_in_order():
     for net in (1, 2, 3, 7, 60):
         eager = []
         for k in range(net + 1):
-            d = Vec(*rational_rotation(Fraction(k, net)))
+            d = Vec(*reference_rotation(Fraction(k, net)))
             eager += [d, -d]
         eager += [vec(0, 1), vec(0, -1)]
         assert [Vec(Fraction(c, d), Fraction(s, d)) for c, s, d in oracle._directions(net)] == eager
@@ -252,126 +253,3 @@ def test_escape_search_refuses_a_non_positive_radius():
             oracle.escape_search(sq, oc, radius=radius, samples=20)
     report = oracle.escape_search(sq, oc, radius=Fraction(1, 2), samples=20)
     assert report is not None and report.family == "rotation"
-
-
-def test_simulate_rotation_path_reports_first_penetration():
-    sq, mids = square_edge_midpoints()
-    path = oracle.MotionPath.rotation(vec(0, 0), "CW", Fraction(1, 50))
-    hit = oracle.simulate_path(sq, mids, path, steps=40)
-    assert hit == (Fraction(1, 40), 0)
-
-
-def test_simulate_translation_path_stays_clear():
-    fx = rectangle_remark()
-    path = oracle.MotionPath.translation(vec(1, 0))
-    assert oracle.simulate_path(fx.body, fx.points, path, steps=40) is None
-
-
-def test_rotation_path_refuses_a_non_finite_half_angle():
-    for bad in (float("nan"), float("inf"), "x"):
-        with pytest.raises(OutOfRangeError):
-            oracle.MotionPath.rotation(vec(0, 0), "CW", bad)
-
-
-def test_motion_path_must_start_at_identity():
-    from immobilize2d.geom import Translation
-
-    with pytest.raises(OutOfRangeError):
-        oracle.MotionPath.from_samples([(Fraction(0), Translation(vec(1, 0)))])
-    with pytest.raises(OutOfRangeError):
-        oracle.MotionPath.from_samples([(Fraction(1, 2), Translation(vec(0, 0)))])
-
-
-def test_sampled_path_replays_motions():
-    from immobilize2d.geom import Identity, Translation
-
-    samples = [
-        (Fraction(0), Identity()),
-        (Fraction(1, 2), Translation(vec(3, 0))),
-        (Fraction(1), Translation(vec(6, 0))),
-    ]
-    path = oracle.MotionPath.from_samples(samples)
-    sq, oc = square_opposite_corners()
-    hit = oracle.simulate_path(sq, oc, path, steps=2)
-    assert hit is None  # sliding the square far right frees both corners
-
-
-def test_simulate_path_refuses_a_step_count_below_one():
-    sq, mids = square_edge_midpoints()
-    path = oracle.MotionPath.rotation(vec(0, 0), "CW", Fraction(1, 50))
-    for steps in (0, -3):
-        with pytest.raises(OutOfRangeError):
-            oracle.simulate_path(sq, mids, path, steps=steps)
-    assert oracle.simulate_path(sq, mids, path, steps=1) == (Fraction(1), 0)
-
-
-def test_simulate_path_refuses_a_step_count_that_is_not_an_int():
-    sq, mids = square_edge_midpoints()
-    path = oracle.MotionPath.rotation(vec(0, 0), "CW", Fraction(1, 50))
-    for steps in (2.5, "3", None, True):
-        with pytest.raises(OutOfRangeError):
-            oracle.simulate_path(sq, mids, path, steps=steps)
-
-
-def test_motion_path_refuses_bad_inputs_at_construction():
-    from immobilize2d.geom import Identity, Rotation, Translation
-
-    nan = float("nan")
-    bad_paths = [
-        lambda: oracle.MotionPath.rotation(vec(0, 0), "cw", Fraction(1, 50)),
-        lambda: oracle.MotionPath.rotation(None, "CW", Fraction(1, 50)),
-        lambda: oracle.MotionPath.rotation(Vec(nan, Fraction(0)), "CW", Fraction(1, 50)),
-        lambda: oracle.MotionPath.translation(None),
-        lambda: oracle.MotionPath.translation(Vec(Fraction(1), "x")),
-        lambda: oracle.MotionPath.from_samples([(0, Identity()), (Fraction(1, 2), "junk")]),
-        lambda: oracle.MotionPath.from_samples([(0, "junk")]),
-        lambda: oracle.MotionPath.from_samples([(0, Identity()), (nan, Identity())]),
-        lambda: oracle.MotionPath.from_samples([("x", Identity())]),
-        lambda: oracle.MotionPath.from_samples([(0, Rotation(vec(1, 2), Fraction(3, 5), Fraction(4, 5)))]),
-        lambda: oracle.MotionPath.from_samples([Identity()]),
-        lambda: oracle.MotionPath.from_samples([(0, Identity(), 1)]),
-        lambda: oracle.MotionPath.from_samples(5),
-    ]
-    for build in bad_paths:
-        with pytest.raises(OutOfRangeError):
-            build()
-    # a unit rotation about any center and a zero translation start at the identity too
-    for start in (Rotation(vec(1, 2), Fraction(1), Fraction(0)), Translation(vec(0, 0))):
-        path = oracle.MotionPath.from_samples([("0", start), (Fraction(1), Translation(vec(6, 0)))])
-        assert path.samples[0][0] == 0
-
-
-def test_motion_path_constructor_checks_what_the_builders_check():
-    from immobilize2d.geom import Identity, Translation
-
-    bad_paths = [
-        lambda: oracle.MotionPath(kind="rotation", center=vec(0, 0), sense="cw", max_half_angle=Fraction(1, 50)),
-        lambda: oracle.MotionPath(kind="rotation", center=vec(0, 0), sense="CW"),
-        lambda: oracle.MotionPath(kind="translation"),
-        lambda: oracle.MotionPath(kind="samples"),
-        lambda: oracle.MotionPath(kind="samples", samples=((Fraction(0), Translation(vec(1, 0))),)),
-        lambda: oracle.MotionPath(kind="bogus"),
-    ]
-    for build in bad_paths:
-        with pytest.raises(OutOfRangeError):
-            build()
-    path = oracle.MotionPath(kind="rotation", center=vec(0, 0), sense="CW", max_half_angle="1/50")
-    assert path == oracle.MotionPath.rotation(vec(0, 0), "CW", Fraction(1, 50))
-    assert path.max_half_angle == Fraction(1, 50)
-    assert oracle.MotionPath(kind="samples", samples=[(0, Identity())]).samples == ((Fraction(0), Identity()),)
-
-
-def test_sample_times_increase_strictly_within_the_unit_interval():
-    from immobilize2d.geom import Identity, Translation
-
-    shift = Translation(vec(1, 0))
-    for times in ((0, 5), (0, Fraction(1, 2), Fraction(1, 4)), (0, Fraction(1, 2), Fraction(1, 2)), (0, 0), (0, 1, -1)):
-        with pytest.raises(OutOfRangeError):
-            oracle.MotionPath.from_samples([(times[0], Identity())] + [(t, shift) for t in times[1:]])
-    path = oracle.MotionPath.from_samples([(0, Identity()), (Fraction(1, 3), shift), (1, shift)])
-    assert [t for t, _ in path.samples] == [0, Fraction(1, 3), 1]
-
-
-def test_motion_path_refuses_no_samples():
-    with pytest.raises(OutOfRangeError):
-        oracle.MotionPath.from_samples([])

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 import arc_reference
+from containment_reference import reference_rotation
 from immobilize2d.body import TangentData, boundary_point, tangents_at
 from immobilize2d.errors import NearDegenerateError, OutOfRangeError
 from immobilize2d.fixtures import unit_square
-from immobilize2d.geom import LinearConstraint, Vec, cross, dot, rational_rotation, vec
+from immobilize2d.geom import LinearConstraint, Vec, cross, dot, vec
 from immobilize2d.sectors import (
     SECTOR_KINDS,
     CircArc,
@@ -31,7 +32,7 @@ def corner_tangents():
 
 
 def rand_dir(rng):
-    c, s = rational_rotation(Fraction(rng.randint(-400, 400), 101))
+    c, s = reference_rotation(Fraction(rng.randint(-400, 400), 101))
     if rng.random() < 0.5:
         return Vec(-c, -s)
     return Vec(c, s)
@@ -394,7 +395,7 @@ def test_perturbed_arcs_nest_at_twice_the_turn():
     rng = random.Random(71)
     for _ in range(200):
         t = Fraction(rng.randint(1, 60), 100)
-        c, s = rational_rotation(t * Fraction(rng.randint(95, 105), 100))
+        c, s = reference_rotation(t * Fraction(rng.randint(95, 105), 100))
         a = rand_dir(rng)
         b = Vec(c * a.x - s * a.y, s * a.x + c * a.y)
         b = Vec(c * b.x - s * b.y, s * b.x + c * b.y)
