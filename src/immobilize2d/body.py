@@ -15,10 +15,10 @@ Conventions
   degenerate instead of being trusted).
 * A boundary point is addressed as (element index, param in [0, 1)); a
   vertex is canonically addressed on its departing element at param 0.
-* Containment reads each segment off its integer row ``Segment.row``: the
-  segment's left half-plane as the coprime ints ``geom.halfplane_constraint``
-  gives, read as ``(A, B, C, S)`` with ``A x + B y + C = k cross(b - a, p -
-  a)`` for some ``k > 0`` and ``S = |A| + |B|``, built on first use.
+* Containment reads each segment off its closed left row through ``a``,
+  normal ``rot90_ccw(b - a)``, as the one row builder ``geom.row_through``
+  gives it, read as ``(A, B, C, S)`` with ``A x + B y + C = k cross(b - a,
+  p - a)`` for some ``k > 0`` and ``S = |A| + |B|``.
   A body keeps one table of these, ``ConvexBody.rows``, built on its first
   containment query: per segment the row with the body tolerance ``tol =
   tn / td`` applied, ``(A td, B td, C td, tn S)`` (``(A, B, C, 0)`` at ``tol =
@@ -96,15 +96,6 @@ class Segment:
     def end_tangent(self) -> Vec:
         return self.direction()
 
-    @functools.cached_property
-    def row(self) -> tuple[int, int, int, int]:
-        """Coprime integers (A, B, C, S) of the segment's closed left
-        half-plane row ``halfplane_constraint`` builds: ``A x + B y + C`` is
-        a positive multiple of ``cross(b - a, p - a)`` at p = (x, y), ``S =
-        |A| + |B|`` the same multiple of ``norm1(b - a)``."""
-        lc = halfplane_constraint(self.a, rot90_ccw(self.b - self.a), True)
-        return lc.nx, lc.ny, -lc.c, abs(lc.nx) + abs(lc.ny)
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -142,16 +133,16 @@ class ConvexBody:
     @functools.cached_property
     def rows(self) -> tuple[tuple[int, int, int, int] | Arc, ...]:
         """One containment entry per element, built on first use: a segment's
-        ``Segment.row`` ``(A, B, C, S)`` with the tolerance ``tn / td`` applied,
-        ``(A td, B td, C td, tn S)``, and an arc as it is.  Not a field, so
-        equality and hashing ignore it."""
+        closed left row ``A x + B y >= -C``, ``S = |A| + |B|``, with the
+        tolerance ``tn / td`` applied, ``(A td, B td, C td, tn S)``, and an arc
+        as it is.  Not a field, so equality and hashing ignore it."""
         tol = self.tolerance()
         tn, td = tol.numerator, tol.denominator
         table = []
         for el in self.elements:
             if isinstance(el, Segment):
-                a, b, c, s = el.row
-                table.append((a * td, b * td, c * td, tn * s))
+                lc = halfplane_constraint(el.a, rot90_ccw(el.b - el.a), True)
+                table.append((lc.nx * td, lc.ny * td, -lc.c * td, tn * (abs(lc.nx) + abs(lc.ny))))
             else:
                 table.append(el)
         return tuple(table)
@@ -391,7 +382,7 @@ def boundary_point(body: ConvexBody, element_index: int, param) -> BoundaryPoint
     """Construct the canonical BoundaryPoint at (element, param)."""
     n = len(body.elements)
     if not 0 <= element_index < n:
-        raise NotOnBoundaryError(f"element index {element_index} out of range")
+        raise NotOnBoundaryError(f"element index outside [0, {n})")
     param = read_scalar(param, "param")
     if param == 1:
         element_index = (element_index + 1) % n

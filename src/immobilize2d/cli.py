@@ -4,7 +4,8 @@ Exit codes
     classify   0 POSITIVE, 10 NOT_WEAKLY_FIX / NOT_ALMOST_FIX, 20 INDETERMINATE
     refine     0 success, 11 not almost-positive, 12 refinement exhausted
     fuzz       0 clean, 13 invariant violation
-    any        1 on parse, validation, or usage errors in input files
+    any        1 on parse or validation errors in input files and flag values,
+               2 on command-line usage errors that argparse refuses
 """
 
 from __future__ import annotations

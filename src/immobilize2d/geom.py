@@ -9,9 +9,11 @@ arguments, JSON documents and command-line flags alike.
 A half-plane is one ``LinearConstraint`` row, ``n . p >= c`` (strict when
 open); contact sectors are built from these rows and the exact solver
 eliminates them, so both read the same side convention.  A row is its four
-terms as coprime ints, the one primitive positive multiple of the row;
-``_coprime_row`` is its one normaliser, for int and ``Fraction`` terms alike,
-through ``over_one_denominator``, the one place a common denominator is built.
+terms as coprime ints, the one primitive positive multiple of the row.  One
+builder, ``row_through``, makes every row through a point, from an int
+normal and the point over one denominator; ``_coprime_row`` reads a row's
+terms from outside, ints or ``Fraction``s, through ``over_one_denominator``,
+the one place a common denominator is built.  Both end in ``_over_gcd``.
 Every rational rotation takes its unit from ``half_angle_unit`` (turned CW or
 CCW by ``rotation_unit``) and moves points as one integer map
 (``rotation_map``); the escape probes in ``oracle`` are the only callers.
@@ -145,7 +147,7 @@ def norm1(v: Vec) -> Fraction:
 @dataclass(frozen=True)
 class LinearConstraint:
     """``nx * x + ny * y >= c`` (``> c`` when strict): coprime ints as
-    ``halfplane_constraint`` builds it, the only rows the exact solver reads.
+    ``row_through`` builds it, the only rows the exact solver reads.
     ``feasibility.linear_feasible`` takes rows from outside with any terms
     ``read_scalar`` reads, and normalises each with ``_coprime_row`` first;
     ``margin`` (and so ``holds``) reads a term that is not an int or a
@@ -165,23 +167,32 @@ class LinearConstraint:
         return m > 0 if self.strict else m >= 0
 
 
-def _coprime_row(nx, ny, c, strict: bool) -> LinearConstraint:
-    """``nx x + ny y >= c`` (ints or rationals) times the positive factor making it coprime ints."""
-    (a, b, k), _ = over_one_denominator(nx, ny, c)
+def _over_gcd(a: int, b: int, k: int, strict: bool) -> LinearConstraint:
+    """The int row ``a x + b y >= k`` over its gcd: its one coprime positive multiple."""
     g = gcd(a, b, k) or 1
     return LinearConstraint(a // g, b // g, k // g, strict)
 
 
-def halfplane_constraint(base: Vec, normal: Vec, closed: bool) -> LinearConstraint:
-    """``normal . p >= normal . base`` as coprime ints, strict unless closed: the
-    half-plane whose rim passes through ``base`` and which ``normal`` points into:
-    with the normal ``(a, b) / dn`` and the base ``(X, Y) / db``, the row
-    ``a db x + b db y >= a X + b Y``, normalised."""
-    if normal.is_zero():
+def _coprime_row(nx, ny, c, strict: bool) -> LinearConstraint:
+    """``nx x + ny y >= c`` (ints or rationals) times the positive factor making it coprime ints."""
+    (a, b, k), _ = over_one_denominator(nx, ny, c)
+    return _over_gcd(a, b, k, strict)
+
+
+def row_through(nx: int, ny: int, x: int, y: int, w: int, strict: bool) -> LinearConstraint:
+    """``(nx, ny) . p >= (nx, ny) . (x / w, y / w)``, w > 0, as the row ``nx w x +
+    ny w y >= nx x + ny y`` over its gcd.  A zero normal raises ``ValueError``."""
+    if not (nx or ny):
         raise ValueError("half-plane needs a nonzero normal")
+    return _over_gcd(nx * w, ny * w, nx * x + ny * y, strict)
+
+
+def halfplane_constraint(base: Vec, normal: Vec, closed: bool) -> LinearConstraint:
+    """``normal . p >= normal . base``, strict unless closed: ``row_through`` on
+    the normal and the base, each over its own denominator."""
     (a, b), _ = over_one_denominator(normal.x, normal.y)
-    (x, y), db = over_one_denominator(base.x, base.y)
-    return _coprime_row(a * db, b * db, a * x + b * y, not closed)
+    (x, y), w = over_one_denominator(base.x, base.y)
+    return row_through(a, b, x, y, w, not closed)
 
 
 # -- rotations ---------------------------------------------------------------

@@ -130,6 +130,17 @@ def points_to_json(pts) -> list:
     return [{"element": bp.element_index, "param": scalar_to_json(bp.param)} for bp in pts]
 
 
+def _element_index(v) -> int:
+    """A point entry's ``element``: an integer ``read_scalar`` reads, else ``ValueError``."""
+    try:
+        q = _scalar(v, "element")
+    except OutOfRangeError:
+        raise ValueError(v) from None
+    if q.denominator != 1:
+        raise ValueError(v)
+    return q.numerator
+
+
 def points_from_json(doc, body: ConvexBody) -> list[BoundaryPoint]:
     if not isinstance(doc, list):
         raise InvalidPointError(f"points document must be a list of point entries, got {doc!r:.40}")
@@ -139,11 +150,8 @@ def points_from_json(doc, body: ConvexBody) -> list[BoundaryPoint]:
             out.append(locate(body, vec_from_json(entry["coords"])))
             continue
         try:
-            raw = entry["element"]
-            element, param = int(raw), _scalar(entry["param"], "param")
-            if isinstance(raw, bool) or (isinstance(raw, float) and element != raw):
-                raise ValueError(raw)
-        except (KeyError, TypeError, ValueError, OverflowError):
+            element, param = _element_index(entry["element"]), _scalar(entry["param"], "param")
+        except (KeyError, TypeError, ValueError):
             raise InvalidPointError(
                 f"point entry needs an integer 'element' and a 'param', or 'coords': {entry!r:.40}"
             ) from None

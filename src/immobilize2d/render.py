@@ -1,11 +1,11 @@
 """Deterministic SVG diagrams: body, contacts, normal lines, witness markers.
 
-Normal lines and the shaded region are read off the classifier's sector
-rows (``sectors.contact_rows``).  The region is the branch of the verdict
-question's closed sectors that holds the rotation-centre witness: at each
-contact the first alternative of the tested kind whose rows all hold there,
-clipped to the window.  A verdict document without a ``question`` gets no
-region.
+Normal lines and the shaded region are read off the contact rows that
+``classify`` builds (``sectors.rows_from_tangents`` on ``body.tangent_ints``).
+The region is the branch of the verdict question's closed sectors that
+holds the rotation-centre witness: at each contact the first alternative of
+the tested kind whose rows all hold there, clipped to the window.  A verdict
+document without a ``question`` gets no region.
 
 Rendering is presentation only, so geometry is converted to floats; every
 coordinate is formatted with a fixed precision and elements are emitted in
@@ -15,10 +15,10 @@ a fixed order, making the output byte-stable for identical inputs.
 from __future__ import annotations
 
 from . import io
-from .body import BoundaryPoint, ConvexBody, Segment, tangents_at
+from .body import BoundaryPoint, ConvexBody, Segment, tangent_ints
 from .classify import _QUESTION_KINDS, TEST_NAMES, Witness
 from .errors import in_float_range
-from .sectors import ContactRows, contact_rows, sector_of
+from .sectors import ContactRows, rows_from_tangents, sector_of
 
 _VIEW_W = 640.0
 _MARGIN = 24.0
@@ -146,7 +146,7 @@ def render_svg(
     window: tuple[float, float, float, float] | None = None,
 ) -> str:
     question, witness, statuses = (None, None, {}) if verdict_doc is None else io.verdict_marks_from_json(verdict_doc)
-    contacts = [contact_rows(bp.coords, tangents_at(body, bp)) for bp in pts]
+    contacts = [rows_from_tangents(bp.coords, *tangent_ints(body, bp)) for bp in pts]
     window = window or _default_window(body)
     fr = _Frame(window)
     lines = [

@@ -15,21 +15,19 @@ two half-planes: its left side ``-u . p >= -u . apex`` and its right side
 
 A contact is its distinct closed right-side rows, built once as
 ``ContactRows``: two at a corner, one at a smooth contact, where both
-tangents bound the same half-plane.  One integer builder makes them,
-``rows_from_tangents``: with the apex over one denominator, ``(X, Y, W)``,
-a tangent ``(ux, uy)`` in ints gives the row ``(ux W, uy W, ux X + uy Y)``
-over its gcd, the one coprime positive multiple of ``u . p >= u . apex``
-that ``geom.halfplane_constraint`` also gives, and whether the tangents
-point the same way is decided on the same ints.  ``classify`` feeds it the
-body's own int tangents (``body.tangent_ints``); ``contact_rows`` reduces a
-``TangentData``'s two ``Vec`` tangents to ints and calls it.  Every sector of
-the contact is read off them by one rule: flip the signs (left kinds) and
-``strict`` (open sectors), both of which keep a row coprime, then take a
-small sector as one alternative holding every row and a large one as one
-alternative per row.
-A sector is the union of its alternatives, so at a smooth contact ``L`` and
-``small_l`` are one sector, as are ``R`` and ``small_r``.  Membership and the
-exact sector-system solver both read these rows.
+tangents bound the same half-plane.  ``rows_from_tangents`` makes them: it
+puts the apex over one denominator, hands each int tangent to
+``geom.row_through``, the one builder of a row through a point, and decides
+on the same ints whether the tangents point the same way.  ``classify`` and
+``render`` feed it the body's own int tangents (``body.tangent_ints``);
+``contact_rows`` reduces a ``TangentData``'s two ``Vec`` tangents to ints
+and calls it.  Every sector of the contact is read off them by one rule:
+flip the signs (left kinds) and ``strict`` (open sectors), both of which
+keep a row coprime, then take a small sector as one alternative holding
+every row and a large one as one alternative per row.  A sector is the
+union of its alternatives, so at a smooth contact ``L`` and ``small_l`` are
+one sector, as are ``R`` and ``small_r``.  Membership and the exact
+sector-system solver both read these rows.
 
 A direction set is the circle trace of a closed sector: the one closed arc
 (``CircArc``) of directions d such that apex + d stays in the sector.  It
@@ -60,6 +58,7 @@ from .geom import (
     over_one_denominator,
     read_scalar,
     rotation_unit,
+    row_through,
     same_ray,
 )
 
@@ -85,15 +84,6 @@ class ContactRows:
     rows: tuple[LinearConstraint, ...]
 
 
-def _tangent_row(ux: int, uy: int, x: int, y: int, w: int) -> LinearConstraint:
-    """``u . p >= u . (x / w, y / w)`` as coprime ints, for w > 0."""
-    a, b, c = ux * w, uy * w, ux * x + uy * y
-    g = gcd(a, b, c)
-    if not g:
-        raise ValueError("half-plane needs a nonzero normal")
-    return LinearConstraint(a // g, b // g, c // g)
-
-
 def rows_from_tangents(apex: Vec, left: tuple[int, int], right: tuple[int, int]) -> ContactRows:
     """The contact's rows from int tangents, positive multiples of ``u_left``
     and ``u_right``: the left row, and the right row unless both tangents
@@ -101,11 +91,11 @@ def rows_from_tangents(apex: Vec, left: tuple[int, int], right: tuple[int, int])
     ``ValueError``."""
     (x, y), w = over_one_denominator(apex.x, apex.y)
     (lx, ly), (rx, ry) = left, right
-    row = _tangent_row(lx, ly, x, y, w)
+    row = row_through(lx, ly, x, y, w, False)
     # both rows are coprime and pass through apex: equal exactly when the tangents point the same way
     if lx * ry == ly * rx and lx * rx + ly * ry > 0:
         return ContactRows(apex, (row,))
-    return ContactRows(apex, (row, _tangent_row(rx, ry, x, y, w)))
+    return ContactRows(apex, (row, row_through(rx, ry, x, y, w, False)))
 
 
 def contact_rows(apex: Vec, t: TangentData) -> ContactRows:

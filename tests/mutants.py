@@ -157,8 +157,21 @@ MUTANTS = [
         ),
         None,
     ),
-    # the row normaliser divides by the terms' gcd
+    # the one gcd step divides every row by its terms' gcd
     (GEOM, "g = gcd(a, b, k) or 1", "g = 1", ("tests/test_row_property.py::test_rows_are_coprime_ints_with_the_rational_rows_terms",), None),
+    # the one builder of a row through a point scales the normal by the point's denominator; every
+    # row goes through it, so only the races against Fraction references can tell
+    (
+        GEOM,
+        "return _over_gcd(nx * w, ny * w, nx * x + ny * y, strict)",
+        "return _over_gcd(nx, ny, nx * x + ny * y, strict)",
+        (
+            "tests/test_row_property.py::test_rows_are_coprime_ints_with_the_rational_rows_terms",
+            "tests/test_row_property.py::test_sectors_read_off_contact_rows_are_the_fraction_sectors",
+            "tests/test_row_property.py::test_segment_rows_are_the_builders_coprime_form",
+        ),
+        None,
+    ),
 ]
 
 

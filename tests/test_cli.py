@@ -427,6 +427,9 @@ BAD_POINTS = (
     "[5]",
     '[{"element": 1.5, "param": "1/2"}]',
     '[{"element": true, "param": "1/2"}]',
+    # read_scalar refuses a digit separator on every Python, where int() would read "0_1" as 1
+    '[{"element": "0_1", "param": "1/2"}, {"element": 3, "param": "1/2"}]',
+    '[{"element": "1_0", "param": "1/2"}]',
     '[{"coords": {"x": null, "y": "0"}}]',
 )
 BAD_BODIES = (
@@ -486,6 +489,8 @@ def test_an_oversized_value_is_echoed_in_one_short_line(square_files, tmp_path):
     cases = (
         (json.dumps([{"element": 0, "param": "1" * 1_000_000}]), "OUT_OF_RANGE"),
         (json.dumps({"points": "x" * 4_986}), "INVALID_POINT"),
+        # an integral index past the int-string digit limit: the message does not echo it
+        (json.dumps([{"element": "1e4300", "param": "1/2"}]), "NOT_ON_BOUNDARY"),
     )
     for doc, code in cases:
         bad.write_text(doc)

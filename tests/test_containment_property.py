@@ -1,7 +1,7 @@
 """Property tests: integer containment and rotations against Fraction references.
 
 ``contains_interior`` decides segments from the body's integer row table
-(``ConvexBody.rows``, each ``Segment.row`` with the tolerance applied),
+(``ConvexBody.rows``, each segment's closed left row with the tolerance applied),
 ``contains_over`` takes the point over one denominator, and the oracle's
 escape probes rotate by the integer map ``geom.rotation_map`` builds and
 translate by the map ``(vw, 0, vx, vy, vw)``;
@@ -36,7 +36,7 @@ from immobilize2d.body import (  # noqa: E402
 )
 from immobilize2d.errors import NearDegenerateError  # noqa: E402
 from immobilize2d.fixtures import random_convex_polygon, unit_disc  # noqa: E402
-from immobilize2d.geom import Vec, over_one_denominator, rotation_map, rotation_unit  # noqa: E402
+from immobilize2d.geom import Vec, halfplane_constraint, over_one_denominator, rot90_ccw, rotation_map, rotation_unit  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -185,10 +185,8 @@ def test_rows_are_computed_on_first_containment_only():
     for b in (body, loaded, polygon([(0, 0), (1, 0), (0, 1)])):
         # validate builds neither table: it reads the tangents straight off the elements
         assert "rows" not in vars(b) and "arclength" not in vars(b)
-        assert not any("row" in vars(el) for el in b.elements)
     contains_interior(body, Vec(Fraction(1, 3), Fraction(1, 7)))
     assert "rows" in vars(body) and "arclength" not in vars(body)
-    assert "row" in vars(body.elements[0])
 
 
 @SETTINGS
@@ -198,7 +196,8 @@ def test_row_table_is_each_segment_row_with_the_tolerance_applied(data):
     tn, td = body.tolerance().numerator, body.tolerance().denominator
     assert len(body.rows) == len(body.elements)
     for entry, el in zip(body.rows, body.elements):
-        a, b, c, s = el.row
+        lc = halfplane_constraint(el.a, rot90_ccw(el.b - el.a), True)
+        a, b, c, s = lc.nx, lc.ny, -lc.c, abs(lc.nx) + abs(lc.ny)
         assert entry == (a * td, b * td, c * td, tn * s)
 
 

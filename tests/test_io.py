@@ -91,6 +91,13 @@ def test_points_round_trip_by_address_and_by_coords():
     doc = io.points_to_json(pts)
     assert io.points_from_json(doc, sq) == pts
 
+    # an element is read by read_scalar and must be an integer: ints, integral floats and strings
+    for element in (2, 2.0, "2", " 2 ", "4/2"):
+        assert io.points_from_json([{"element": element, "param": "1/2"}], sq) == pts[1:]
+    for element in ("0_1", "1_0", 1.5, "3/2", True, "nan", float("inf"), None, [2]):
+        with pytest.raises(InvalidPointError, match="integer 'element'"):
+            io.points_from_json([{"element": element, "param": "1/2"}], sq)
+
     by_coords = [{"coords": {"x": "1", "y": "0"}}]
     got = io.points_from_json(by_coords, sq)
     assert got[0].coords == vec(1, 0)

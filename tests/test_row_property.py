@@ -4,7 +4,8 @@ factor on a row changes a pick, a witness, a twin or a coordinate's type.
 
 ``halfplane_constraint`` is checked against the rational row it stands for:
 ``nx, ny, c`` are coprime Python ints with the same direction and ``c /
-norm1(n)``.  ``Segment.row`` must be that same coprime form.  The rows
+norm1(n)``.  Each segment's row in ``ConvexBody.rows`` must be that same
+coprime form of its closed left half-plane.  The rows
 ``_twin_any`` hands to ``first_branch`` must be each sector row's rational
 form ``n . p >= n . apex``, for any positive multiple ``n`` of the row's
 normal, moved by ``slack norm1(n) (1 + norm1(apex))``.  Then every row of a
@@ -50,6 +51,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from immobilize2d import classify, cli, feasibility  # noqa: E402
 from immobilize2d.body import (  # noqa: E402
     MIXED_INEXACT,
+    ConvexBody,
     Segment,
     TangentData,
     boundary_point,
@@ -199,8 +201,11 @@ def test_directions_witness_is_the_fraction_rays_witness(contacts, tol):
 @hypothesis.given(points, points)
 def test_segment_rows_are_the_builders_coprime_form(a, b):
     hypothesis.assume(a != b)
-    lc = halfplane_constraint(a, rot90_ccw(b - a), True)
-    assert Segment(a, b).row == (lc.nx, lc.ny, -lc.c, abs(lc.nx) + abs(lc.ny))
+    # an exact body's table entry is the row (A, B, C) with A x + B y + C >= 0, and no tolerance
+    nx, ny, c, s = ConvexBody((Segment(a, b),)).rows[0]
+    n = rot90_ccw(b - a)
+    assert s == 0
+    assert_coprime_form(LinearConstraint(nx, ny, -c), n.x, n.y, dot(n, a), False)
 
 
 @SETTINGS
